@@ -50,7 +50,7 @@ def _load_json(path: str):
 
 
 def _dump_json(data, out: str | None):
-    text = json.dumps(data, indent=2, sort_keys=True)
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -235,7 +235,6 @@ def _delays_from_arg(arg: str) -> lf.DelayModel:
 
 def cmd_lockfree(args) -> int:
     raw = _load_json(args.toy_config) if args.toy_config else {}
-    raw.setdefault("seed", args.seed)
     if args.seed is not None:
         raw["seed"] = args.seed
     hyper = lf.AdamHyper(**raw.pop("hyper")) if "hyper" in raw else lf.AdamHyper()
@@ -450,7 +449,7 @@ def build_parser() -> _Parser:
     p.add_argument("--delays", default="preset:ssd")
     p.add_argument("--mode", choices=["sync", "lockfree"], default="lockfree")
     p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)  # None: the toy config's seed
     p.add_argument("--max-inflight", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_lockfree)

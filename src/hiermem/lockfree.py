@@ -663,6 +663,8 @@ class TrainReport:
 
     def to_dict(self) -> dict:
         out = dict(self.__dict__)
+        if not math.isfinite(self.samples_per_s):
+            out["samples_per_s"] = None  # a zero makespan; JSON has no infinity
         out["loss_curve"] = list(self.loss_curve)
         out["staleness_histogram"] = {str(k): v for k, v in
                                       sorted(self.staleness_histogram.items())}

@@ -287,14 +287,17 @@ class PageManager:
             raise KeyError(f"unknown or already released tensor {tensor_id}")
         tensor = self.tensors.pop(tensor_id)
         freed = 0
+        pools: dict[Tier, TierPool] = {}  # each pool the tensor had pages in
         for pid in tensor.page_list:
             pool = self._pool_of_page(pid)
+            pools[pool.tier] = pool
             page = pool.pages[pid]
             keep = [o for o in page.occupants if o.tensor_id != tensor_id]
             freed += sum(o.bytes for o in page.occupants) - sum(o.bytes for o in keep)
             page.occupants = keep
             if not keep:
                 pool.free(page)
+        for pool in pools.values():
             pool.stats.releases += 1
         return freed
 

@@ -14,19 +14,32 @@ Phase 2 re-triggers each all_gather at the earliest point that keeps peak
 residency within budget (owned-page gathers never add memory and move to
 their page's move trigger; no trigger ever increases).
 
-Residency model: an owned page is resident from its move trigger, a
-non-owned page from its gather trigger, until the next eviction trigger
-or one slot past the layer's backward op; activations and parameter
-gradients contribute per their trace lifetimes. trigger_id t means the
-task becomes eligible when compute slot t is reached (t=0 at iteration
-start).
+Residency model: one rule, in `_page_intervals`, says when a page is
+resident. Each acquire (the move trigger of a page this rank owns, the
+gather trigger of any other page) holds the page until the next later
+eviction of that page or until one slot past its layer's backward op,
+whichever comes first; that release never lies past the 2n-slot horizon.
+Activations and parameter gradients are resident over their trace
+lifetimes. trigger_id t means the task becomes eligible when compute slot
+t is reached (t=0 at iteration start).
+
+`_Residency` keeps the resident bytes as one difference array over the
+slots for the total plus one per layer, so leaving a layer out is a
+subtraction. Phase 1 keeps one up to date as it adds and withdraws tasks:
+an update re-derives the intervals of the task's page only, O(intervals of
+that page), and a query is a prefix sum, O(slots). After every phase-1
+decision it equals `_resident_profile` of the tasks so far, the one sweep
+over a whole task list that `peak_memory`, `available_memory` and
+`advance_gathers` use.
 
 Scheduling is a pure function; a Schedule is an immutable value.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 from .errors import ConfigError, InfeasibleScheduleError
 from .footprint import TensorSpec
@@ -179,53 +192,125 @@ class Schedule:
 _RESIDENT_KINDS = ("activation16", "grad16")
 
 
+def _page_intervals(acquires, evicts, release: int) -> list[tuple[int, int]]:
+    """Slot intervals [start, end) over which one page is resident.
+
+    Each acquire holds the page until the next later eviction or
+    ``release``, whichever comes first; empty intervals are dropped.
+    ``release`` is one past the layer's backward slot, so it never exceeds
+    the 2n-slot horizon and neither end needs clamping.
+    """
+    rels = sorted(evicts)
+    intervals = []
+    for a in sorted(acquires):
+        k = bisect_right(rels, a)
+        r = rels[k] if k < len(rels) and rels[k] < release else release
+        if r > a:
+            intervals.append((a, r))
+    return intervals
+
+
+class _Residency:
+    """Resident GPU bytes per compute slot under a set of tasks.
+
+    One difference array over the slots holds the total and one per layer
+    holds that layer's share. ``add`` and ``remove`` re-derive only the
+    task's page; ``resident`` and ``profile`` take prefix sums.
+    """
+
+    def __init__(self, model: LayerModel, sharding: ShardingModel,
+                 traces: list[TensorTrace], tasks=()):
+        self.model = model
+        self.sharding = sharding
+        self.horizon = 2 * model.num_layers
+        self.total = [0] * (self.horizon + 1)
+        self.by_layer: dict[int, list[int]] = {}
+        self.acquires: dict[int, list[int]] = {}
+        self.evicts: dict[int, list[int]] = {}
+        self.intervals: dict[int, list[tuple[int, int]]] = {}
+        for tr in traces:
+            spec = model.tensor_info.get(tr.tensor_id)
+            if spec is None or spec.kind not in _RESIDENT_KINDS:
+                continue
+            start, end = min(tr.first_id, self.horizon), min(tr.end_id + 1, self.horizon)
+            for delta in (self.total, self._layer_delta(spec.layer_index)):
+                delta[start] += spec.bytes
+                delta[end] -= spec.bytes
+        for task in tasks:
+            triggers = self._triggers(task)
+            if triggers is not None:
+                triggers.append(task.trigger_id)
+        for pid in self.acquires.keys() | self.evicts.keys():
+            self._refresh(pid)
+
+    def _triggers(self, task: Task) -> list[int] | None:
+        """The task's place in its page's acquires or evictions; None if the
+        task does not change residency."""
+        if task.operation == "evict_to_cpu":
+            by_page = self.evicts
+        elif task.operation == ("move_to_gpu" if self.sharding.owns(task.target)
+                                else "all_gather"):
+            by_page = self.acquires
+        else:
+            return None
+        if task.target not in self.model.page_layer:
+            return None
+        return by_page.setdefault(task.target, [])
+
+    def _layer_delta(self, layer: int) -> list[int]:
+        per_layer = self.by_layer.get(layer)
+        if per_layer is None:
+            per_layer = self.by_layer[layer] = [0] * (self.horizon + 1)
+        return per_layer
+
+    def _refresh(self, pid: int) -> None:
+        layer = self.model.page_layer[pid]
+        old = self.intervals.get(pid, [])
+        new = _page_intervals(self.acquires.get(pid, ()), self.evicts.get(pid, ()),
+                              backward_id(layer, self.model.num_layers) + 1)
+        if new == old:
+            return
+        total, per_layer = self.total, self._layer_delta(layer)
+        page_bytes = self.model.page_bytes
+        for intervals, nbytes in ((old, -page_bytes), (new, page_bytes)):
+            for a, r in intervals:
+                total[a] += nbytes
+                total[r] -= nbytes
+                per_layer[a] += nbytes
+                per_layer[r] -= nbytes
+        self.intervals[pid] = new
+
+    def add(self, task: Task) -> None:
+        triggers = self._triggers(task)
+        if triggers is not None:
+            triggers.append(task.trigger_id)
+            self._refresh(task.target)
+
+    def remove(self, task: Task) -> None:
+        triggers = self._triggers(task)
+        if triggers is not None:
+            triggers.remove(task.trigger_id)
+            self._refresh(task.target)
+
+    def resident(self, slot: int, exclude_layer: int | None = None) -> int:
+        """Bytes resident at one slot, leaving out ``exclude_layer``'s share."""
+        total = sum(self.total[:slot + 1])
+        per_layer = self.by_layer.get(exclude_layer)
+        return total - sum(per_layer[:slot + 1]) if per_layer else total
+
+    def profile(self, exclude_layer: int | None = None) -> list[int]:
+        """Bytes resident at every slot, leaving out ``exclude_layer``'s share."""
+        delta = self.total[:self.horizon]
+        per_layer = self.by_layer.get(exclude_layer)
+        if per_layer:
+            delta = [t - x for t, x in zip(delta, per_layer)]
+        return list(accumulate(delta))
+
+
 def _resident_profile(tasks, model: LayerModel, sharding: ShardingModel,
                       traces: list[TensorTrace], exclude_layer: int | None = None) -> list[int]:
-    """Resident GPU bytes per compute slot (diff-array sweep)."""
-    n = model.num_layers
-    horizon = 2 * n
-    delta = [0] * (horizon + 2)
-
-    moves: dict[int, list[int]] = {}
-    gathers: dict[int, list[int]] = {}
-    evicts: dict[int, list[int]] = {}
-    for task in tasks:
-        if task.operation == "move_to_gpu":
-            moves.setdefault(task.target, []).append(task.trigger_id)
-        elif task.operation == "all_gather":
-            gathers.setdefault(task.target, []).append(task.trigger_id)
-        elif task.operation == "evict_to_cpu":
-            evicts.setdefault(task.target, []).append(task.trigger_id)
-
-    page_bytes = model.page_bytes
-    for pid, layer in model.page_layer.items():
-        if layer == exclude_layer:
-            continue
-        release_default = backward_id(layer, n) + 1
-        acquires = sorted(moves.get(pid, ())) if sharding.owns(pid) \
-            else sorted(gathers.get(pid, ()))
-        rels = sorted(evicts.get(pid, ()))
-        for a in acquires:
-            r = next((e for e in rels if e > a), release_default)
-            r = min(r, release_default)
-            if r > a:
-                delta[min(a, horizon)] += page_bytes
-                delta[min(r, horizon)] -= page_bytes
-    for tr in traces:
-        spec = model.tensor_info.get(tr.tensor_id)
-        if spec is None or spec.kind not in _RESIDENT_KINDS:
-            continue
-        if spec.layer_index == exclude_layer:
-            continue
-        delta[min(tr.first_id, horizon)] += spec.bytes
-        delta[min(tr.end_id + 1, horizon)] -= spec.bytes
-
-    profile = [0] * horizon
-    running = 0
-    for x in range(horizon):
-        running += delta[x]
-        profile[x] = running
-    return profile
+    """Resident GPU bytes per compute slot, in one sweep over a task list."""
+    return _Residency(model, sharding, traces, tasks).profile(exclude_layer)
 
 
 def available_memory(schedule: Schedule, traces: list[TensorTrace], at_id: int) -> int:
@@ -262,9 +347,10 @@ def _layer_working_set(model: LayerModel, traces: list[TensorTrace], layer: int)
 # -- phase 1 -----------------------------------------------------------------
 
 def _build_phase1(model: LayerModel, traces: list[TensorTrace], gpu_budget: int,
-                  sharding: ShardingModel) -> tuple[list[Task], dict[int, int]]:
+                  sharding: ShardingModel) -> tuple[list[Task], _Residency]:
     n = model.num_layers
     page_bytes = model.page_bytes
+    page_layer = model.page_layer
     own_pages = [[p for p in pages if sharding.owns(p)] for pages in model.layer_pages]
 
     sizes = [_layer_working_set(model, traces, i) for i in range(n)]
@@ -272,68 +358,83 @@ def _build_phase1(model: LayerModel, traces: list[TensorTrace], gpu_budget: int,
         if size > gpu_budget:
             raise InfeasibleScheduleError(i, size, gpu_budget)
 
-    tasks: list[Task] = []
+    resident = _Residency(model, sharding, traces)
+    tasks: list[Task | None] = []  # None: a move a deferral withdrew
+    moves: list[int] = []  # indices into tasks of the moves, ascending
+
+    def add(task: Task) -> None:
+        if task.operation == "move_to_gpu":
+            moves.append(len(tasks))
+        tasks.append(task)
+        resident.add(task)
+
+    def withdraw_latest_move(i: int) -> Task | None:
+        """Withdraw the latest move of a layer after i, if there is one."""
+        while moves:
+            idx = moves.pop()
+            task = tasks[idx]
+            # a move of layer <= i is passed over here and by every later deferral
+            if task.layer > i:
+                tasks[idx] = None
+                resident.remove(task)
+                return task
+        return None
+
     for i in range(n):
         for pid in own_pages[i]:
-            tasks.append(Task("move_to_gpu", pid, 0, i, i, True))
+            add(Task("move_to_gpu", pid, 0, i, i, True))
 
-    wait_stack: list[int] = []
-    evicted_fwd: dict[int, int] = {}
-
-    def avail(at: int, exclude: int | None) -> int:
-        profile = _resident_profile(tasks, model, sharding, traces, exclude_layer=exclude)
-        return gpu_budget - profile[at]
+    wait_stack: list[int] = []  # deferred pages, latest on top; pages of drained layers linger
+    parked: dict[int, list[int]] = {}  # layer -> its pages still waiting, in stack order
+    evicted = 0  # layers 0..evicted-1 were evicted in the forward sweep, oldest first
 
     for i in range(n):
         # pages of this layer parked earlier must move now (the gather needs them)
-        for pid in [p for p in wait_stack if model.page_layer[p] == i]:
-            wait_stack.remove(pid)
-            tasks.append(Task("move_to_gpu", pid, i, i, i, True))
+        for pid in parked.pop(i, ()):
+            add(Task("move_to_gpu", pid, i, i, i, True))
 
-        while avail(i, exclude=i) < sizes[i]:
-            deferred = False
-            for idx in range(len(tasks) - 1, -1, -1):
-                t = tasks[idx]
-                if t.operation == "move_to_gpu" and t.layer > i:
-                    tasks.pop(idx)
-                    wait_stack.append(t.target)
-                    deferred = True
-                    break
-            if deferred:
+        while gpu_budget - resident.resident(i, exclude_layer=i) < sizes[i]:
+            task = withdraw_latest_move(i)
+            if task is not None:
+                wait_stack.append(task.target)
+                parked.setdefault(task.layer, []).append(task.target)
                 continue
-            victim = next(
-                (j for j in range(i) if j not in evicted_fwd), None
-            )
-            if victim is None:
-                raise InfeasibleScheduleError(i, sizes[i], avail(i, exclude=i))
+            victim = evicted
+            if victim >= i:
+                raise InfeasibleScheduleError(
+                    i, sizes[i], gpu_budget - resident.resident(i, exclude_layer=i))
             for pid in model.layer_pages[victim]:
-                tasks.append(Task("evict_to_cpu", pid, i, victim, i,
-                                  sharding.owns(pid)))
-            evicted_fwd[victim] = i
+                add(Task("evict_to_cpu", pid, i, victim, i, sharding.owns(pid)))
+            evicted += 1
 
         for pid in model.layer_pages[i]:
-            tasks.append(Task("all_gather", pid, i, i, i, sharding.owns(pid)))
-        tasks.append(Task("compute", i, i, i, i))
+            add(Task("all_gather", pid, i, i, i, sharding.owns(pid)))
+        add(Task("compute", i, i, i, i))
 
-        while wait_stack and avail(i, exclude=None) > page_bytes:
+        while True:
+            while wait_stack and page_layer[wait_stack[-1]] <= i:
+                wait_stack.pop()  # moved when its layer was drained
+            if not wait_stack or gpu_budget - resident.resident(i) <= page_bytes:
+                break
             pid = wait_stack.pop()
-            layer = model.page_layer[pid]
-            tasks.append(Task("move_to_gpu", pid, i, layer, layer, True))
+            layer = page_layer[pid]
+            parked[layer].pop()  # the top of the stack is its layer's latest entry
+            add(Task("move_to_gpu", pid, i, layer, layer, True))
 
-    assert not wait_stack, "wait stack must drain by the end of the forward sweep"
+    assert not any(parked.values()), "wait stack must drain by the end of the forward sweep"
 
     for slot in range(n, 2 * n):
         i = 2 * n - 1 - slot
-        if i in evicted_fwd:
+        if i < evicted:
             for pid in own_pages[i]:
-                tasks.append(Task("move_to_gpu", pid, slot, i, slot, True))
+                add(Task("move_to_gpu", pid, slot, i, slot, True))
             for pid in model.layer_pages[i]:
-                tasks.append(Task("all_gather", pid, slot, i, slot, sharding.owns(pid)))
-        tasks.append(Task("compute", i, slot, i, slot))
+                add(Task("all_gather", pid, slot, i, slot, sharding.owns(pid)))
+        add(Task("compute", i, slot, i, slot))
         for pid in own_pages[i]:
-            tasks.append(Task("evict_to_cpu", pid, slot + 1, i, slot, True))
+            add(Task("evict_to_cpu", pid, slot + 1, i, slot, True))
 
-    return tasks, evicted_fwd
+    return [t for t in tasks if t is not None], resident
 
 
 # -- phase 2 -----------------------------------------------------------------
@@ -389,11 +490,11 @@ def schedule(model_layers: LayerModel, traces: list[TensorTrace], gpu_budget: in
              sharding: ShardingModel | None = None, phase1_only: bool = False) -> Schedule:
     """Emit the page-level task schedule for one rank under a GPU budget."""
     sharding = sharding or ShardingModel()
-    tasks, _ = _build_phase1(model_layers, traces, gpu_budget, sharding)
+    tasks, resident = _build_phase1(model_layers, traces, gpu_budget, sharding)
     phase1 = Schedule(tuple(tasks), "phase1", gpu_budget, model_layers, sharding)
-    peak = peak_memory(phase1, traces)
+    profile = resident.profile()
+    peak = max(profile)
     if peak > gpu_budget:
-        profile = _resident_profile(tasks, model_layers, sharding, traces)
         slot = profile.index(peak)
         n = model_layers.num_layers
         layer = slot if slot < n else 2 * n - 1 - slot

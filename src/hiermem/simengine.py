@@ -129,7 +129,8 @@ class SimReport:
             "busy_s": dict(sorted(self.busy_s.items())),
             "utilization": dict(sorted(self.utilization.items())),
             "gpu_idle_fraction": self.gpu_idle_fraction,
-            "samples_per_s": self.samples_per_s,
+            # null when the makespan is 0: JSON has no infinity
+            "samples_per_s": self.samples_per_s if math.isfinite(self.samples_per_s) else None,
             "metadata": self.metadata,
             "timeline": [
                 {"task_id": e.task_id, "operation": e.operation, "resource": e.resource,

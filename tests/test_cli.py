@@ -149,6 +149,32 @@ class TestLockfreeCmd:
             assert report["iterations"] == 20
             assert report["conservation"]["balanced"]
 
+    def test_toy_config_seed_used_without_seed_flag(self, tmp_path):
+        toy = write(tmp_path, "toy.json", {"num_layers": 2, "dim": 8,
+                                           "batch_size": 8, "seed": 7})
+
+        def val_loss(*seed_args):
+            out = tmp_path / "report.json"
+            assert run(["lockfree", "--toy-config", toy, "--iters", "10",
+                        *seed_args, "--out", str(out)]) == EXIT_OK
+            return json.loads(out.read_text())["val_loss"]
+
+        from_file = val_loss()
+        assert from_file == val_loss("--seed", "7")
+        assert from_file != val_loss("--seed", "0")
+
+    def test_zero_delay_report_is_strict_json(self, tmp_path):
+        out = tmp_path / "zero.json"
+        assert run(["lockfree", "--delays", "preset:zero", "--iters", "5",
+                    "--out", str(out)]) == EXIT_OK
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert report["makespan_s"] == 0
+        assert report["samples_per_s"] is None
+
 
 class TestPipelineCmd:
     def test_tiny_pipeline_speedup(self, tmp_path):

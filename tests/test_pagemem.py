@@ -110,6 +110,13 @@ class TestRelease:
         tail = pool.pages[big.page_list[-1]]
         assert tail.available_bytes == 2 * MIB
 
+    def test_release_counts_tensors_not_pages(self):
+        pool = pool_init("GPU", 40 * MIB, 4 * MIB)
+        t = tensor_allocate(pool, spec("big", 10 * MIB))
+        assert len(t.page_list) == 3
+        tensor_release(pool, t.tensor_id)
+        assert pool.stats.releases == 1
+
     def test_double_release(self):
         pool = pool_init("GPU", 8 * MIB, 4 * MIB)
         t = tensor_allocate(pool, spec("x", MIB))

@@ -1,0 +1,179 @@
+"""Phase 1 with a maintained residency profile: same output as the
+rebuild-per-query reference, profile invariant, and a guard on how many
+residency profiles one schedule() builds from scratch."""
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hiermem import footprint as fp
+from hiermem import presets
+from hiermem import scheduler
+from hiermem.errors import InfeasibleScheduleError
+from hiermem.scheduler import (
+    LayerModel,
+    ShardingModel,
+    Task,
+    _build_phase1,
+    _Residency,
+    _resident_profile,
+    schedule,
+)
+from hiermem.tracer import TimingModel, build_trace
+from reference_phase1 import reference_schedule
+from test_scheduler import MIB, PAGE, make_instance
+
+GIB = 2**30
+
+
+def paper_shaped(num_layers: int, page_bytes: int):
+    """GPT-3 175B layer shape cut to a few layers, recomputed activations."""
+    cfg = presets.resolve_model({"batch_size": 1, "seq_len": 2048, "d_model": 12288,
+                                 "d_ffn": 49152, "num_heads": 96,
+                                 "num_layers": num_layers})
+    inventory = fp.tensor_inventory(cfg)
+    traces = build_trace(inventory, TimingModel(), recompute_policy=True)
+    return LayerModel.from_inventory(inventory, page_bytes, cfg.batch_size), traces
+
+
+def decisions(phase1) -> tuple[int, int]:
+    """(deferred moves, forward evictions) read off a phase-1 schedule."""
+    n = phase1.model.num_layers
+    deferred = sum(1 for t in phase1.tasks
+                   if t.operation == "move_to_gpu" and 0 < t.trigger_id < n)
+    evicted = sum(1 for t in phase1.tasks
+                  if t.operation == "evict_to_cpu" and t.trigger_id < n)
+    return deferred, evicted
+
+
+def as_json(sched) -> str:
+    return json.dumps(sched.to_dict(), sort_keys=True)
+
+
+def assert_matches_reference(model, traces, budget, sharding):
+    """Both phases equal the reference's, or both raise the same error.
+    Returns the reference phase 1, or None when infeasible."""
+    try:
+        ref1, ref2 = reference_schedule(model, traces, budget, sharding)
+    except InfeasibleScheduleError as ref_err:
+        with pytest.raises(InfeasibleScheduleError) as err:
+            schedule(model, traces, budget, sharding)
+        assert str(err.value) == str(ref_err)
+        return None
+    assert as_json(schedule(model, traces, budget, sharding, phase1_only=True)) == \
+        as_json(ref1)
+    assert as_json(schedule(model, traces, budget, sharding)) == as_json(ref2)
+    return ref1
+
+
+class TestMatchesReference:
+    def test_random_tight_instances(self):
+        rng = random.Random(2024)
+        deferring = evicting = 0
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            model, traces, sharding = make_instance(
+                [rng.randint(1, 4) for _ in range(n)],
+                acts=[rng.choice([0, MIB, 3 * MIB, 9 * MIB]) for _ in range(n)],
+                grads=[rng.choice([0, MIB, 2 * MIB]) for _ in range(n)],
+                world=rng.choice([1, 2, 4]))
+            sharding = ShardingModel(sharding.world_size,
+                                     rng.randrange(sharding.world_size))
+            budget = rng.randint(2, 14) * PAGE + rng.choice([0, MIB, 5 * MIB])
+            ref1 = assert_matches_reference(model, traces, budget, sharding)
+            if ref1 is not None:
+                deferred, evicted = decisions(ref1)
+                deferring += deferred > 0
+                evicting += evicted > 0
+        # the budgets must drive both branches of the phase-1 loop
+        assert deferring >= 5 and evicting >= 5
+
+    @pytest.mark.parametrize("rank", [0, 5])
+    def test_shrunken_175b_shape(self, rank):
+        model, traces = paper_shaped(4, 16 * MIB)
+        ref1 = assert_matches_reference(model, traces, 14 * GIB, ShardingModel(8, rank))
+        deferred, evicted = decisions(ref1)
+        assert deferred > 0 and evicted > 0
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 6))
+    layer_pages = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    acts = draw(st.lists(st.sampled_from([0, MIB, 3 * MIB, 9 * MIB]), min_size=n, max_size=n))
+    grads = draw(st.lists(st.sampled_from([0, MIB, 2 * MIB]), min_size=n, max_size=n))
+    world = draw(st.sampled_from([1, 2, 4]))
+    model, traces, _ = make_instance(layer_pages, acts=acts, grads=grads, world=world)
+    return model, traces, ShardingModel(world, draw(st.integers(0, world - 1)))
+
+
+def assert_profile_is_sweep(resident, tasks, model, sharding, traces):
+    for exclude in [None, *range(model.num_layers)]:
+        assert resident.profile(exclude) == \
+            _resident_profile(tasks, model, sharding, traces, exclude_layer=exclude)
+        assert [resident.resident(x, exclude) for x in range(2 * model.num_layers)] == \
+            resident.profile(exclude)
+
+
+class TestMaintainedProfile:
+    @settings(max_examples=150, deadline=None)
+    @given(instances(), st.integers(2, 16))
+    def test_equals_sweep_after_phase1(self, instance, budget_pages):
+        model, traces, sharding = instance
+        try:
+            tasks, resident = _build_phase1(model, traces, budget_pages * PAGE, sharding)
+        except InfeasibleScheduleError:
+            return
+        assert_profile_is_sweep(resident, tasks, model, sharding, traces)
+
+    @settings(max_examples=150, deadline=None)
+    @given(instances(), st.data())
+    def test_equals_sweep_after_every_update(self, instance, data):
+        model, traces, sharding = instance
+        n = model.num_layers
+        pages = sorted(model.page_layer)
+        resident = _Residency(model, sharding, traces)
+        tasks: list[Task] = []
+        for _ in range(data.draw(st.integers(1, 25))):
+            if tasks and data.draw(st.booleans()):
+                task = tasks.pop(data.draw(st.integers(0, len(tasks) - 1)))
+                resident.remove(task)
+            else:
+                op = data.draw(st.sampled_from(scheduler.OPERATIONS))
+                target = data.draw(st.sampled_from(pages if op != "compute"
+                                                   else list(range(n))))
+                task = Task(op, target, data.draw(st.integers(0, 2 * n)),
+                            model.page_layer.get(target, 0), 0,
+                            sharding.owns(target))
+                tasks.append(task)
+                resident.add(task)
+            assert resident.profile() == _resident_profile(tasks, model, sharding, traces)
+        assert_profile_is_sweep(resident, tasks, model, sharding, traces)
+
+
+def test_whole_profile_builds_do_not_grow_with_decisions(monkeypatch):
+    """One schedule() builds the same few residency profiles from scratch
+    however many deferrals and evictions phase 1 makes."""
+    builds = []
+
+    class Counting(_Residency):
+        def __init__(self, *args, **kwargs):
+            builds.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "_Residency", Counting)
+    counts, seen = [], []
+    for num_layers, budget in ((3, 10 * GIB), (4, 8 * GIB)):
+        model, traces = paper_shaped(num_layers, 64 * MIB)
+        builds.clear()
+        schedule(model, traces, budget, ShardingModel(8, 0))
+        counts.append(len(builds))
+        builds.clear()
+        seen.append(decisions(schedule(model, traces, budget, ShardingModel(8, 0),
+                                       phase1_only=True)))
+    (d0, e0), (d1, e1) = seen
+    assert d0 > 0 and e0 > 0 and d0 != d1 and e0 != e1
+    # one profile maintained by phase 1, one sweep in advance_gathers
+    assert counts == [2, 2]

@@ -61,6 +61,12 @@ class TestSimulate:
         assert report.utilization["gpu"] == pytest.approx(1.0)
         assert report.gpu_idle_fraction == pytest.approx(0.0)
 
+    def test_empty_schedule_reports_null_throughput(self):
+        model, traces, sharding = single_compute_instance()
+        report = simulate(Schedule((), "phase1", 2**30, model, sharding), traces, profile())
+        assert report.makespan_s == 0.0
+        assert report.to_dict()["samples_per_s"] is None  # not Infinity, which JSON lacks
+
     def test_compute_after_dependent_move(self):
         model, traces, sharding = single_compute_instance(1e-3)
         tasks = (Task("move_to_gpu", 0, 0, 0, 0, True),
