@@ -10,7 +10,7 @@ from hiermem.footprint import GIB, TransformerConfig, tensor_inventory
 from hiermem.presets import hardware_preset
 from hiermem.scheduler import LayerModel, ShardingModel, schedule
 from hiermem.simengine import simulate
-from hiermem.tracer import TimingModel, build_trace
+from hiermem.tracer import build_trace
 
 
 def main():
@@ -25,8 +25,7 @@ def main():
     args = parser.parse_args()
 
     profile = hardware_preset("a100-server")
-    timing = TimingModel(gpu_sec_per_byte=1 / profile.gpu_bytes_per_s,
-                         cpu_sec_per_byte=1 / profile.cpu_bytes_per_s)
+    timing = profile.timing_model()
     print(f"{'batch':>6} {'idle (SSD states)':>18} {'idle (CPU states)':>18}")
     for batch in args.batches:
         cfg = TransformerConfig(batch, 2048, args.d_model, args.d_ffn,

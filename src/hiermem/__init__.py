@@ -30,7 +30,6 @@ from .lockfree import (
     ParamBuffer,
     ToyTrainConfig,
     TrainReport,
-    accumulate_gradient,
     apply_update,
     publish_params,
     run_lockfree,
@@ -63,7 +62,6 @@ from .simengine import (
     SimReport,
     compare,
     simulate,
-    transfer_time,
 )
 from .tracer import (
     LogicalTimeline,

@@ -19,8 +19,8 @@ from . import pagemem as pm
 from . import presets
 from .errors import ConfigError, InfeasibleScheduleError
 from .scheduler import LayerModel, Schedule, ShardingModel, peak_memory, schedule
-from .simengine import HardwareProfile, compare, simulate
-from .tracer import TensorTrace, TimingModel, build_trace
+from .simengine import compare, simulate
+from .tracer import LogicalTimeline, TensorTrace, TimingModel, build_trace, validate_trace
 
 SCHEMA_VERSION = "1"
 
@@ -57,15 +57,12 @@ def _dump_json(data, out: str | None):
         print(text)
 
 
-def _timing_from_file(path: str | None, profile: HardwareProfile | None = None) -> TimingModel:
+def _timing_from_file(path: str | None) -> TimingModel:
     if path:
         raw = _load_json(path)
         if "table" in raw:
             raw["table"] = {k: tuple(v) for k, v in raw["table"].items()}
         return TimingModel.from_dict(raw)
-    if profile is not None:
-        return TimingModel(gpu_sec_per_byte=1.0 / profile.gpu_bytes_per_s,
-                           cpu_sec_per_byte=1.0 / profile.cpu_bytes_per_s)
     return TimingModel()
 
 
@@ -180,8 +177,16 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _traces_from_file(path: str) -> list[TensorTrace]:
-    return [TensorTrace(**t) for t in _load_json(path)]
+def _traces_from_file(path: str, num_layers: int) -> list[TensorTrace]:
+    """Traces read from a file, checked against an n-layer timeline."""
+    try:
+        traces = [TensorTrace(**t) for t in _load_json(path)]
+        violations = validate_trace(traces, LogicalTimeline.build(num_layers))
+    except TypeError as exc:  # not a list of objects with the trace fields
+        raise UsageError(f"bad trace in {path}: {exc}") from None
+    if violations:
+        raise UsageError(f"invalid traces in {path}: " + "; ".join(violations))
+    return traces
 
 
 # -- schedule ----------------------------------------------------------------------
@@ -189,7 +194,7 @@ def _traces_from_file(path: str) -> list[TensorTrace]:
 def cmd_schedule(args) -> int:
     cfg = _resolve_config(args)
     inventory = fp.tensor_inventory(cfg, args.granularity)
-    traces = _traces_from_file(args.traces) if args.traces else \
+    traces = _traces_from_file(args.traces, cfg.num_layers) if args.traces else \
         build_trace(inventory, _timing_from_file(args.timing))
     model = LayerModel.from_inventory(inventory, args.page_bytes, cfg.batch_size)
     sharding = ShardingModel(args.world_size, args.rank)
@@ -206,7 +211,7 @@ def cmd_schedule(args) -> int:
 
 def cmd_simulate(args) -> int:
     sched = Schedule.from_dict(_load_json(args.schedule))
-    traces = _traces_from_file(args.traces)
+    traces = _traces_from_file(args.traces, sched.model.num_layers)
     profile = presets.resolve_hardware(
         args.profile if args.profile.startswith("preset:") else _load_json(args.profile)
     )
@@ -253,60 +258,66 @@ def cmd_lockfree(args) -> int:
 
 # -- pipeline ----------------------------------------------------------------------
 
+# Every pipeline config key with its default; _REQUIRED keys have none, and
+# a world_size of None means the hardware's num_gpus.
+_REQUIRED = object()
+_PIPELINE_DEFAULTS = {
+    "model": _REQUIRED,
+    "gpu_budget_bytes": _REQUIRED,
+    "hardware": "preset:a100-server",
+    "page_bytes": pm.PAGE_BYTES_DEFAULT,
+    "recompute": False,
+    "granularity": "per_table_row",
+    "world_size": None,
+    "rank": 0,
+    "iterations": 1,
+    "update_mode": "none",
+    "optimizer_tier": "ssd",
+    "phase": "phase2",
+    "seed": 0,
+}
+
+
 def run_pipeline(config: dict) -> dict:
     """footprint -> inventory -> trace -> schedule (both phases) -> simulate (both)."""
-    cfg = presets.resolve_model(config["model"])
-    profile = presets.resolve_hardware(config.get("hardware", "preset:a100-server"))
-    gpu_budget = config["gpu_budget_bytes"]
-    page_bytes = config.get("page_bytes", pm.PAGE_BYTES_DEFAULT)
-    recompute = config.get("recompute", False)
-    granularity = config.get("granularity", "per_table_row")
-    world_size = config.get("world_size", profile.num_gpus)
-    rank = config.get("rank", 0)
-    iterations = config.get("iterations", 1)
-    update_mode = config.get("update_mode", "none")
-    optimizer_tier = config.get("optimizer_tier", "ssd")
-    seed = config.get("seed", 0)
-    phase_selection = config.get("phase", "phase2")
+    if not isinstance(config, dict):
+        raise ConfigError("pipeline config must be a JSON object")
+    unknown = sorted(set(config) - set(_PIPELINE_DEFAULTS))
+    if unknown:
+        raise ConfigError(f"unknown pipeline config keys: {unknown}")
+    c = {**_PIPELINE_DEFAULTS, **config}
+    missing = [k for k, v in c.items() if v is _REQUIRED]
+    if missing:
+        raise ConfigError(f"pipeline config lacks {missing}")
+    if c["phase"] not in ("phase1", "phase2"):
+        raise ConfigError(f"phase must be 'phase1' or 'phase2', not {c['phase']!r}")
+    cfg = presets.resolve_model(c["model"])
+    profile = presets.resolve_hardware(c["hardware"])
+    if c["world_size"] is None:
+        c["world_size"] = profile.num_gpus
 
     model_fp = fp.model_footprint(cfg)
-    inventory = fp.tensor_inventory(cfg, granularity)
-    timing = TimingModel(gpu_sec_per_byte=1.0 / profile.gpu_bytes_per_s,
-                         cpu_sec_per_byte=1.0 / profile.cpu_bytes_per_s)
-    traces = build_trace(inventory, timing, recompute_policy=recompute)
-    model = LayerModel.from_inventory(inventory, page_bytes, cfg.batch_size)
-    sharding = ShardingModel(world_size, rank)
+    layer_fp = fp.layer_footprint(cfg)
+    inventory = fp.tensor_inventory(cfg, c["granularity"])
+    traces = build_trace(inventory, profile.timing_model(), recompute_policy=c["recompute"])
+    model = LayerModel.from_inventory(inventory, c["page_bytes"], cfg.batch_size)
+    sharding = ShardingModel(c["world_size"], c["rank"])
 
-    phase1 = schedule(model, traces, gpu_budget, sharding, phase1_only=True)
-    phase2 = schedule(model, traces, gpu_budget, sharding)
-    sim1 = simulate(phase1, traces, profile, iterations=iterations,
-                    update_mode=update_mode, optimizer_tier=optimizer_tier)
-    sim2 = simulate(phase2, traces, profile, iterations=iterations,
-                    update_mode=update_mode, optimizer_tier=optimizer_tier)
-    chosen = phase2 if phase_selection == "phase2" else phase1
+    phase1 = schedule(model, traces, c["gpu_budget_bytes"], sharding, phase1_only=True)
+    phase2 = schedule(model, traces, c["gpu_budget_bytes"], sharding)
+    sim_args = {k: c[k] for k in ("iterations", "update_mode", "optimizer_tier")}
+    sim1 = simulate(phase1, traces, profile, **sim_args)
+    sim2 = simulate(phase2, traces, profile, **sim_args)
+    chosen = phase2 if c["phase"] == "phase2" else phase1
 
     report = {
         "schema_version": SCHEMA_VERSION,
-        "config": {
-            "model": cfg.__dict__,
-            "hardware": profile.to_dict(),
-            "gpu_budget_bytes": gpu_budget,
-            "page_bytes": page_bytes,
-            "recompute": recompute,
-            "granularity": granularity,
-            "world_size": world_size,
-            "rank": rank,
-            "iterations": iterations,
-            "update_mode": update_mode,
-            "optimizer_tier": optimizer_tier,
-            "phase": phase_selection,
-            "seed": seed,
-        },
+        "config": {**c, "model": cfg.__dict__, "hardware": profile.to_dict()},
         "footprint": {
             "per_layer": {
-                "params_bytes": fp.layer_footprint(cfg).params_bytes,
-                "acts_bytes": fp.layer_footprint(cfg).acts_bytes,
-                "optims_bytes": fp.layer_footprint(cfg).optims_bytes,
+                "params_bytes": layer_fp.params_bytes,
+                "acts_bytes": layer_fp.acts_bytes,
+                "optims_bytes": layer_fp.optims_bytes,
             },
             "model": model_fp,
             "model_gib": {k: v / fp.GIB for k, v in model_fp.items()},
@@ -332,10 +343,12 @@ def cmd_pipeline(args) -> int:
     if args.preset:
         config = {"model": f"preset:{args.preset}",
                   "gpu_budget_bytes": args.gpu_budget or 16 * fp.GIB}
-    else:
+    elif args.config:
         config = _load_json(args.config)
         if args.gpu_budget:
             config["gpu_budget_bytes"] = args.gpu_budget
+    else:
+        raise UsageError("provide --config FILE or --preset NAME")
     report = run_pipeline(config)
     _dump_json(report, args.out)
     return EXIT_OK

@@ -8,6 +8,13 @@ publishing fresh parameters); the updating actor exclusively owns the FP32
 master state (params + Adam moments, SSD-resident in spirit) and sweeps
 layers in reverse whenever uncleared gradients exist.
 
+Both trainers run the same two steps: ``_gpu_iteration`` (fetch, forward,
+backward, offload) and ``_update_layer`` (state fetch, Adam, publish,
+store). The lock-free trainer runs them in concurrent actors, whose sends
+carry gradients and fresh parameters to the buffering actor; the
+synchronous baseline runs them back to back on one clock and applies
+those sends to the buffers in place.
+
 Gradient buffers are cleared atomically at the moment the updater takes
 them, so every accumulated unit is consumed by exactly one master update
 (exact conservation); the subsequent publish installs the refreshed FP16
@@ -32,6 +39,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
+from .presets import HARDWARE_PRESETS
+
+# raw link bandwidths of the built-in preset (not one overridden from a directory)
+_A100_LINKS = HARDWARE_PRESETS["a100-server"]["links"]
 
 
 @dataclass(frozen=True)
@@ -82,8 +93,9 @@ class ToyTrainConfig:
 class DelayModel:
     """Simulated transfer/compute costs, charged on a virtual or wall clock."""
 
-    pcie_bytes_per_s: float = 32e9
-    ssd_bytes_per_s: float | None = 3.5e9  # None: master states live in CPU RAM
+    pcie_bytes_per_s: float = _A100_LINKS["pcie_h2d"]["bandwidth_bytes_per_s"]
+    # None: master states live in CPU RAM
+    ssd_bytes_per_s: float | None = _A100_LINKS["ssd_io"]["bandwidth_bytes_per_s"]
     cpu_mem_bytes_per_s: float = 100e9
     gpu_flops_per_s: float = 1e11
 
@@ -145,12 +157,11 @@ def apply_update(p32, m32, v32, grad, hyper: AdamHyper, step: int):
 class MasterState:
     """FP32 masters (params, moments) per layer; mutated only by the updater."""
 
-    def __init__(self, params: list[np.ndarray], tier: str = "SSD"):
+    def __init__(self, params: list[np.ndarray]):
         self.p32 = [p.astype(np.float32) for p in params]
         self.m32 = [np.zeros_like(p, dtype=np.float32) for p in params]
         self.v32 = [np.zeros_like(p, dtype=np.float32) for p in params]
         self.steps = [0] * len(params)
-        self.tier = tier
 
     def update_layer(self, layer: int, grad: np.ndarray, hyper: AdamHyper) -> bool:
         self.steps[layer] += 1
@@ -266,10 +277,6 @@ class ParamBuffer:
 def publish_params(buffer: ParamBuffer, layer: int, p32: np.ndarray) -> None:
     """Clear buffered gradients, then publish FP16 params (version += 1)."""
     buffer.publish(layer, p32, clear=True)
-
-
-def accumulate_gradient(buffer: ParamBuffer, msg: GradMessage) -> None:
-    buffer.accumulate(msg)
 
 
 class ConservationLedger:
@@ -536,42 +543,69 @@ class _RunRecorder:
     staleness_records: list = field(default_factory=list)
     gpu_busy_s: float = 0.0
     rejected_updates: int = 0
-    publishes: int = 0
+
+
+def _gpu_iteration(cfg, delays, buffer, readout, teacher, it, rec, box):
+    """One training step: fetch and forward each layer, then backward and
+    offload each layer's FP16 gradient.
+
+    Yields ("sleep", seconds) and, per layer, ("send", box, ("grad", msg)).
+    """
+    x, y = batch_for(cfg, teacher, readout, it)
+    params = []
+    for l in range(cfg.num_layers):
+        yield ("sleep", delays.fetch_s(cfg.param_bytes16))
+        _, p16, applied = buffer.read(l)
+        staleness = max(0, (it - 1) - applied)
+        rec.staleness[staleness] += 1
+        rec.staleness_records.append((it, l, staleness))
+        params.append(p16.astype(np.float32))
+        t = delays.compute_s(cfg.flops_per_layer)
+        rec.gpu_busy_s += t
+        yield ("sleep", t)
+    loss, grads = forward_backward(params, readout, x, y)
+    rec.loss_curve.append(loss)
+    for l in reversed(range(cfg.num_layers)):
+        t = delays.compute_s(2 * cfg.flops_per_layer)
+        rec.gpu_busy_s += t
+        yield ("sleep", t)
+        g16 = grads[l].astype(np.float16)
+        yield ("sleep", delays.offload_s(g16.nbytes))
+        buffer.ledger.messages_sent[l] += 1
+        yield ("send", box, ("grad", GradMessage(l, g16, it)))
+
+
+def _update_layer(cfg, delays, buffer, masters, layer, snapshot, rec, box):
+    """One master update of ``layer`` from a gradient snapshot taken off the
+    buffer: fetch the FP32 state, apply Adam, publish, store the state.
+
+    Yields ("sleep", seconds) and ("send", box, ("publish", layer, p32,
+    newest_iter)).
+    """
+    grad, _count, newest_iter = snapshot
+    yield ("sleep", delays.state_fetch_s(cfg.state_bytes32))
+    applied = masters.update_layer(layer, grad, cfg.hyper)
+    buffer.ledger.record_apply(layer, float(np.sum(grad, dtype=np.float64)),
+                               rejected=not applied)
+    if not applied:
+        rec.rejected_updates += 1
+    yield ("sleep", delays.update_compute_s(cfg.state_bytes32 * 2))
+    yield ("send", box, ("publish", layer, masters.p32[layer].copy(), newest_iter))
+    yield ("sleep", delays.state_store_s(cfg.state_bytes32))
 
 
 def _gpu_actor(cfg, delays, buffer, readout, teacher, boxes, iterations, rec,
                max_inflight):
-    L = cfg.num_layers
     for it in range(iterations):
         if max_inflight is not None and it >= max_inflight:
             yield ("send", boxes["buf"], ("sync_check", it - max_inflight))
             yield ("recv", boxes["gpu"])
-        x, y = batch_for(cfg, teacher, readout, it)
-        params = []
-        for l in range(L):
-            yield ("sleep", delays.fetch_s(cfg.param_bytes16))
-            _, p16, applied = buffer.read(l)
-            staleness = max(0, (it - 1) - applied)
-            rec.staleness[staleness] += 1
-            rec.staleness_records.append((it, l, staleness))
-            params.append(p16.astype(np.float32))
-            t = delays.compute_s(cfg.flops_per_layer)
-            rec.gpu_busy_s += t
-            yield ("sleep", t)
-        loss, grads = forward_backward(params, readout, x, y)
-        rec.loss_curve.append(loss)
-        for l in reversed(range(L)):
-            t = delays.compute_s(2 * cfg.flops_per_layer)
-            rec.gpu_busy_s += t
-            yield ("sleep", t)
-            g16 = grads[l].astype(np.float16)
-            yield ("sleep", delays.offload_s(g16.nbytes))
-            buffer.ledger.messages_sent[l] += 1
-            yield ("send", boxes["buf"], ("grad", GradMessage(l, g16, it)))
+        yield from _gpu_iteration(cfg, delays, buffer, readout, teacher, it, rec,
+                                  boxes["buf"])
     yield ("send", boxes["buf"], ("gpu_done",))
 
 
-def _buffering_actor(buffer, boxes, rec):
+def _buffering_actor(buffer, boxes):
     gpu_done = False
     work_waiter = False
     sync_waiter: int | None = None
@@ -588,7 +622,6 @@ def _buffering_actor(buffer, boxes, rec):
         elif kind == "publish":
             _, layer, p32, newest_iter = msg
             buffer.publish(layer, p32, applied_iter=newest_iter, clear=False)
-            rec.publishes += 1
             if sync_waiter is not None and buffer.min_applied_iter() >= sync_waiter:
                 sync_waiter = None
                 yield ("send", boxes["gpu"], ("proceed",))
@@ -614,29 +647,17 @@ def _buffering_actor(buffer, boxes, rec):
 
 
 def _updating_actor(cfg, delays, buffer, masters, boxes, rec):
-    L = cfg.num_layers
-    hyper = cfg.hyper
     while True:
         yield ("send", boxes["buf"], ("wait_work",))
         _, has_pending, gpu_done = (yield ("recv", boxes["upd"]))
         if not has_pending and gpu_done:
             break
-        for layer in reversed(range(L)):
+        for layer in reversed(range(cfg.num_layers)):
             yield ("send", boxes["buf"], ("take", layer))
             _, _, snapshot = (yield ("recv", boxes["upd"]))
-            if snapshot is None:
-                continue
-            grad, _count, newest_iter = snapshot
-            yield ("sleep", delays.state_fetch_s(cfg.state_bytes32))
-            applied = masters.update_layer(layer, grad, hyper)
-            total = float(np.sum(grad, dtype=np.float64))
-            buffer.ledger.record_apply(layer, total, rejected=not applied)
-            if not applied:
-                rec.rejected_updates += 1
-            yield ("sleep", delays.update_compute_s(cfg.state_bytes32 * 2))
-            yield ("send", boxes["buf"],
-                   ("publish", layer, masters.p32[layer].copy(), newest_iter))
-            yield ("sleep", delays.state_store_s(cfg.state_bytes32))
+            if snapshot is not None:
+                yield from _update_layer(cfg, delays, buffer, masters, layer, snapshot,
+                                         rec, boxes["buf"])
     yield ("send", boxes["buf"], ("stop",))
 
 
@@ -690,7 +711,8 @@ def _make_report(mode, cfg, iterations, rec, buffer, readout, val, makespan) -> 
         max_staleness=max(rec.staleness) if rec.staleness else 0,
         conservation=buffer.ledger.summary(),
         rejected_updates=rec.rejected_updates,
-        publishes=rec.publishes,
+        # every publish bumps one layer's version by one
+        publishes=sum(buffer.version(l) for l in range(buffer.num_layers)),
     )
 
 
@@ -710,7 +732,7 @@ def run_lockfree(toy_cfg: ToyTrainConfig, delays: DelayModel, iterations: int,
     actors = [
         _gpu_actor(toy_cfg, delays, buffer, readout, teacher, boxes, iterations,
                    rec, max_inflight),
-        _buffering_actor(buffer, boxes, rec),
+        _buffering_actor(buffer, boxes),
         _updating_actor(toy_cfg, delays, buffer, masters, boxes, rec),
     ]
     makespan = runtime.run(actors)
@@ -725,51 +747,30 @@ def run_sync(toy_cfg: ToyTrainConfig, delays: DelayModel, iterations: int) -> Tr
     cfg = toy_cfg
     teacher, student, readout, val = init_problem(cfg)
     buffer = ParamBuffer(student)
-    masters = MasterState(student, tier="SSD" if delays.ssd_bytes_per_s else "CPU")
+    masters = MasterState(student)
     rec = _RunRecorder()
-    L = cfg.num_layers
+
     clock = 0.0
 
-    for it in range(iterations):
-        x, y = batch_for(cfg, teacher, readout, it)
-        params = []
-        for l in range(L):
-            clock += delays.fetch_s(cfg.param_bytes16)
-            _, p16, applied = buffer.read(l)
-            staleness = max(0, (it - 1) - applied)
-            rec.staleness[staleness] += 1
-            rec.staleness_records.append((it, l, staleness))
-            params.append(p16.astype(np.float32))
-            t = delays.compute_s(cfg.flops_per_layer)
-            rec.gpu_busy_s += t
-            clock += t
-        loss, grads = forward_backward(params, readout, x, y)
-        rec.loss_curve.append(loss)
-        for l in reversed(range(L)):
-            t = delays.compute_s(2 * cfg.flops_per_layer)
-            rec.gpu_busy_s += t
-            clock += t
-            g16 = grads[l].astype(np.float16)
-            clock += delays.offload_s(g16.nbytes)
-            buffer.ledger.messages_sent[l] += 1
-            buffer.accumulate(GradMessage(l, g16, it))
-        # GPU blocks on the complete master update + publish
-        for l in reversed(range(L)):
-            snapshot = buffer.take(l)
-            if snapshot is None:
-                continue
-            grad, _count, newest = snapshot
-            clock += delays.state_fetch_s(cfg.state_bytes32)
-            applied = masters.update_layer(l, grad, cfg.hyper)
-            buffer.ledger.record_apply(l, float(np.sum(grad, dtype=np.float64)),
-                                       rejected=not applied)
-            if not applied:
-                rec.rejected_updates += 1
-            clock += delays.update_compute_s(cfg.state_bytes32 * 2)
-            buffer.publish(l, masters.p32[l].copy(), applied_iter=newest, clear=False)
-            rec.publishes += 1
-            clock += delays.state_store_s(cfg.state_bytes32)
+    def run(step):
+        """Charge the step's sleeps to one clock; apply its sends in place."""
+        nonlocal clock
+        for effect in step:
+            if effect[0] == "sleep":
+                clock += effect[1]
+            elif effect[2][0] == "grad":
+                buffer.accumulate(effect[2][1])
+            else:
+                _, layer, p32, newest_iter = effect[2]
+                buffer.publish(layer, p32, applied_iter=newest_iter, clear=False)
 
+    for it in range(iterations):
+        run(_gpu_iteration(cfg, delays, buffer, readout, teacher, it, rec, None))
+        # GPU blocks on the complete master update + publish
+        for layer in reversed(range(cfg.num_layers)):
+            snapshot = buffer.take(layer)
+            if snapshot is not None:
+                run(_update_layer(cfg, delays, buffer, masters, layer, snapshot, rec, None))
     return _make_report("sync", cfg, iterations, rec, buffer, readout, val, clock)
 
 

@@ -132,6 +132,7 @@ class TierPool:
         self._free: list[int] = sorted(self.pages)
         heapq.heapify(self._free)
         self.stats = PoolStats()
+        self.manager: PageManager | None = None  # set by the owning PageManager
 
     @property
     def num_pages(self) -> int:
@@ -165,10 +166,10 @@ class TierPool:
         return [self.pages[pid] for pid in sorted(self.pages) if pid not in free]
 
 
-def pool_init(tier, capacity_bytes: int, page_bytes: int = PAGE_BYTES_DEFAULT,
-              first_page_id: int = 0) -> TierPool:
-    """Create a tier pool with all pages free and deterministic page ids."""
-    return TierPool(Tier.parse(tier), capacity_bytes, page_bytes, first_page_id)
+def pool_init(tier, capacity_bytes: int, page_bytes: int = PAGE_BYTES_DEFAULT) -> TierPool:
+    """Create a standalone tier pool (owned by a one-pool PageManager) with
+    all pages free and deterministic page ids."""
+    return PageManager([(tier, capacity_bytes, page_bytes)]).pool(tier)
 
 
 def fragmentation(pool: TierPool) -> float:
@@ -199,16 +200,11 @@ class PageManager:
             if tier in self.pools:
                 raise ConfigError(f"duplicate pool for tier {tier.name}")
             pool = TierPool(tier, capacity, page_bytes, first_page_id=next_id)
+            pool.manager = self
             next_id += pool.num_pages
             self.pools[tier] = pool
         self.tensors: dict[int, ManagedTensor] = {}
         self._next_tensor_id = 0
-
-    @classmethod
-    def adopt(cls, pool: TierPool) -> "PageManager":
-        mgr = cls([])
-        mgr.pools[pool.tier] = pool
-        return mgr
 
     def pool(self, tier) -> TierPool:
         tier = Tier.parse(tier)
@@ -449,19 +445,11 @@ class PageManager:
         return {"pools": pools, "pages": pages, "tensors": tensors}
 
 
-def _manager_of(pool: TierPool) -> PageManager:
-    mgr = getattr(pool, "_manager", None)
-    if mgr is None:
-        mgr = PageManager.adopt(pool)
-        pool._manager = mgr
-    return mgr
-
-
 def tensor_allocate(pool: TierPool, spec: TensorSpec) -> ManagedTensor:
-    """Allocate a tensor into a standalone pool under the packing policy."""
-    return _manager_of(pool).allocate(spec, pool.tier)
+    """Allocate a tensor into a pool under the packing policy."""
+    return pool.manager.allocate(spec, pool.tier)
 
 
 def tensor_release(pool: TierPool, tensor_id: int) -> int:
-    """Release a tensor from a standalone pool; returns freed occupant bytes."""
-    return _manager_of(pool).release(tensor_id)
+    """Release a tensor from a pool; returns freed occupant bytes."""
+    return pool.manager.release(tensor_id)

@@ -12,7 +12,8 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .footprint import TransformerConfig
-from .simengine import HardwareProfile, LinkSpec
+from .simengine import HardwareProfile
+from .tracer import CPU_BYTES_PER_S, GPU_BYTES_PER_S
 
 PRESET_DIR_ENV = "HIERMEM_PRESET_DIR"
 
@@ -35,8 +36,8 @@ HARDWARE_PRESETS: dict[str, dict] = {
             "gpu_interconnect": {"bandwidth_bytes_per_s": 200e9, "latency_s": 10e-6},
             "ssd_io": {"bandwidth_bytes_per_s": 3.5e9, "latency_s": 10e-6},
         },
-        "gpu_bytes_per_s": 600e9,
-        "cpu_bytes_per_s": 80e9,
+        "gpu_bytes_per_s": GPU_BYTES_PER_S,
+        "cpu_bytes_per_s": CPU_BYTES_PER_S,
         "num_gpus": 8,
         "pcie_lanes": 4,
     },

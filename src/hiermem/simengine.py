@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, SimulationError
 from .scheduler import Schedule
-from .tracer import TensorTrace
+from .tracer import CPU_BYTES_PER_S, GPU_BYTES_PER_S, TensorTrace, TimingModel
 
 LINKS = ("pcie_h2d", "pcie_d2h", "gpu_interconnect", "ssd_io")
 DEFAULT_LATENCY_S = 10e-6
@@ -47,8 +47,8 @@ class HardwareProfile:
     """Tier bandwidths/latencies plus compute rates for one GPU server."""
 
     links: dict[str, LinkSpec]
-    gpu_bytes_per_s: float = 600e9
-    cpu_bytes_per_s: float = 80e9
+    gpu_bytes_per_s: float = GPU_BYTES_PER_S
+    cpu_bytes_per_s: float = CPU_BYTES_PER_S
     num_gpus: int = 1
     pcie_lanes: int = 4
 
@@ -67,6 +67,11 @@ class HardwareProfile:
             raise ConfigError(f"unknown link {link!r}")
         spec = self.links[link]
         return spec.latency_s + nbytes / spec.bandwidth_bytes_per_s
+
+    def timing_model(self) -> TimingModel:
+        """Proportional production times at this server's compute rates."""
+        return TimingModel(gpu_sec_per_byte=1.0 / self.gpu_bytes_per_s,
+                           cpu_sec_per_byte=1.0 / self.cpu_bytes_per_s)
 
     def pcie_effective_bw(self, link: str) -> float:
         """Per-rank PCIe bandwidth when num_gpus ranks share pcie_lanes links."""
@@ -93,15 +98,8 @@ class HardwareProfile:
                            entry.get("latency_s", DEFAULT_LATENCY_S))
             for name, entry in raw["links"].items()
         }
-        return cls(links,
-                   raw.get("gpu_bytes_per_s", 600e9),
-                   raw.get("cpu_bytes_per_s", 80e9),
-                   raw.get("num_gpus", 1),
-                   raw.get("pcie_lanes", 4))
-
-
-def transfer_time(nbytes: int, link: str, profile: HardwareProfile) -> float:
-    return profile.transfer_time(nbytes, link)
+        scalars = ("gpu_bytes_per_s", "cpu_bytes_per_s", "num_gpus", "pcie_lanes")
+        return cls(links, **{k: raw[k] for k in scalars if k in raw})
 
 
 @dataclass(frozen=True)
@@ -234,8 +232,7 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
 
     prev_iteration_uids: list[int] = []
     for it in range(iterations):
-        gate = add(f"it{it}.gate", "gate", None, 0.0, list(prev_iteration_uids))
-        iteration_uids: list[int] = [gate]
+        gate = add(f"it{it}.gate", "gate", None, 0.0, prev_iteration_uids)
 
         prev_comp: int | None = None  # latest compute instantiated so far
         compute_uid: dict[int, int] = {}
@@ -275,7 +272,6 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
                     evict_uids_by_layer.setdefault(t.layer, []).append(uid)
                 else:
                     raise SimulationError(f"unknown operation {t.operation!r}")
-                iteration_uids.append(sim_tasks[-1].uid)
 
             ct = compute_tasks.get(slot)
             if ct is not None:
@@ -286,39 +282,28 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
                           dur, deps)
                 compute_uid[slot] = uid
                 prev_comp = uid
-                iteration_uids.append(uid)
 
         if update_mode == "sync":
-            prev_in_pipe: int | None = None
+            prev_in_pipe: list[int] = []
             last_comp = prev_comp if prev_comp is not None else gate
             for layer in reversed(range(n)):
-                grad_deps = evict_uids_by_layer.get(
+                deps = evict_uids_by_layer.get(
                     layer, [compute_uid.get(2 * n - 1 - layer, last_comp)]
-                )
-                shard_state_bytes = model.layer_optim_bytes[layer] // world
+                ) + prev_in_pipe
+                # with SSD-resident states the rank's shard is fetched and stored
+                io_s = profile.transfer_time(model.layer_optim_bytes[layer] // world, "ssd_io")
                 if optimizer_tier == "ssd":
-                    fetch_dur = profile.transfer_time(shard_state_bytes, "ssd_io")
-                    deps = list(grad_deps)
-                    if prev_in_pipe is not None:
-                        deps.append(prev_in_pipe)
-                    fetch = add(f"it{it}.optim_fetch.l{layer}", "optim_fetch",
-                                "ssd_io", fetch_dur, deps)
-                    upd = add(f"it{it}.optim_update.l{layer}", "optim_update",
-                              "cpu", update_cpu[layer], [fetch])
-                    store = add(f"it{it}.optim_store.l{layer}", "optim_store",
-                                "ssd_io", fetch_dur, [upd])
-                    prev_in_pipe = store
-                    iteration_uids += [fetch, upd, store]
-                else:
-                    deps = list(grad_deps)
-                    if prev_in_pipe is not None:
-                        deps.append(prev_in_pipe)
-                    upd = add(f"it{it}.optim_update.l{layer}", "optim_update",
-                              "cpu", update_cpu[layer], deps)
-                    prev_in_pipe = upd
-                    iteration_uids.append(upd)
+                    deps = [add(f"it{it}.optim_fetch.l{layer}", "optim_fetch",
+                                "ssd_io", io_s, deps)]
+                upd = add(f"it{it}.optim_update.l{layer}", "optim_update",
+                          "cpu", update_cpu[layer], deps)
+                if optimizer_tier == "ssd":
+                    upd = add(f"it{it}.optim_store.l{layer}", "optim_store",
+                              "ssd_io", io_s, [upd])
+                prev_in_pipe = [upd]
 
-        prev_iteration_uids = iteration_uids
+        # every task this iteration added, the gate first
+        prev_iteration_uids = [t.uid for t in sim_tasks[gate:]]
 
     finish = _run_event_loop(sim_tasks)
 

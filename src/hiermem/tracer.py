@@ -18,10 +18,12 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 from .footprint import TensorSpec
 
-# Default proportional-timing rates: activation/gradient production charged
-# at an HBM-stream proxy, optimizer math at a DDR-stream proxy.
-GPU_SEC_PER_BYTE_DEFAULT = 1.0 / 600e9
-CPU_SEC_PER_BYTE_DEFAULT = 1.0 / 80e9
+# A100 compute rates, defined here once: TimingModel and HardwareProfile
+# default to them and the a100-server preset names them. Activation and
+# gradient production is charged at an HBM-stream proxy, optimizer math at
+# a DDR-stream proxy.
+GPU_BYTES_PER_S = 600e9
+CPU_BYTES_PER_S = 80e9
 
 
 def forward_id(layer: int) -> int:
@@ -93,8 +95,8 @@ class TimingModel:
     """
 
     kind: str = "proportional"
-    gpu_sec_per_byte: float = GPU_SEC_PER_BYTE_DEFAULT
-    cpu_sec_per_byte: float = CPU_SEC_PER_BYTE_DEFAULT
+    gpu_sec_per_byte: float = 1.0 / GPU_BYTES_PER_S
+    cpu_sec_per_byte: float = 1.0 / CPU_BYTES_PER_S
     gpu_time_const: float = 1e-3
     cpu_time_const: float = 1e-3
     table: dict = field(default_factory=dict)

@@ -136,6 +136,41 @@ class TestSimulateCmd:
         assert header == "task_id,operation,resource,start_s,end_s"
 
 
+def corrupt(traces, case):
+    """Break a valid trace list in one way that validate_trace names."""
+    if case == "end_past_timeline":
+        traces[0]["end_id"] = 99
+    elif case == "first_after_end":
+        t = next(t for t in traces if t["first_id"] < t["end_id"])
+        t["first_id"], t["end_id"] = t["end_id"], t["first_id"]
+    elif case == "negative_gpu_time":
+        traces[0]["gpu_time"] = -1.0
+    elif case == "duplicate_tensor_id":
+        traces[1]["tensor_id"] = traces[0]["tensor_id"]
+    elif case == "missing_key":
+        del traces[0]["gpu_time"]
+    return traces
+
+
+class TestTraceFileValidation:
+    @pytest.mark.parametrize("case", ["end_past_timeline", "first_after_end",
+                                      "negative_gpu_time", "duplicate_tensor_id",
+                                      "missing_key"])
+    def test_bad_traces_are_usage_errors(self, tmp_path, capsys, case):
+        cfg = write(tmp_path, "cfg.json", TINY)
+        traces, sched = tmp_path / "traces.json", tmp_path / "sched.json"
+        run(["trace", "--config", cfg, "--out", str(traces)])
+        run(["schedule", "--config", cfg, "--traces", str(traces),
+             "--gpu-budget", str(2**30), "--out", str(sched)])
+        bad = write(tmp_path, "bad.json", corrupt(json.loads(traces.read_text()), case))
+        capsys.readouterr()
+        assert run(["schedule", "--config", cfg, "--traces", bad,
+                    "--gpu-budget", str(2**30)]) == EXIT_USAGE
+        assert run(["simulate", "--schedule", str(sched), "--traces", bad]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("error:") == 2 and "bad.json" in err
+
+
 class TestLockfreeCmd:
     def test_both_modes(self, tmp_path):
         toy = write(tmp_path, "toy.json", {"num_layers": 2, "dim": 8,
@@ -207,6 +242,30 @@ class TestPipelineCmd:
         gib = json.loads(out.read_text())["footprint"]["model_gib"]
         assert gib == {"params_bytes": 648.0, "acts_bytes": 162.0,
                        "optims_bytes": 1944.0}
+
+    def test_needs_config_or_preset(self):
+        assert run(["pipeline"]) == EXIT_USAGE
+
+    def test_missing_budget_is_usage_error(self, tmp_path, capsys):
+        config = write(tmp_path, "exp.json", {"model": "preset:tiny-2layer"})
+        assert run(["pipeline", "--config", config]) == EXIT_USAGE
+        assert "gpu_budget_bytes" in capsys.readouterr().err
+
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys):
+        config = write(tmp_path, "exp.json", {"model": "preset:tiny-2layer",
+                                              "gpu_budget_bytes": 2**30,
+                                              "iteration": 4})
+        assert run(["pipeline", "--config", config]) == EXIT_USAGE
+        assert "iteration" in capsys.readouterr().err
+
+    def test_phase_selection(self, tmp_path):
+        out = tmp_path / "report.json"
+        for phase, rc in (("phase1", EXIT_OK), ("phase3", EXIT_USAGE)):
+            config = write(tmp_path, "exp.json", {"model": "preset:tiny-2layer",
+                                                  "gpu_budget_bytes": 2**30,
+                                                  "phase": phase})
+            assert run(["pipeline", "--config", config, "--out", str(out)]) == rc
+        assert json.loads(out.read_text())["schedule"]["selected_phase"] == "phase1"
 
 
 class TestPlotCmd:

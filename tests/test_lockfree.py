@@ -14,7 +14,6 @@ from hiermem.lockfree import (
     ParamBuffer,
     ToyTrainConfig,
     VirtualRuntime,
-    accumulate_gradient,
     apply_update,
     publish_params,
     reference_train,
@@ -69,13 +68,13 @@ class TestBuffers:
     def test_accumulate_two_unit_gradients(self):
         buf = self.make()
         g = np.ones((4, 4), np.float16)
-        accumulate_gradient(buf, GradMessage(0, g, 0))
-        accumulate_gradient(buf, GradMessage(0, g, 1))
+        buf.accumulate(GradMessage(0, g, 0))
+        buf.accumulate(GradMessage(0, g, 1))
         np.testing.assert_array_equal(buf.g16[0], np.full((4, 4), 2.0, np.float16))
 
     def test_publish_clears_gradients(self):
         buf = self.make()
-        accumulate_gradient(buf, GradMessage(0, np.ones((4, 4), np.float16), 0))
+        buf.accumulate(GradMessage(0, np.ones((4, 4), np.float16), 0))
         publish_params(buf, 0, np.full((4, 4), 7.0, np.float32))
         np.testing.assert_array_equal(buf.g16[0], 0)
         assert buf.read(0)[1][0, 0] == np.float16(7.0)
@@ -92,13 +91,13 @@ class TestBuffers:
     def test_shape_mismatch_rejected(self):
         buf = self.make()
         with pytest.raises(ProtocolError):
-            accumulate_gradient(buf, GradMessage(0, np.ones((2, 2), np.float16), 0))
+            buf.accumulate(GradMessage(0, np.ones((2, 2), np.float16), 0))
         with pytest.raises(ProtocolError):
-            accumulate_gradient(buf, GradMessage(9, np.ones((4, 4), np.float16), 0))
+            buf.accumulate(GradMessage(9, np.ones((4, 4), np.float16), 0))
 
     def test_take_clears_and_counts(self):
         buf = self.make()
-        accumulate_gradient(buf, GradMessage(1, np.ones((4, 4), np.float16), 3))
+        buf.accumulate(GradMessage(1, np.ones((4, 4), np.float16), 3))
         grad, count, newest = buf.take(1)
         assert count == 1 and newest == 3
         assert buf.take(1) is None
@@ -168,6 +167,23 @@ class TestThroughputAndIdle:
     def test_zero_delays_idle_negligible(self):
         report = run_sync(small_cfg(), ZERO, 20)
         assert report.gpu_idle_fraction == pytest.approx(0.0, abs=1e-9)
+
+
+class TestSyncTiming:
+    @pytest.mark.parametrize("delays", [SSD, CPU], ids=["ssd", "cpu"])
+    def test_makespan_is_the_sum_of_the_delay_charges(self, delays):
+        cfg, iters = small_cfg(), 30
+        per_layer = (
+            delays.fetch_s(cfg.param_bytes16) + delays.compute_s(cfg.flops_per_layer)
+            + delays.compute_s(2 * cfg.flops_per_layer) + delays.offload_s(cfg.param_bytes16)
+            + delays.state_fetch_s(cfg.state_bytes32)
+            + delays.update_compute_s(2 * cfg.state_bytes32)
+            + delays.state_store_s(cfg.state_bytes32)
+        )
+        report = run_sync(cfg, delays, iters)
+        assert report.makespan_s == pytest.approx(iters * cfg.num_layers * per_layer,
+                                                  rel=1e-12)
+        assert report.publishes == iters * cfg.num_layers
 
 
 class TestDeterminism:

@@ -1,0 +1,30 @@
+"""Smoke tests: each script in scripts/ runs to the end on tiny arguments."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# script -> (tiny arguments, a line fragment its output must contain)
+SCRIPTS = {
+    "run_pipeline.py": (["--model", "preset:tiny-2layer"], "phase1 -> phase2 speedup"),
+    "idle_fraction_sweep.py": (["--batches", "1", "--layers", "2", "--d-model", "64",
+                                "--d-ffn", "256", "--budget-gib", "1", "--iterations", "1"],
+                               "idle (SSD states)"),
+    "lockfree_speedup.py": (["--seeds", "0", "--iters", "5", "--layers", "2", "--dim", "4",
+                             "--batch", "4"], "staleness histogram"),
+}
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_runs(script):
+    args, expected = SCRIPTS[script]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert expected in proc.stdout

@@ -4,9 +4,11 @@ import random
 import pytest
 
 from hiermem.errors import ConfigError, SimulationError
+from hiermem.lockfree import DelayModel
+from hiermem.presets import HARDWARE_PRESETS, hardware_preset
 from hiermem.scheduler import Schedule, ShardingModel, Task, schedule
-from hiermem.simengine import HardwareProfile, LinkSpec, compare, simulate, transfer_time
-from hiermem.tracer import TensorTrace, backward_id
+from hiermem.simengine import HardwareProfile, LinkSpec, compare, simulate
+from hiermem.tracer import CPU_BYTES_PER_S, GPU_BYTES_PER_S, TensorTrace, TimingModel, backward_id
 
 from test_scheduler import make_instance, MIB, PAGE
 
@@ -23,23 +25,43 @@ def profile(latency=0.0, pcie=32e9, inter=200e9, ssd=3.5e9, num_gpus=1, lanes=4)
 
 class TestTransferTime:
     def test_pcie_page(self):
-        assert transfer_time(4 * MIB, "pcie_h2d", profile()) == \
+        assert profile().transfer_time(4 * MIB, "pcie_h2d") == \
             pytest.approx(4 * MIB / 32e9)
-        assert transfer_time(4 * MIB, "pcie_h2d", profile()) == \
+        assert profile().transfer_time(4 * MIB, "pcie_h2d") == \
             pytest.approx(1.31072e-4)
 
     def test_zero_bytes_is_latency(self):
-        assert transfer_time(0, "ssd_io", profile(latency=1e-5)) == 1e-5
+        assert profile(latency=1e-5).transfer_time(0, "ssd_io") == 1e-5
 
     def test_ssd_vs_pcie_ratio(self):
         p = profile()
-        ratio = transfer_time(4 * MIB, "ssd_io", p) / transfer_time(4 * MIB, "pcie_h2d", p)
+        ratio = p.transfer_time(4 * MIB, "ssd_io") / p.transfer_time(4 * MIB, "pcie_h2d")
         assert ratio == pytest.approx(32 / 3.5)
-        assert transfer_time(4 * MIB, "ssd_io", p) == pytest.approx(1.19837e-3, rel=1e-3)
+        assert p.transfer_time(4 * MIB, "ssd_io") == pytest.approx(1.19837e-3, rel=1e-3)
 
     def test_unknown_link(self):
         with pytest.raises(ConfigError):
-            transfer_time(1, "nvlink99", profile())
+            profile().transfer_time(1, "nvlink99")
+
+
+class TestOneCostModel:
+    """Each hardware rate is defined once; every cost model derives from it."""
+
+    def test_timing_model_defaults_are_the_preset_rates(self):
+        assert TimingModel() == hardware_preset("a100-server").timing_model()
+
+    def test_from_dict_falls_back_to_dataclass_defaults(self):
+        raw = HARDWARE_PRESETS["a100-server"]
+        prof = HardwareProfile.from_dict({"links": raw["links"]})
+        assert prof == HardwareProfile(prof.links)
+        assert (prof.gpu_bytes_per_s, prof.cpu_bytes_per_s) == (GPU_BYTES_PER_S,
+                                                                CPU_BYTES_PER_S)
+
+    def test_delay_model_uses_the_preset_link_bandwidths(self):
+        links = HARDWARE_PRESETS["a100-server"]["links"]
+        delays = DelayModel()
+        assert delays.pcie_bytes_per_s == links["pcie_h2d"]["bandwidth_bytes_per_s"]
+        assert delays.ssd_bytes_per_s == links["ssd_io"]["bandwidth_bytes_per_s"]
 
 
 def single_compute_instance(gpu_time=1e-3):
