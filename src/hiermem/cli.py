@@ -276,6 +276,9 @@ _PIPELINE_DEFAULTS = {
     "phase": "phase2",
     "seed": 0,
 }
+# Accepted value types where the default's own type does not say it.
+_PIPELINE_TYPES = {"model": (str, dict), "gpu_budget_bytes": (int,),
+                   "hardware": (str, dict), "world_size": (int, type(None))}
 
 
 def run_pipeline(config: dict) -> dict:
@@ -285,6 +288,12 @@ def run_pipeline(config: dict) -> dict:
     unknown = sorted(set(config) - set(_PIPELINE_DEFAULTS))
     if unknown:
         raise ConfigError(f"unknown pipeline config keys: {unknown}")
+    for key, value in config.items():
+        expected = _PIPELINE_TYPES.get(key, (type(_PIPELINE_DEFAULTS[key]),))
+        # bool is an int subclass: accept it exactly where a bool is expected
+        if not isinstance(value, expected) or isinstance(value, bool) != (bool in expected):
+            raise ConfigError(f"pipeline config {key!r} has type {type(value).__name__}, "
+                              f"expected {' or '.join(t.__name__ for t in expected)}")
     c = {**_PIPELINE_DEFAULTS, **config}
     missing = [k for k, v in c.items() if v is _REQUIRED]
     if missing:

@@ -209,9 +209,6 @@ class ParamBuffer:
     def version(self, layer: int) -> int:
         return self._published[layer][0]
 
-    def applied_iter(self, layer: int) -> int:
-        return self._published[layer][2]
-
     def min_applied_iter(self) -> int:
         return min(rec[2] for rec in self._published)
 

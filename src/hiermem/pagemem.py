@@ -8,6 +8,11 @@ and their pages are never offered for sharing. Moves are metadata-only
 (free at source, claim at destination); transfer timing belongs to the
 simulation engine.
 
+Invariant: a page is in use iff it has occupants. A pool's free heap holds
+exactly the ids of its pages without occupants, and only ``TierPool``
+methods (``claim``, ``claim_run``, ``free``) change it; each claim also
+updates the pool's peak page count.
+
 A pool is a single-owner state machine: callers serialize mutations;
 snapshots (``state_dict``) may be shared freely.
 """
@@ -152,18 +157,28 @@ class TierPool:
                 f"{self.tier.name} pool out of pages", self.page_bytes, 0
             )
         page = self.pages[heapq.heappop(self._free)]
+        self._note_peak()
+        return page
+
+    def claim_run(self, pages: list[Page]) -> None:
+        """Take the given free pages off the free heap in one pass over it."""
+        taken = {page.page_id for page in pages}
+        self._free = [pid for pid in self._free if pid not in taken]
+        heapq.heapify(self._free)
+        self._note_peak()
+
+    def _note_peak(self) -> None:
         self.stats.peak_allocated_pages = max(
             self.stats.peak_allocated_pages, self.allocated_page_count
         )
-        return page
 
     def free(self, page: Page) -> None:
         assert not page.occupants, "freeing a page with occupants"
         heapq.heappush(self._free, page.page_id)
 
     def allocated_pages(self) -> list[Page]:
-        free = set(self._free)
-        return [self.pages[pid] for pid in sorted(self.pages) if pid not in free]
+        """Pages in use, in page id order."""
+        return [page for page in self.pages.values() if page.occupants]
 
 
 def pool_init(tier, capacity_bytes: int, page_bytes: int = PAGE_BYTES_DEFAULT) -> TierPool:
@@ -218,12 +233,6 @@ class PageManager:
                 return pool.pages[page_id]
         raise KeyError(f"unknown page id {page_id}")
 
-    def _pool_of_page(self, page_id: int) -> TierPool:
-        for pool in self.pools.values():
-            if page_id in pool.pages:
-                return pool
-        raise KeyError(f"unknown page id {page_id}")
-
     # -- allocation ---------------------------------------------------------
 
     def allocate(self, spec: TensorSpec, tier) -> ManagedTensor:
@@ -238,7 +247,7 @@ class PageManager:
 
         shared: Page | None = None
         if tail:
-            for page in pool.allocated_pages():  # first-fit in page id order
+            for page in pool.pages.values():  # first-fit in page id order
                 if (len(page.occupants) == 1 and page.occupants[0].shareable
                         and page.available_bytes >= tail):
                     shared = page
@@ -273,9 +282,6 @@ class PageManager:
         tensor = ManagedTensor(tensor_id, _dtype_for(spec.kind), shape, page_list, spec, self)
         self.tensors[tensor_id] = tensor
         pool.stats.allocations += 1
-        pool.stats.peak_allocated_pages = max(
-            pool.stats.peak_allocated_pages, pool.allocated_page_count
-        )
         return tensor
 
     def release(self, tensor_id: int) -> int:
@@ -285,9 +291,8 @@ class PageManager:
         freed = 0
         pools: dict[Tier, TierPool] = {}  # each pool the tensor had pages in
         for pid in tensor.page_list:
-            pool = self._pool_of_page(pid)
-            pools[pool.tier] = pool
-            page = pool.pages[pid]
+            page = self.page(pid)
+            pool = pools[page.tier] = self.pools[page.tier]
             keep = [o for o in page.occupants if o.tensor_id != tensor_id]
             freed += sum(o.bytes for o in page.occupants) - sum(o.bytes for o in keep)
             page.occupants = keep
@@ -300,8 +305,8 @@ class PageManager:
     # -- movement -----------------------------------------------------------
 
     def page_move(self, page_id: int, target_tier) -> TransferDescriptor:
-        src_pool = self._pool_of_page(page_id)
-        page = src_pool.pages[page_id]
+        page = self.page(page_id)
+        src_pool = self.pools[page.tier]
         if not page.occupants:
             raise KeyError(f"page {page_id} is free; nothing to move")
         dst_pool = self.pool(target_tier)
@@ -348,62 +353,36 @@ class PageManager:
             return {"tensor_id": tensor_id, "contiguous": True,
                     "page_ids": list(ids), "moved_chunks": 0}
 
-        chunks = []
-        for pid in ids:
-            occ = next(o for o in pool.pages[pid].occupants if o.tensor_id == tensor_id)
-            chunks.append(occ)
-        own = set(ids)
-        free = set(pid for pid in pool.pages) - {p.page_id for p in pool.allocated_pages()}
+        chunks = [next(o for o in pool.pages[pid].occupants if o.tensor_id == tensor_id)
+                  for pid in ids]
+        # the lowest run of n pages that are free or held only by this tensor
         n = len(ids)
-        start = None
-        sorted_pids = sorted(pool.pages)
-        for s in sorted_pids:
-            run = list(range(s, s + n))
-            if not all(pid in pool.pages for pid in run):
-                continue
-            ok = True
-            for pid, chunk in zip(run, chunks):
-                page = pool.pages[pid]
-                if pid in free:
-                    continue
-                others = [o for o in page.occupants if o is not chunk and o.tensor_id != tensor_id]
-                if pid not in own or sum(o.bytes for o in others) + chunk.bytes > page.total_bytes:
-                    ok = False
-                    break
-                if others:  # shared page cannot receive a relocated chunk cleanly
-                    ok = False
-                    break
-            if ok:
-                start = s
+        run_len = 0
+        for last in pool.pages.values():
+            run_len = run_len + 1 if all(o.tensor_id == tensor_id for o in last.occupants) else 0
+            if run_len == n:
                 break
-        if start is None:
+        else:
             raise AllocationError(
                 f"no contiguous run of {n} pages available in {pool.tier.name} for merge",
                 tensor.bytes, pool.free_page_count * pool.page_bytes,
             )
 
-        run = list(range(start, start + n))
-        moved = 0
-        # two-phase: detach chunks from pages outside their target slot, then place
-        for pos, (pid, chunk) in enumerate(zip(ids, chunks)):
-            if pid != run[pos]:
-                page = pool.pages[pid]
-                page.occupants = [o for o in page.occupants if o is not chunk]
-                if not page.occupants:
-                    pool.free(page)
-                moved += 1
-        for pos, (pid, chunk) in enumerate(zip(list(ids), chunks)):
-            target = run[pos]
-            if pid == target:
-                continue
-            page = pool.pages[target]
-            if not page.occupants and target in pool._free:
-                pool._free.remove(target)
-                heapq.heapify(pool._free)
-            page.occupants.append(chunk)
+        run = list(range(last.page_id - n + 1, last.page_id + 1))
+        # chunks not already on their target page; detach them all, which
+        # frees every target page they go to, then claim those and place
+        moves = [(pool.pages[pid], pool.pages[target], chunk)
+                 for pid, target, chunk in zip(ids, run, chunks) if pid != target]
+        for page, _, chunk in moves:
+            page.occupants = [o for o in page.occupants if o is not chunk]
+            if not page.occupants:
+                pool.free(page)
+        pool.claim_run([target for _, target, _ in moves])
+        for _, target, chunk in moves:
+            target.occupants.append(chunk)
         tensor.page_list = run
         return {"tensor_id": tensor_id, "contiguous": True,
-                "page_ids": run, "moved_chunks": moved}
+                "page_ids": run, "moved_chunks": len(moves)}
 
     # -- introspection ------------------------------------------------------
 

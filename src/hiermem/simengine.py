@@ -93,12 +93,17 @@ class HardwareProfile:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "HardwareProfile":
+        scalars = ("gpu_bytes_per_s", "cpu_bytes_per_s", "num_gpus", "pcie_lanes")
+        unknown = sorted(set(raw) - {"links", *scalars}) + sorted(
+            f"links.{name}.{key}" for name, entry in raw["links"].items()
+            for key in entry if key not in ("bandwidth_bytes_per_s", "latency_s"))
+        if unknown:
+            raise ConfigError(f"unknown hardware fields: {unknown}")
         links = {
             name: LinkSpec(entry["bandwidth_bytes_per_s"],
                            entry.get("latency_s", DEFAULT_LATENCY_S))
             for name, entry in raw["links"].items()
         }
-        scalars = ("gpu_bytes_per_s", "cpu_bytes_per_s", "num_gpus", "pcie_lanes")
         return cls(links, **{k: raw[k] for k in scalars if k in raw})
 
 
@@ -379,10 +384,8 @@ def _run_event_loop(sim_tasks: list[_SimTask]) -> dict[int, tuple[float, float]]
         heapq.heappush(events, (start + t.duration, seq, uid))
         seq += 1
 
-    arrival_time: dict[int, float] = {}
     for t in sim_tasks:
         if pending[t.uid] == 0:
-            arrival_time[t.uid] = 0.0
             enqueue(t.uid, 0.0)
 
     done = 0
@@ -397,9 +400,7 @@ def _run_event_loop(sim_tasks: list[_SimTask]) -> dict[int, tuple[float, float]]
         for dep_uid in dependents.get(uid, []):
             pending[dep_uid] -= 1
             if pending[dep_uid] == 0:
-                arr = max(finish[d][1] for d in sim_tasks[dep_uid].deps)
-                arrival_time[dep_uid] = arr
-                enqueue(dep_uid, arr)
+                enqueue(dep_uid, max(finish[d][1] for d in sim_tasks[dep_uid].deps))
         if t.resource is not None:
             maybe_start(t.resource, now)
 

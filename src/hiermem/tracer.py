@@ -173,10 +173,15 @@ def build_trace(
 
 
 def validate_trace(traces: list[TensorTrace], timeline: LogicalTimeline) -> list[str]:
-    """Empty list iff ids are unique and every trace fits the timeline."""
+    """Empty list iff ids are unique integers and every trace fits the timeline."""
     violations: list[str] = []
     seen: set[int] = set()
     for tr in traces:
+        not_int = [name for name in ("tensor_id", "first_id", "end_id")
+                   if type(getattr(tr, name)) is not int]
+        if not_int:
+            violations.append(f"tensor {tr.tensor_id!r}: {', '.join(not_int)} not an integer")
+            continue
         if tr.tensor_id in seen:
             violations.append(f"tensor {tr.tensor_id}: duplicate tensor_id")
         seen.add(tr.tensor_id)
@@ -192,16 +197,3 @@ def validate_trace(traces: list[TensorTrace], timeline: LogicalTimeline) -> list
         if tr.cpu_time < 0 or tr.gpu_time < 0:
             violations.append(f"tensor {tr.tensor_id}: negative production time")
     return violations
-
-
-def peak_live_bytes(traces: list[TensorTrace], sizes: dict[int, int], num_ops: int) -> int:
-    """Peak concurrently-live bytes over the timeline (sweep by op index)."""
-    delta = [0] * (num_ops + 1)
-    for tr in traces:
-        delta[tr.first_id] += sizes[tr.tensor_id]
-        delta[tr.end_id + 1] -= sizes[tr.tensor_id]
-    peak = live = 0
-    for x in range(num_ops):
-        live += delta[x]
-        peak = max(peak, live)
-    return peak

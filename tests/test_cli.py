@@ -149,13 +149,15 @@ def corrupt(traces, case):
         traces[1]["tensor_id"] = traces[0]["tensor_id"]
     elif case == "missing_key":
         del traces[0]["gpu_time"]
+    elif case == "fractional_first_id":
+        traces[0]["first_id"] = 0.5
     return traces
 
 
 class TestTraceFileValidation:
     @pytest.mark.parametrize("case", ["end_past_timeline", "first_after_end",
                                       "negative_gpu_time", "duplicate_tensor_id",
-                                      "missing_key"])
+                                      "missing_key", "fractional_first_id"])
     def test_bad_traces_are_usage_errors(self, tmp_path, capsys, case):
         cfg = write(tmp_path, "cfg.json", TINY)
         traces, sched = tmp_path / "traces.json", tmp_path / "sched.json"
@@ -257,6 +259,13 @@ class TestPipelineCmd:
                                               "iteration": 4})
         assert run(["pipeline", "--config", config]) == EXIT_USAGE
         assert "iteration" in capsys.readouterr().err
+
+    def test_mistyped_value_is_usage_error(self, tmp_path, capsys):
+        config = write(tmp_path, "exp.json", {"model": "preset:tiny-2layer",
+                                              "gpu_budget_bytes": 2**30,
+                                              "iterations": "2"})
+        assert run(["pipeline", "--config", config]) == EXIT_USAGE
+        assert "'iterations' has type str" in capsys.readouterr().err
 
     def test_phase_selection(self, tmp_path):
         out = tmp_path / "report.json"

@@ -202,6 +202,16 @@ class TestMerge:
         assert report["moved_chunks"] == 0
         assert report["page_ids"] == t.page_list
 
+    def test_merge_onto_free_pages_raises_the_peak(self):
+        mgr = PageManager([("GPU", 32 * MIB, 4 * MIB)])
+        mgr.allocate(spec("a", 6 * MIB), "GPU")  # pages 0 and 1 (tail)
+        b = mgr.allocate(spec("b", 6 * MIB), "GPU")  # page 2, tail shares page 1
+        assert b.page_list == [2, 1]
+        assert mgr.tensor_merge(b.tensor_id)["page_ids"] == [2, 3]
+        pool = mgr.pool("GPU")
+        assert pool.allocated_page_count == 4
+        assert pool.stats.peak_allocated_pages >= pool.allocated_page_count
+
     def test_not_ready_tensor_rejected(self):
         mgr = PageManager([("GPU", 16 * MIB, 4 * MIB), ("CPU", 16 * MIB, 4 * MIB)])
         t = mgr.allocate(spec("t", 8 * MIB), "GPU")
@@ -291,6 +301,82 @@ class TestRandomizedInvariants:
         m1, _ = self.run_sequence(seed=11, steps=500)
         m2, _ = self.run_sequence(seed=11, steps=500)
         assert m1.state_dict() == m2.state_dict()
+
+
+def is_run(page_ids):
+    return page_ids == list(range(page_ids[0], page_ids[0] + len(page_ids)))
+
+
+def lowest_merge_start(pool, tensor_id, n):
+    """Brute force: the smallest page id starting n pool pages that are each
+    free or held by this tensor alone, or None."""
+    for start in sorted(pool.pages):
+        run = range(start, start + n)
+        if all(pid in pool.pages and all(o.tensor_id == tensor_id
+                                         for o in pool.pages[pid].occupants)
+               for pid in run):
+            return start
+    return None
+
+
+TIERS = ["GPU", "CPU", "SSD"]
+KINDS = ["param16", "grad16", "optim32"]
+SIZES = [1024, MIB, 2 * MIB, 4 * MIB, 6 * MIB, 7 * MIB, 12 * MIB]
+
+
+# allocate is drawn twice as often, so the small pools fill and fragment
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.tuples(st.sampled_from(["allocate", "allocate", "release",
+                                                  "move", "merge"]),
+                                st.integers(0, 6), st.integers(0, 5)),
+                      min_size=20, max_size=60))
+def test_invariants_hold_under_move_and_merge(steps):
+    """Page use has one record: a page is on its pool's free heap iff it has
+    no occupants; the recorded peak never falls below the allocated count;
+    a merge lands on the lowest run a brute-force scan accepts."""
+    mgr = PageManager([("GPU", 32 * MIB, 4 * MIB), ("CPU", 32 * MIB, 4 * MIB),
+                       ("SSD", 16 * MIB, 4 * MIB)])
+    for op, a, b in steps:
+        live = sorted(mgr.tensors)
+        if op == "allocate":
+            try:
+                mgr.allocate(spec(f"t{a}", SIZES[a % len(SIZES)], kind=KINDS[b % 3]),
+                             TIERS[b % 3])
+            except AllocationError:
+                pass
+        elif op == "release" and live:
+            mgr.release(live[a % len(live)])
+        elif op == "move" and live:  # each page of a tensor, as a layer's move does
+            for pid in list(mgr.tensors[live[a % len(live)]].page_list):
+                try:
+                    mgr.page_move(pid, TIERS[b % 3])
+                except MoveError:
+                    pass
+        elif op == "merge" and live:
+            # prefer a scattered tensor: merging a contiguous one changes nothing
+            scattered = [tid for tid in live if not is_run(mgr.tensors[tid].page_list)]
+            pick = scattered or live
+            tensor = mgr.tensors[pick[a % len(pick)]]
+            ids = list(tensor.page_list)
+            tier = tensor.tier
+            expected = None if tier == NOT_READY else \
+                lowest_merge_start(mgr.pool(tier), tensor.tensor_id, len(ids))
+            try:
+                report = mgr.tensor_merge(tensor.tensor_id)
+            except MoveError:
+                assert tier == NOT_READY
+            except AllocationError:
+                assert expected is None
+            else:
+                run = report["page_ids"]
+                assert tensor.page_list == run and len(run) == len(ids) and is_run(run)
+                if not is_run(ids):
+                    assert run[0] == expected
+        check_invariants(mgr)
+        for pool in mgr.pools.values():
+            assert sorted(pool._free) == [pid for pid, page in pool.pages.items()
+                                          if not page.occupants]
+            assert pool.stats.peak_allocated_pages >= pool.allocated_page_count
 
 
 @settings(max_examples=50, deadline=None)

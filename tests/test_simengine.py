@@ -57,6 +57,14 @@ class TestOneCostModel:
         assert (prof.gpu_bytes_per_s, prof.cpu_bytes_per_s) == (GPU_BYTES_PER_S,
                                                                 CPU_BYTES_PER_S)
 
+    def test_from_dict_rejects_unknown_fields(self):
+        raw = HARDWARE_PRESETS["a100-server"]
+        with pytest.raises(ConfigError, match="num_gpu"):
+            HardwareProfile.from_dict({**raw, "num_gpu": 2})
+        links = {**raw["links"], "ssd_io": {"bandwidth_bytes_per_s": 3.5e9, "latency": 0.0}}
+        with pytest.raises(ConfigError, match=r"links\.ssd_io\.latency"):
+            HardwareProfile.from_dict({**raw, "links": links})
+
     def test_delay_model_uses_the_preset_link_bandwidths(self):
         links = HARDWARE_PRESETS["a100-server"]["links"]
         delays = DelayModel()

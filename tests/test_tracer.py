@@ -1,4 +1,4 @@
-"""Lifetime derivation: interval placement, recompute, validation, peak oracle."""
+"""Lifetime derivation: interval placement, recompute, validation."""
 import pytest
 
 from hiermem.errors import ConfigError
@@ -9,7 +9,6 @@ from hiermem.tracer import (
     backward_id,
     build_trace,
     forward_id,
-    peak_live_bytes,
     validate_trace,
 )
 
@@ -158,17 +157,3 @@ class TestTimeline:
         expected_f0 = sum(t.gpu_time for t in traces if t.first_id == 0)
         assert tl.ops[0].gpu_time == pytest.approx(expected_f0)
 
-
-class TestPeakOracle:
-    def test_peak_matches_brute_force(self):
-        inv = make(layers=3)
-        traces = build_trace(inv)
-        sizes = {i: s.bytes for i, s in enumerate(inv)}
-        num_ops = 6
-        fast = peak_live_bytes(traces, sizes, num_ops)
-        # independent O(n*m) oracle
-        brute = max(
-            sum(sizes[t.tensor_id] for t in traces if t.first_id <= x <= t.end_id)
-            for x in range(num_ops)
-        )
-        assert fast == brute
