@@ -31,6 +31,15 @@ MIN_PAGE_BYTES = 64 * 2**10
 NOT_READY = "NOT_READY"
 
 
+def check_page_bytes(page_bytes: int) -> None:
+    """Raise ConfigError unless ``page_bytes`` is an int power of two >= MIN_PAGE_BYTES."""
+    if not isinstance(page_bytes, int) or page_bytes < MIN_PAGE_BYTES or \
+            page_bytes & (page_bytes - 1):
+        raise ConfigError(
+            f"page_bytes must be a power of two >= {MIN_PAGE_BYTES}, got {page_bytes}"
+        )
+
+
 class Tier(Enum):
     GPU = 0
     CPU = 1
@@ -117,10 +126,7 @@ class TierPool:
     """Pre-allocated pool of fixed-size pages for one memory tier."""
 
     def __init__(self, tier: Tier, capacity_bytes: int, page_bytes: int, first_page_id: int = 0):
-        if page_bytes < MIN_PAGE_BYTES or page_bytes & (page_bytes - 1):
-            raise ConfigError(
-                f"page_bytes must be a power of two >= {MIN_PAGE_BYTES}, got {page_bytes}"
-            )
+        check_page_bytes(page_bytes)
         if capacity_bytes <= 0 or capacity_bytes % page_bytes:
             raise ConfigError(
                 f"capacity_bytes ({capacity_bytes}) must be a positive multiple of "

@@ -43,7 +43,7 @@ from itertools import accumulate
 
 from .errors import ConfigError, InfeasibleScheduleError
 from .footprint import TensorSpec
-from .pagemem import PAGE_BYTES_DEFAULT
+from .pagemem import PAGE_BYTES_DEFAULT, check_page_bytes
 from .tracer import TensorTrace, backward_id
 
 OPERATIONS = ("move_to_gpu", "all_gather", "compute", "evict_to_cpu")
@@ -97,6 +97,7 @@ class LayerModel:
                  tensor_info: dict[int, TensorSpec], batch_size: int = 1):
         if num_layers < 1:
             raise ConfigError("model needs at least one layer")
+        check_page_bytes(page_bytes)
         self.num_layers = num_layers
         self.page_bytes = page_bytes
         self.layer_param_bytes = list(layer_param_bytes)

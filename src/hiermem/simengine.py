@@ -93,6 +93,16 @@ class HardwareProfile:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "HardwareProfile":
+        if not isinstance(raw, dict):
+            raise ConfigError("hardware must be a JSON object")
+        if not isinstance(raw.get("links"), dict):
+            raise ConfigError("hardware field 'links' must be an object of link entries")
+        for name, entry in raw["links"].items():
+            if not isinstance(entry, dict):
+                raise ConfigError(f"hardware field 'links.{name}' must be an object")
+            if "bandwidth_bytes_per_s" not in entry:
+                raise ConfigError(f"hardware field 'links.{name}' lacks "
+                                  "'bandwidth_bytes_per_s'")
         scalars = ("gpu_bytes_per_s", "cpu_bytes_per_s", "num_gpus", "pcie_lanes")
         unknown = sorted(set(raw) - {"links", *scalars}) + sorted(
             f"links.{name}.{key}" for name, entry in raw["links"].items()

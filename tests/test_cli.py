@@ -1,10 +1,12 @@
 """CLI surfaces: every subcommand, file formats, exit codes, preset override."""
 import json
 import os
+import time
 
 import pytest
 
 from hiermem.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from hiermem.presets import hardware_preset
 
 TINY = {"batch_size": 1, "seq_len": 64, "d_model": 128, "d_ffn": 512,
         "num_layers": 2, "num_heads": 4}
@@ -266,6 +268,34 @@ class TestPipelineCmd:
                                               "iterations": "2"})
         assert run(["pipeline", "--config", config]) == EXIT_USAGE
         assert "'iterations' has type str" in capsys.readouterr().err
+
+    def test_bad_page_bytes_is_usage_error_at_once(self, tmp_path, capsys):
+        config = write(tmp_path, "exp.json", {"model": "preset:tiny-2layer",
+                                              "gpu_budget_bytes": 2**30, "page_bytes": 3})
+        for argv in (["pipeline", "--config", config],
+                     ["schedule", "--preset", "tiny-2layer", "--gpu-budget", str(2**30),
+                      "--page-bytes", "3"]):
+            start = time.perf_counter()
+            assert run(argv) == EXIT_USAGE
+            assert time.perf_counter() - start < 1.0
+            assert "page_bytes must be a power of two" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, field", [("no_links", "'links'"),
+                                             ("link_not_object", "'links.pcie_h2d'"),
+                                             ("no_bandwidth", "'bandwidth_bytes_per_s'")])
+    def test_malformed_hardware_is_usage_error(self, tmp_path, capsys, case, field):
+        hardware = hardware_preset("a100-server").to_dict()
+        if case == "no_links":
+            del hardware["links"]
+        elif case == "link_not_object":
+            hardware["links"]["pcie_h2d"] = 5
+        else:
+            del hardware["links"]["pcie_h2d"]["bandwidth_bytes_per_s"]
+        config = write(tmp_path, "exp.json", {"model": "preset:tiny-2layer",
+                                              "gpu_budget_bytes": 2**30,
+                                              "hardware": hardware})
+        assert run(["pipeline", "--config", config]) == EXIT_USAGE
+        assert field in capsys.readouterr().err
 
     def test_phase_selection(self, tmp_path):
         out = tmp_path / "report.json"

@@ -41,6 +41,8 @@ class TestPoolInit:
             pool_init("GPU", 4 * MIB, 3 * MIB)  # not a power of two
         with pytest.raises(ConfigError):
             pool_init("GPU", 64 * 1024, 32 * 1024)  # below 64 KiB
+        with pytest.raises(ConfigError):
+            pool_init("GPU", 4 * MIB, 4.0 * MIB)  # not an int
 
 
 class TestAllocate:
