@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -22,7 +23,7 @@ from . import footprint as fp
 from . import lockfree as lf
 from . import pagemem as pm
 from . import presets
-from .errors import ConfigError, InfeasibleScheduleError
+from .errors import ConfigError, InfeasibleScheduleError, check_type
 from .scheduler import LayerModel, Schedule, ShardingModel, peak_memory, schedule
 from .simengine import compare, simulate
 from .tracer import LogicalTimeline, TensorTrace, TimingModel, build_trace, validate_trace
@@ -346,13 +347,14 @@ def cmd_simulate(args) -> int:
                       update_mode=args.update_mode, optimizer_tier=args.optimizer_tier)
     data = report.to_dict()
     data["schema_version"] = SCHEMA_VERSION
+    _dump_json(data, args.out)
+    # only once the report is written, so a rejected report leaves no timeline
     if args.timeline:
         with open(args.timeline, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["task_id", "operation", "resource", "start_s", "end_s"])
             for e in report.timeline:
                 writer.writerow([e.task_id, e.operation, e.resource, e.start_s, e.end_s])
-    _dump_json(data, args.out)
     return EXIT_OK
 
 
@@ -361,16 +363,13 @@ def cmd_simulate(args) -> int:
 def _delays_from_arg(arg: str) -> lf.DelayModel:
     if arg.startswith("preset:"):
         return lf.DelayModel.preset(arg.removeprefix("preset:"))
-    raw = _load_json(arg)
-    return lf.DelayModel(**raw)
+    return lf.DelayModel.from_dict(_load_json(arg))
 
 
 def cmd_lockfree(args) -> int:
-    raw = _load_json(args.toy_config) if args.toy_config else {}
+    cfg = lf.ToyTrainConfig.from_dict(_load_json(args.toy_config) if args.toy_config else {})
     if args.seed is not None:
-        raw["seed"] = args.seed
-    hyper = lf.AdamHyper(**raw.pop("hyper")) if "hyper" in raw else lf.AdamHyper()
-    cfg = lf.ToyTrainConfig(hyper=hyper, **raw)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     delays = _delays_from_arg(args.delays)
     if args.mode == "sync":
         report = lf.run_sync(cfg, delays, args.iters)
@@ -416,11 +415,8 @@ def run_pipeline(config: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown pipeline config keys: {unknown}")
     for key, value in config.items():
-        expected = _PIPELINE_TYPES.get(key, (type(_PIPELINE_DEFAULTS[key]),))
-        # bool is an int subclass: accept it exactly where a bool is expected
-        if not isinstance(value, expected) or isinstance(value, bool) != (bool in expected):
-            raise ConfigError(f"pipeline config {key!r} has type {type(value).__name__}, "
-                              f"expected {' or '.join(t.__name__ for t in expected)}")
+        check_type(f"pipeline config {key!r}", value,
+                   _PIPELINE_TYPES.get(key, (type(_PIPELINE_DEFAULTS[key]),)))
     c = {**_PIPELINE_DEFAULTS, **config}
     missing = [k for k, v in c.items() if v is _REQUIRED]
     if missing:

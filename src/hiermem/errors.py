@@ -5,6 +5,14 @@ class ConfigError(ValueError):
     """Invalid configuration (bad dimensions, misaligned capacities, unknown names)."""
 
 
+def check_type(field: str, value, expected: tuple[type, ...]) -> None:
+    """Raise ConfigError naming ``field`` unless ``value`` has an ``expected``
+    type. bool is an int subclass: it passes exactly where bool is expected."""
+    if not isinstance(value, expected) or isinstance(value, bool) != (bool in expected):
+        raise ConfigError(f"{field} has type {type(value).__name__}, "
+                          f"expected {' or '.join(t.__name__ for t in expected)}")
+
+
 class AllocationError(RuntimeError):
     """A tier pool cannot satisfy an allocation request."""
 

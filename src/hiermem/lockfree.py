@@ -34,15 +34,29 @@ import queue as queue_mod
 import threading
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, check_type
 from .presets import HARDWARE_PRESETS
 
 # raw link bandwidths of the built-in preset (not one overridden from a directory)
 _A100_LINKS = HARDWARE_PRESETS["a100-server"]["links"]
+_REAL = (int, float)
+
+
+def _checked(what: str, raw, types: dict[str, tuple[type, ...]]) -> dict:
+    """``raw`` once it is an object whose keys are in ``types``, each value
+    of its key's types; otherwise ConfigError."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = sorted(set(raw) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {unknown}")
+    for key, value in raw.items():
+        check_type(f"{what} {key!r}", value, types[key])
+    return raw
 
 
 @dataclass(frozen=True)
@@ -73,6 +87,16 @@ class ToyTrainConfig:
     def __post_init__(self):
         if self.num_layers < 1 or self.dim < 1 or self.batch_size < 1:
             raise ConfigError("toy config needs positive layers/dim/batch")
+
+    @classmethod
+    def from_dict(cls, raw) -> "ToyTrainConfig":
+        """A toy config read from JSON, ``hyper`` an object of AdamHyper fields."""
+        types = {f.name: (int,) for f in fields(cls)} | {"noise_std": _REAL,
+                                                         "hyper": (dict,)}
+        raw = _checked("toy config", raw, types)
+        hyper = _checked("toy config 'hyper'", raw.get("hyper", {}),
+                         {f.name: _REAL for f in fields(AdamHyper)})
+        return cls(**{**raw, "hyper": AdamHyper(**hyper)})
 
     @property
     def param_bytes16(self) -> int:
@@ -127,6 +151,11 @@ class DelayModel:
             return cls(pcie_bytes_per_s=math.inf, ssd_bytes_per_s=math.inf,
                        cpu_mem_bytes_per_s=math.inf, gpu_flops_per_s=math.inf)
         raise ConfigError(f"unknown delay preset {name!r}")
+
+    @classmethod
+    def from_dict(cls, raw) -> "DelayModel":
+        types = {f.name: _REAL for f in fields(cls)} | {"ssd_bytes_per_s": (*_REAL, type(None))}
+        return cls(**_checked("delay model", raw, types))
 
 
 @dataclass(frozen=True)
@@ -719,6 +748,8 @@ def run_lockfree(toy_cfg: ToyTrainConfig, delays: DelayModel, iterations: int,
     """Train with the three concurrent actors; deterministic in virtual mode."""
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
+    if max_inflight is not None and max_inflight < 1:
+        raise ConfigError("max_inflight must be >= 1")  # 0 would never start an iteration
     teacher, student, readout, val = init_problem(toy_cfg)
     buffer = ParamBuffer(student)
     masters = MasterState(student)

@@ -12,11 +12,16 @@ backward op.
 
 The optional synchronous-update mode appends a per-layer optimizer
 pipeline (SSD fetch, CPU update, SSD store over the rank's state shard)
-gated on that layer's gradient offload, and the next iteration starts only
-after the pipeline drains.
+that starts once that layer's gradient offload finishes.
 
-The event loop is single-threaded and deterministic; resource exclusivity
-and causality are re-checked after every run.
+One iteration's tasks are built once, as a template, and replayed once per
+iteration. Each iteration starts on an idle system at the previous
+iteration's makespan (0 for the first): its tasks without dependencies
+arrive then. Every task runs on a resource; there are no control tasks.
+
+The event loop is single-threaded and deterministic; causality within
+every iteration and resource exclusivity across the whole timeline are
+re-checked after every run.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, SimulationError, check_type
 from .scheduler import Schedule
 from .tracer import CPU_BYTES_PER_S, GPU_BYTES_PER_S, TensorTrace, TimingModel
 
@@ -109,6 +114,13 @@ class HardwareProfile:
             for key in entry if key not in ("bandwidth_bytes_per_s", "latency_s"))
         if unknown:
             raise ConfigError(f"unknown hardware fields: {unknown}")
+        for name, entry in raw["links"].items():
+            for key, value in entry.items():
+                check_type(f"hardware field 'links.{name}.{key}'", value, (int, float))
+        for key in scalars:
+            if key in raw:
+                check_type(f"hardware field {key!r}", raw[key],
+                           (int,) if key in ("num_gpus", "pcie_lanes") else (int, float))
         links = {
             name: LinkSpec(entry["bandwidth_bytes_per_s"],
                            entry.get("latency_s", DEFAULT_LATENCY_S))
@@ -168,9 +180,9 @@ def compare(report_a: SimReport, report_b: SimReport) -> dict:
 @dataclass
 class _SimTask:
     uid: int
-    task_id: str
+    task_id: str  # timeline ids prefix it with the iteration: it{k}.<task_id>
     operation: str
-    resource: str | None  # None = control task, completes at arrival
+    resource: str
     duration: float
     deps: list[int] = field(default_factory=list)
 
@@ -226,12 +238,11 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
     d2h_lat = profile.links["pcie_d2h"].latency_s
     gather_frac = (world - 1) / world
 
-    sim_tasks: list[_SimTask] = []
+    tasks: list[_SimTask] = []  # one iteration, replayed per iteration
 
     def add(task_id, operation, resource, duration, deps):
-        sim_tasks.append(_SimTask(len(sim_tasks), task_id, operation, resource,
-                                  duration, deps))
-        return sim_tasks[-1].uid
+        tasks.append(_SimTask(len(tasks), task_id, operation, resource, duration, deps))
+        return tasks[-1].uid
 
     compute_tasks = {}
     for t in schedule.tasks:
@@ -245,93 +256,85 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
             by_trigger.setdefault(t.trigger_id, []).append(t)
     max_trigger = max((t.trigger_id for t in schedule.tasks), default=0)
 
-    prev_iteration_uids: list[int] = []
-    for it in range(iterations):
-        gate = add(f"it{it}.gate", "gate", None, 0.0, prev_iteration_uids)
+    prev_comp: int | None = None  # latest compute instantiated so far
+    compute_uid: dict[int, int] = {}
+    moves_done: dict[int, list[tuple[int, int]]] = {}  # page -> [(trigger, uid)]
+    gather_uids_by_slot: dict[int, list[int]] = {}
+    evict_uids_by_layer: dict[int, list[int]] = {}
 
-        prev_comp: int | None = None  # latest compute instantiated so far
-        compute_uid: dict[int, int] = {}
-        moves_done: dict[int, list[tuple[int, int]]] = {}  # page -> [(trigger, uid)]
-        gather_uids_by_slot: dict[int, list[int]] = {}
-        evict_uids_by_layer: dict[int, list[int]] = {}
+    for slot in range(max_trigger + 1):
+        # trigger t tasks become eligible when slot t is reached, i.e. at the
+        # finish of the latest compute before slot t (or at the iteration start)
+        elig = [] if prev_comp is None else [prev_comp]
+        for t in by_trigger.get(slot, []):
+            if t.operation == "move_to_gpu":
+                dur = h2d_lat + page_bytes / h2d_bw
+                uid = add(f"move.p{t.target}@{t.trigger_id}", "move_to_gpu", "pcie_h2d",
+                          dur, elig)
+                moves_done.setdefault(t.target, []).append((t.trigger_id, uid))
+            elif t.operation == "all_gather":
+                dur = profile.links["gpu_interconnect"].latency_s + \
+                    page_bytes * gather_frac / profile.links["gpu_interconnect"].bandwidth_bytes_per_s
+                deps = elig
+                if t.owned:
+                    cands = [u for (trig, u) in moves_done.get(t.target, [])
+                             if trig <= t.trigger_id]
+                    if not cands:
+                        raise SimulationError(
+                            f"all_gather of owned page {t.target} has no earlier move"
+                        )
+                    deps = elig + [cands[-1]]
+                uid = add(f"gather.p{t.target}@{t.trigger_id}", "all_gather",
+                          "gpu_interconnect", dur, deps)
+                gather_uids_by_slot.setdefault(t.slot, []).append(uid)
+            elif t.operation == "evict_to_cpu":
+                dur = d2h_lat + page_bytes / d2h_bw
+                uid = add(f"evict.p{t.target}@{t.trigger_id}", "evict_to_cpu", "pcie_d2h",
+                          dur, elig)
+                evict_uids_by_layer.setdefault(t.layer, []).append(uid)
+            else:
+                raise SimulationError(f"unknown operation {t.operation!r}")
 
-        for slot in range(max_trigger + 1):
-            # trigger t tasks become eligible when slot t is reached, i.e. at
-            # the finish of the latest compute before slot t (or at the gate)
-            elig = gate if slot == 0 or prev_comp is None else prev_comp
-            for t in by_trigger.get(slot, []):
-                if t.operation == "move_to_gpu":
-                    dur = h2d_lat + page_bytes / h2d_bw
-                    uid = add(f"it{it}.move.p{t.target}@{t.trigger_id}",
-                              "move_to_gpu", "pcie_h2d", dur, [elig])
-                    moves_done.setdefault(t.target, []).append((t.trigger_id, uid))
-                elif t.operation == "all_gather":
-                    dur = profile.links["gpu_interconnect"].latency_s + \
-                        page_bytes * gather_frac / profile.links["gpu_interconnect"].bandwidth_bytes_per_s
-                    deps = [elig]
-                    if t.owned:
-                        cands = [u for (trig, u) in moves_done.get(t.target, [])
-                                 if trig <= t.trigger_id]
-                        if not cands:
-                            raise SimulationError(
-                                f"all_gather of owned page {t.target} has no earlier move"
-                            )
-                        deps.append(cands[-1])
-                    uid = add(f"it{it}.gather.p{t.target}@{t.trigger_id}",
-                              "all_gather", "gpu_interconnect", dur, deps)
-                    gather_uids_by_slot.setdefault(t.slot, []).append(uid)
-                elif t.operation == "evict_to_cpu":
-                    dur = d2h_lat + page_bytes / d2h_bw
-                    uid = add(f"it{it}.evict.p{t.target}@{t.trigger_id}",
-                              "evict_to_cpu", "pcie_d2h", dur, [elig])
-                    evict_uids_by_layer.setdefault(t.layer, []).append(uid)
-                else:
-                    raise SimulationError(f"unknown operation {t.operation!r}")
+        ct = compute_tasks.get(slot)
+        if ct is not None:
+            dur = slot_dur[slot] if slot < num_slots else 0.0
+            deps = elig + gather_uids_by_slot.get(slot, [])
+            prev_comp = compute_uid[slot] = add(f"compute.s{slot}.l{ct.target}", "compute",
+                                                "gpu", dur, deps)
 
-            ct = compute_tasks.get(slot)
-            if ct is not None:
-                deps = ([prev_comp] if prev_comp is not None else [gate])
-                deps += gather_uids_by_slot.get(slot, [])
-                dur = slot_dur[slot] if slot < num_slots else 0.0
-                uid = add(f"it{it}.compute.s{slot}.l{ct.target}", "compute", "gpu",
-                          dur, deps)
-                compute_uid[slot] = uid
-                prev_comp = uid
+    if update_mode == "sync":
+        prev_in_pipe: list[int] = []
+        for layer in reversed(range(n)):
+            deps = evict_uids_by_layer.get(layer)
+            if deps is None:
+                comp = compute_uid.get(2 * n - 1 - layer, prev_comp)
+                deps = [] if comp is None else [comp]
+            deps = deps + prev_in_pipe
+            # with SSD-resident states the rank's shard is fetched and stored
+            io_s = profile.transfer_time(model.layer_optim_bytes[layer] // world, "ssd_io")
+            if optimizer_tier == "ssd":
+                deps = [add(f"optim_fetch.l{layer}", "optim_fetch", "ssd_io", io_s, deps)]
+            upd = add(f"optim_update.l{layer}", "optim_update", "cpu", update_cpu[layer],
+                      deps)
+            if optimizer_tier == "ssd":
+                upd = add(f"optim_store.l{layer}", "optim_store", "ssd_io", io_s, [upd])
+            prev_in_pipe = [upd]
 
-        if update_mode == "sync":
-            prev_in_pipe: list[int] = []
-            last_comp = prev_comp if prev_comp is not None else gate
-            for layer in reversed(range(n)):
-                deps = evict_uids_by_layer.get(
-                    layer, [compute_uid.get(2 * n - 1 - layer, last_comp)]
-                ) + prev_in_pipe
-                # with SSD-resident states the rank's shard is fetched and stored
-                io_s = profile.transfer_time(model.layer_optim_bytes[layer] // world, "ssd_io")
-                if optimizer_tier == "ssd":
-                    deps = [add(f"it{it}.optim_fetch.l{layer}", "optim_fetch",
-                                "ssd_io", io_s, deps)]
-                upd = add(f"it{it}.optim_update.l{layer}", "optim_update",
-                          "cpu", update_cpu[layer], deps)
-                if optimizer_tier == "ssd":
-                    upd = add(f"it{it}.optim_store.l{layer}", "optim_store",
-                              "ssd_io", io_s, [upd])
-                prev_in_pipe = [upd]
-
-        # every task this iteration added, the gate first
-        prev_iteration_uids = [t.uid for t in sim_tasks[gate:]]
-
-    finish = _run_event_loop(sim_tasks)
-
+    runs: list[tuple[float, list[tuple[float, float]]]] = []  # (start, spans) per iteration
     timeline = []
     busy: dict[str, float] = {}
-    for t in sim_tasks:
-        if t.resource is None:
-            continue
-        start, end = finish[t.uid][0], finish[t.uid][1]
-        timeline.append(TimelineEntry(t.task_id, t.operation, t.resource, start, end))
-        busy[t.resource] = busy.get(t.resource, 0.0) + (end - start)
-    makespan = max((f[1] for f in finish.values()), default=0.0)
-    _post_hoc_checks(sim_tasks, finish)
+    start = 0.0
+    for it in range(iterations):
+        spans = _run_event_loop(tasks, start)
+        runs.append((start, spans))
+        for t, (s, e) in zip(tasks, spans):
+            timeline.append(TimelineEntry(f"it{it}.{t.task_id}", t.operation, t.resource,
+                                          s, e))
+            busy[t.resource] = busy.get(t.resource, 0.0) + (e - s)
+        # the next iteration starts once every task of this one has finished
+        start = max((e for _, e in spans), default=start)
+    makespan = start
+    _post_hoc_checks(tasks, runs)
 
     utilization = {r: (b / makespan if makespan > 0 else 0.0) for r, b in busy.items()}
     gpu_busy = busy.get("gpu", 0.0)
@@ -356,82 +359,76 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
     )
 
 
-def _run_event_loop(sim_tasks: list[_SimTask]) -> dict[int, tuple[float, float]]:
-    """FIFO-per-resource event loop; returns uid -> (start, finish)."""
-    pending = {t.uid: len(t.deps) for t in sim_tasks}
-    dependents: dict[int, list[int]] = {}
-    for t in sim_tasks:
+def _run_event_loop(tasks: list[_SimTask], start: float) -> list[tuple[float, float]]:
+    """FIFO-per-resource event loop on an idle system from ``start``, where
+    tasks without dependencies arrive; returns (start, finish) by uid."""
+    pending = [len(t.deps) for t in tasks]
+    dependents: list[list[int]] = [[] for _ in tasks]
+    for t in tasks:
         for d in t.deps:
-            dependents.setdefault(d, []).append(t.uid)
+            dependents[d].append(t.uid)
 
     queues: dict[str, list] = {}
     running: dict[str, int | None] = {}
-    finish: dict[int, tuple[float, float]] = {}
+    finish: list = [None] * len(tasks)
     events: list[tuple[float, int, int]] = []  # (time, seq, uid) completions
     seq = 0
 
     def enqueue(uid: int, arrival: float):
-        nonlocal seq
-        t = sim_tasks[uid]
-        if t.resource is None:
-            heapq.heappush(events, (arrival, seq, uid))
-            seq += 1
-            return
-        queues.setdefault(t.resource, [])
-        running.setdefault(t.resource, None)
-        heapq.heappush(queues[t.resource], (arrival, uid))
-        maybe_start(t.resource, arrival)
+        resource = tasks[uid].resource
+        queues.setdefault(resource, [])
+        running.setdefault(resource, None)
+        heapq.heappush(queues[resource], (arrival, uid))
+        maybe_start(resource, arrival)
 
     def maybe_start(resource: str, now: float):
         nonlocal seq
         if running[resource] is not None or not queues[resource]:
             return
         arrival, uid = heapq.heappop(queues[resource])
-        start = max(arrival, now)
-        t = sim_tasks[uid]
+        begin = max(arrival, now)
+        end = begin + tasks[uid].duration
         running[resource] = uid
-        finish[uid] = (start, start + t.duration)
-        heapq.heappush(events, (start + t.duration, seq, uid))
+        finish[uid] = (begin, end)
+        heapq.heappush(events, (end, seq, uid))
         seq += 1
 
-    for t in sim_tasks:
-        if pending[t.uid] == 0:
-            enqueue(t.uid, 0.0)
+    for t in tasks:
+        if not t.deps:
+            enqueue(t.uid, start)
 
     done = 0
     while events:
         now, _, uid = heapq.heappop(events)
-        t = sim_tasks[uid]
-        if t.resource is None:
-            finish[uid] = (now, now)
-        else:
-            running[t.resource] = None
+        resource = tasks[uid].resource
+        running[resource] = None
         done += 1
-        for dep_uid in dependents.get(uid, []):
+        for dep_uid in dependents[uid]:
             pending[dep_uid] -= 1
             if pending[dep_uid] == 0:
-                enqueue(dep_uid, max(finish[d][1] for d in sim_tasks[dep_uid].deps))
-        if t.resource is not None:
-            maybe_start(t.resource, now)
+                enqueue(dep_uid, max(finish[d][1] for d in tasks[dep_uid].deps))
+        maybe_start(resource, now)
 
-    if done != len(sim_tasks):
+    if done != len(tasks):
         raise SimulationError(
-            f"simulation stalled: {len(sim_tasks) - done} tasks never ran "
+            f"simulation stalled: {len(tasks) - done} tasks never ran "
             "(cyclic or unsatisfiable dependencies)"
         )
     return finish
 
 
-def _post_hoc_checks(sim_tasks: list[_SimTask], finish: dict[int, tuple[float, float]]):
+def _post_hoc_checks(tasks: list[_SimTask],
+                     runs: list[tuple[float, list[tuple[float, float]]]]):
+    """Causality in every iteration (no task starts before its iteration or a
+    dependency), and no overlap per resource across the whole timeline."""
     by_resource: dict[str, list[tuple[float, float]]] = {}
-    for t in sim_tasks:
-        start, end = finish[t.uid]
-        for d in t.deps:
-            if finish[d][1] > start + 1e-12:
+    for it, (it_start, finish) in enumerate(runs):
+        for t, (start, end) in zip(tasks, finish):
+            if start < it_start - 1e-12 or any(finish[d][1] > start + 1e-12 for d in t.deps):
                 raise SimulationError(
-                    f"causality violation: {t.task_id} started before a dependency finished"
+                    f"causality violation: it{it}.{t.task_id} started before "
+                    "its iteration or a dependency finished"
                 )
-        if t.resource is not None:
             by_resource.setdefault(t.resource, []).append((start, end))
     for resource, spans in by_resource.items():
         spans.sort()

@@ -214,6 +214,34 @@ class TestLockfreeCmd:
         assert report["makespan_s"] == 0
         assert report["samples_per_s"] is None
 
+    @pytest.mark.parametrize("toy, message", [
+        ({"num_layers": 2, "bogus": 1}, "unknown toy config keys: ['bogus']"),
+        ({"num_layers": "4"}, "toy config 'num_layers' has type str"),
+        ({"hyper": {"lr": 0.01, "momentum": 0.9}},
+         "unknown toy config 'hyper' keys: ['momentum']"),
+        ([2, 8, 8], "toy config must be a JSON object"),
+    ], ids=["unknown_key", "mistyped_value", "unknown_hyper_key", "not_object"])
+    def test_bad_toy_config_is_usage_error(self, tmp_path, capsys, toy, message):
+        path = write(tmp_path, "toy.json", toy)
+        assert run(["lockfree", "--toy-config", path, "--iters", "2"]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+    def test_delays_file(self, tmp_path, capsys):
+        good = write(tmp_path, "delays.json", {"pcie_bytes_per_s": 16e9,
+                                               "ssd_bytes_per_s": None})
+        toy = write(tmp_path, "toy.json", {"num_layers": 2, "dim": 8, "batch_size": 8})
+        assert run(["lockfree", "--toy-config", toy, "--delays", good, "--iters", "2",
+                    "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        bad = write(tmp_path, "bad.json", {"pcie_bytes_per_s": 16e9, "nvme_bytes_per_s": 1})
+        assert run(["lockfree", "--toy-config", toy, "--delays", bad,
+                    "--iters", "2"]) == EXIT_USAGE
+        assert "unknown delay model keys: ['nvme_bytes_per_s']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_inflight", ["0", "-1"])
+    def test_max_inflight_below_one_is_usage_error(self, capsys, max_inflight):
+        assert run(["lockfree", "--iters", "2", "--max-inflight", max_inflight]) == EXIT_USAGE
+        assert "max_inflight must be >= 1" in capsys.readouterr().err
+
 
 class TestPipelineCmd:
     def test_tiny_pipeline_speedup(self, tmp_path):
@@ -280,17 +308,38 @@ class TestPipelineCmd:
             assert time.perf_counter() - start < 1.0
             assert "page_bytes must be a power of two" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case, field", [("no_links", "'links'"),
-                                             ("link_not_object", "'links.pcie_h2d'"),
-                                             ("no_bandwidth", "'bandwidth_bytes_per_s'")])
+    @pytest.mark.parametrize("case, field", [
+        ("no_links", "'links'"),
+        ("link_not_object", "'links.pcie_h2d'"),
+        ("no_bandwidth", "'bandwidth_bytes_per_s'"),
+        ("bandwidth_str", "'links.pcie_h2d.bandwidth_bytes_per_s' has type str"),
+        ("latency_bool", "'links.ssd_io.latency_s' has type bool"),
+        ("rate_str", "'gpu_bytes_per_s' has type str"),
+        ("rate_bool", "'cpu_bytes_per_s' has type bool"),
+        ("num_gpus_str", "'num_gpus' has type str"),
+        ("num_gpus_float", "'num_gpus' has type float"),
+        ("lanes_bool", "'pcie_lanes' has type bool"),
+    ])
     def test_malformed_hardware_is_usage_error(self, tmp_path, capsys, case, field):
         hardware = hardware_preset("a100-server").to_dict()
+        links = hardware["links"]
         if case == "no_links":
             del hardware["links"]
         elif case == "link_not_object":
-            hardware["links"]["pcie_h2d"] = 5
+            links["pcie_h2d"] = 5
+        elif case == "no_bandwidth":
+            del links["pcie_h2d"]["bandwidth_bytes_per_s"]
         else:
-            del hardware["links"]["pcie_h2d"]["bandwidth_bytes_per_s"]
+            entry, key, value = {
+                "bandwidth_str": (links["pcie_h2d"], "bandwidth_bytes_per_s", "fast"),
+                "latency_bool": (links["ssd_io"], "latency_s", True),
+                "rate_str": (hardware, "gpu_bytes_per_s", "fast"),
+                "rate_bool": (hardware, "cpu_bytes_per_s", False),
+                "num_gpus_str": (hardware, "num_gpus", "8"),
+                "num_gpus_float": (hardware, "num_gpus", 8.0),
+                "lanes_bool": (hardware, "pcie_lanes", True),
+            }[case]
+            entry[key] = value
         config = write(tmp_path, "exp.json", {"model": "preset:tiny-2layer",
                                               "gpu_budget_bytes": 2**30,
                                               "hardware": hardware})

@@ -174,10 +174,12 @@ def test_nan_in_report_is_internal_error_and_writes_nothing(tmp_path, monkeypatc
         return dataclasses.replace(report, timeline=(first, *report.timeline[1:]))
 
     monkeypatch.setattr(cli, "simulate", nan_start)
-    out = tmp_path / "report.json"
-    argv = ["simulate", "--schedule", str(sched), "--traces", str(traces), "--out", str(out)]
+    out, timeline = tmp_path / "report.json", tmp_path / "timeline.csv"
+    argv = ["simulate", "--schedule", str(sched), "--traces", str(traces), "--out", str(out),
+            "--timeline", str(timeline)]
     assert main(argv) == EXIT_INTERNAL
     assert not out.exists()
+    assert not timeline.exists()
     out.write_text("previous\n")
     assert main(argv) == EXIT_INTERNAL
     assert out.read_text() == "previous\n"

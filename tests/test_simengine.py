@@ -2,14 +2,19 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hiermem.errors import ConfigError, SimulationError
+from hiermem import footprint as fp
+from hiermem.errors import ConfigError, InfeasibleScheduleError, SimulationError
 from hiermem.lockfree import DelayModel
-from hiermem.presets import HARDWARE_PRESETS, hardware_preset
-from hiermem.scheduler import Schedule, ShardingModel, Task, schedule
+from hiermem.presets import HARDWARE_PRESETS, hardware_preset, model_preset
+from hiermem.scheduler import LayerModel, Schedule, ShardingModel, Task, schedule
 from hiermem.simengine import HardwareProfile, LinkSpec, compare, simulate
-from hiermem.tracer import CPU_BYTES_PER_S, GPU_BYTES_PER_S, TensorTrace, TimingModel, backward_id
+from hiermem.tracer import (CPU_BYTES_PER_S, GPU_BYTES_PER_S, TensorTrace, TimingModel,
+                            backward_id, build_trace)
 
+from reference_simulate import reference_simulate
 from test_scheduler import make_instance, MIB, PAGE
 
 
@@ -248,3 +253,59 @@ class TestSyncUpdateMode:
         sched = schedule(model, traces, 2**30, sharding)
         with pytest.raises(ConfigError):
             simulate(sched, traces, profile(), iterations=0)
+
+
+@st.composite
+def sim_cases(draw):
+    """A random feasible schedule with replay settings; params carry a CPU
+    update cost so the sync optimizer pipeline has work."""
+    n = draw(st.integers(1, 5))
+    world = draw(st.sampled_from([1, 2, 4]))
+    model, traces, _ = make_instance(
+        draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
+        acts=draw(st.lists(st.sampled_from([0, MIB, 3 * MIB, 9 * MIB]), min_size=n, max_size=n)),
+        grads=draw(st.lists(st.sampled_from([0, MIB, 2 * MIB]), min_size=n, max_size=n)),
+        world=world)
+    traces = [TensorTrace(t.tensor_id, t.first_id, t.end_id,
+                          draw(st.sampled_from([0.0, 1e-4, 3e-3]))
+                          if model.tensor_info[t.tensor_id].kind == "param16" else 0.0,
+                          t.gpu_time) for t in traces]
+    sharding = ShardingModel(world, draw(st.integers(0, world - 1)))
+    budget = draw(st.integers(2, 16)) * PAGE
+    try:
+        sched = schedule(model, traces, budget, sharding,
+                         phase1_only=draw(st.booleans()))
+    except InfeasibleScheduleError:
+        assume(False)
+    prof = profile(latency=draw(st.sampled_from([0.0, 1e-6, 1e-5])), num_gpus=world)
+    kwargs = {"iterations": draw(st.integers(1, 4)),
+              "update_mode": draw(st.sampled_from(["none", "sync"])),
+              "optimizer_tier": draw(st.sampled_from(["ssd", "cpu"]))}
+    return sched, traces, prof, kwargs
+
+
+class TestMatchesReference:
+    """One iteration template replayed per iteration reports exactly what
+    the N-copy DAG with gate tasks did."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sim_cases())
+    def test_random_schedules(self, case):
+        sched, traces, prof, kwargs = case
+        assert simulate(sched, traces, prof, **kwargs).to_dict() == \
+            reference_simulate(sched, traces, prof, **kwargs).to_dict()
+
+    def test_gpt3_1_7b_evicting(self):
+        cfg = model_preset("gpt3-1.7b")
+        prof = hardware_preset("a100-server")
+        inventory = fp.tensor_inventory(cfg)
+        traces = build_trace(inventory, prof.timing_model())
+        model = LayerModel.from_inventory(inventory, 4 * MIB, cfg.batch_size)
+        for phase1_only in (True, False):
+            sched = schedule(model, traces, 8 * 2**30, ShardingModel(8, 0),
+                             phase1_only=phase1_only)
+            assert any(t.operation == "evict_to_cpu" and t.trigger_id < model.num_layers
+                       for t in sched.tasks)
+            kwargs = {"iterations": 2, "update_mode": "sync", "optimizer_tier": "ssd"}
+            assert simulate(sched, traces, prof, **kwargs).to_dict() == \
+                reference_simulate(sched, traces, prof, **kwargs).to_dict()
