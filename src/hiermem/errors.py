@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+import math
 
 
 class ConfigError(ValueError):
@@ -11,6 +12,17 @@ def check_type(field: str, value, expected: tuple[type, ...]) -> None:
     if not isinstance(value, expected) or isinstance(value, bool) != (bool in expected):
         raise ConfigError(f"{field} has type {type(value).__name__}, "
                           f"expected {' or '.join(t.__name__ for t in expected)}")
+
+
+def check_range(field: str, value, low: float = -math.inf, *, above: bool = False,
+                finite: bool = True) -> None:
+    """Raise ConfigError naming ``field`` unless ``value`` is at least ``low``
+    (above it if ``above``) and, if ``finite``, finite. NaN is never in range."""
+    if not (value > low if above else value >= low) or (finite and not math.isfinite(value)):
+        want = ["finite"] if finite else []
+        if low > -math.inf:
+            want.append(f"{'>' if above else '>='} {low:g}")
+        raise ConfigError(f"{field} must be {' and '.join(want)}, not {value!r}")
 
 
 class AllocationError(RuntimeError):

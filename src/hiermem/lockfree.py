@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError, check_type
+from .errors import ConfigError, ProtocolError, check_range, check_type
 from .presets import HARDWARE_PRESETS
 
 # raw link bandwidths of the built-in preset (not one overridden from a directory)
@@ -66,6 +66,10 @@ class AdamHyper:
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def __post_init__(self):
+        for f in fields(self):
+            check_range(f"toy config 'hyper' {f.name!r}", getattr(self, f.name))
+
 
 @dataclass(frozen=True)
 class ToyTrainConfig:
@@ -85,8 +89,9 @@ class ToyTrainConfig:
     hyper: AdamHyper = field(default_factory=AdamHyper)
 
     def __post_init__(self):
-        if self.num_layers < 1 or self.dim < 1 or self.batch_size < 1:
-            raise ConfigError("toy config needs positive layers/dim/batch")
+        for size in ("num_layers", "dim", "batch_size", "val_size"):
+            check_range(f"toy config {size!r}", getattr(self, size), 1, finite=False)
+        check_range("toy config 'noise_std'", self.noise_std, 0)
 
     @classmethod
     def from_dict(cls, raw) -> "ToyTrainConfig":
@@ -122,6 +127,13 @@ class DelayModel:
     ssd_bytes_per_s: float | None = _A100_LINKS["ssd_io"]["bandwidth_bytes_per_s"]
     cpu_mem_bytes_per_s: float = 100e9
     gpu_flops_per_s: float = 1e11
+
+    def __post_init__(self):
+        # infinite rates are free transfers (the ``zero`` preset)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (value is None and f.name == "ssd_bytes_per_s"):
+                check_range(f"delay model {f.name!r}", value, 0, above=True, finite=False)
 
     def fetch_s(self, nbytes: int) -> float:
         return nbytes / self.pcie_bytes_per_s

@@ -25,20 +25,22 @@ t is reached (t=0 at iteration start).
 
 `_Residency` keeps the resident bytes as one difference array over the
 slots for the total plus one per layer, so leaving a layer out is a
-subtraction. Phase 1 keeps one up to date as it adds and withdraws tasks:
-an update re-derives the intervals of the task's page only, O(intervals of
-that page), and a query is a prefix sum, O(slots). After every phase-1
-decision it equals `_resident_profile` of the tasks so far, the one sweep
-over a whole task list that `peak_memory`, `available_memory` and
-`advance_gathers` use.
+subtraction, and each page's acquire and eviction triggers, sorted. One
+`schedule()` builds one. Phase 1 reads each layer's working set off it
+(the layer's pages plus its larger share at its two compute slots) and
+keeps it up to date as it adds and withdraws tasks: an update re-derives
+the task's page only, O(intervals of that page), and a query is a prefix
+sum, O(slots). After every decision it equals `_resident_profile`, the
+one sweep over a whole task list. Phase 2 bisects each gather's lower
+bound out of its page's triggers and updates phase 1's profile in place.
 
 Scheduling is a pure function; a Schedule is an immutable value.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right, insort
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .errors import ConfigError, InfeasibleScheduleError
@@ -197,26 +199,33 @@ def _page_intervals(acquires, evicts, release: int) -> list[tuple[int, int]]:
     """Slot intervals [start, end) over which one page is resident.
 
     Each acquire holds the page until the next later eviction or
-    ``release``, whichever comes first; empty intervals are dropped.
-    ``release`` is one past the layer's backward slot, so it never exceeds
-    the 2n-slot horizon and neither end needs clamping.
+    ``release``, whichever comes first; empty intervals are dropped. Both
+    trigger lists are sorted. ``release`` is one past the layer's backward
+    slot, so it never exceeds the 2n-slot horizon and neither end needs
+    clamping.
     """
-    rels = sorted(evicts)
     intervals = []
-    for a in sorted(acquires):
-        k = bisect_right(rels, a)
-        r = rels[k] if k < len(rels) and rels[k] < release else release
+    for a in acquires:
+        k = bisect_right(evicts, a)
+        r = evicts[k] if k < len(evicts) and evicts[k] < release else release
         if r > a:
             intervals.append((a, r))
     return intervals
+
+
+def _last_at_or_before(triggers: list[int], t: int, default: int) -> int:
+    """The largest of the sorted ``triggers`` that is <= t, else ``default``."""
+    k = bisect_right(triggers, t)
+    return triggers[k - 1] if k else default
 
 
 class _Residency:
     """Resident GPU bytes per compute slot under a set of tasks.
 
     One difference array over the slots holds the total and one per layer
-    holds that layer's share. ``add`` and ``remove`` re-derive only the
-    task's page; ``resident`` and ``profile`` take prefix sums.
+    holds that layer's share. ``acquires`` and ``evicts`` hold each page's
+    triggers, sorted. ``add`` and ``remove`` re-derive only the task's
+    page; ``resident`` and ``profile`` take prefix sums.
     """
 
     def __init__(self, model: LayerModel, sharding: ShardingModel,
@@ -241,6 +250,8 @@ class _Residency:
             triggers = self._triggers(task)
             if triggers is not None:
                 triggers.append(task.trigger_id)
+        for triggers in (*self.acquires.values(), *self.evicts.values()):
+            triggers.sort()
         for pid in self.acquires.keys() | self.evicts.keys():
             self._refresh(pid)
 
@@ -284,7 +295,7 @@ class _Residency:
     def add(self, task: Task) -> None:
         triggers = self._triggers(task)
         if triggers is not None:
-            triggers.append(task.trigger_id)
+            insort(triggers, task.trigger_id)
             self._refresh(task.target)
 
     def remove(self, task: Task) -> None:
@@ -330,21 +341,6 @@ def peak_memory(schedule: Schedule, traces: list[TensorTrace]) -> int:
     return max(profile)
 
 
-def _layer_working_set(model: LayerModel, traces: list[TensorTrace], layer: int) -> int:
-    """Gathered FP16 params of the layer plus its peak live traced bytes."""
-    n = model.num_layers
-    slots = (layer, backward_id(layer, n))
-    live = {s: 0 for s in slots}
-    for tr in traces:
-        spec = model.tensor_info.get(tr.tensor_id)
-        if spec is None or spec.kind not in _RESIDENT_KINDS or spec.layer_index != layer:
-            continue
-        for s in slots:
-            if tr.first_id <= s <= tr.end_id:
-                live[s] += spec.bytes
-    return len(model.layer_pages[layer]) * model.page_bytes + max(live.values())
-
-
 # -- phase 1 -----------------------------------------------------------------
 
 def _build_phase1(model: LayerModel, traces: list[TensorTrace], gpu_budget: int,
@@ -354,12 +350,16 @@ def _build_phase1(model: LayerModel, traces: list[TensorTrace], gpu_budget: int,
     page_layer = model.page_layer
     own_pages = [[p for p in pages if sharding.owns(p)] for pages in model.layer_pages]
 
-    sizes = [_layer_working_set(model, traces, i) for i in range(n)]
+    resident = _Residency(model, sharding, traces)
+    # a layer's working set: its pages plus its traced bytes at the fuller of its slots
+    sizes = [len(model.layer_pages[i]) * page_bytes
+             + max(resident.resident(s) - resident.resident(s, exclude_layer=i)
+                   for s in (i, backward_id(i, n)))
+             for i in range(n)]
     for i, size in enumerate(sizes):
         if size > gpu_budget:
             raise InfeasibleScheduleError(i, size, gpu_budget)
 
-    resident = _Residency(model, sharding, traces)
     tasks: list[Task | None] = []  # None: a move a deferral withdrew
     moves: list[int] = []  # indices into tasks of the moves, ascending
 
@@ -440,51 +440,48 @@ def _build_phase1(model: LayerModel, traces: list[TensorTrace], gpu_budget: int,
 
 # -- phase 2 -----------------------------------------------------------------
 
+def _advance_gathers(phase1: Schedule, resident: _Residency,
+                     profile: list[int]) -> Schedule:
+    """Phase 2 on phase 1's residency; ``profile``, ``resident.profile()``
+    on entry, gains the bytes of each gather moved earlier, in place."""
+    page_bytes = phase1.model.page_bytes
+    budget = phase1.gpu_budget
+    tasks = []
+    for task in phase1.tasks:
+        if task.operation == "all_gather":
+            old = task.trigger_id
+            # a re-gather may not precede the eviction it recovers from
+            lb = _last_at_or_before(resident.evicts.get(task.target, ()), old, 0)
+            if task.owned:
+                # owned-page gathers reuse the resident shard: no memory cost
+                new = max(lb, _last_at_or_before(resident.acquires.get(task.target, ()),
+                                                 old, old))
+            else:
+                new = old
+                while new > lb and profile[new - 1] + page_bytes <= budget:
+                    new -= 1
+                for x in range(new, old):
+                    profile[x] += page_bytes
+            if new != old:
+                task = Task("all_gather", task.target, new, task.layer, task.slot,
+                            task.owned)
+        tasks.append(task)
+    tasks.sort(key=lambda t: t.trigger_id)  # stable: schedule order within a trigger
+    return Schedule(tuple(tasks), "phase2", budget, phase1.model, phase1.sharding)
+
+
 def advance_gathers(schedule: Schedule, traces: list[TensorTrace]) -> Schedule:
     """Re-trigger each all_gather at its earliest in-budget point.
 
     Tasks are scanned in schedule order. An owned page's gather may never
     precede that page's move; a non-owned gather stops at the first slot
-    whose residency would overflow the budget. Only gather triggers change,
-    and none increases.
+    whose residency would overflow the budget, and none precedes its page's
+    last eviction at or before its trigger. Only gather triggers change,
+    and none increases. ``schedule()`` runs the same pass on the residency
+    phase 1 built; this builds one for ``schedule``.
     """
-    model, sharding = schedule.model, schedule.sharding
-    page_bytes = model.page_bytes
-    budget = schedule.gpu_budget
-    tasks = list(schedule.tasks)
-    resident = _resident_profile(tasks, model, sharding, traces)
-
-    moves_by_page: dict[int, list[int]] = {}
-    evicts_by_page: dict[int, list[int]] = {}
-    for t in tasks:
-        if t.operation == "move_to_gpu":
-            moves_by_page.setdefault(t.target, []).append(t.trigger_id)
-        elif t.operation == "evict_to_cpu":
-            evicts_by_page.setdefault(t.target, []).append(t.trigger_id)
-
-    for idx, task in enumerate(tasks):
-        if task.operation != "all_gather":
-            continue
-        old = task.trigger_id
-        # a re-gather may not precede the eviction it recovers from
-        lb = max([e for e in evicts_by_page.get(task.target, []) if e <= old],
-                 default=0)
-        if task.owned:
-            moves = [m for m in moves_by_page.get(task.target, []) if m <= old]
-            lb = max(lb, max(moves) if moves else old)
-            new = lb  # owned-page gathers reuse the resident shard: no memory cost
-        else:
-            new = old
-            while new > lb and resident[new - 1] + page_bytes <= budget:
-                new -= 1
-            for x in range(new, old):
-                resident[x] += page_bytes
-        if new != old:
-            tasks[idx] = replace(task, trigger_id=new)
-
-    order = sorted(range(len(tasks)), key=lambda k: (tasks[k].trigger_id, k))
-    return Schedule(tuple(tasks[k] for k in order), "phase2",
-                    budget, model, sharding)
+    resident = _Residency(schedule.model, schedule.sharding, traces, schedule.tasks)
+    return _advance_gathers(schedule, resident, resident.profile())
 
 
 def schedule(model_layers: LayerModel, traces: list[TensorTrace], gpu_budget: int,
@@ -502,7 +499,7 @@ def schedule(model_layers: LayerModel, traces: list[TensorTrace], gpu_budget: in
         raise InfeasibleScheduleError(layer, peak, gpu_budget)
     if phase1_only:
         return phase1
-    return advance_gathers(phase1, traces)
+    return _advance_gathers(phase1, resident, profile)
 
 
 # -- validation --------------------------------------------------------------
@@ -517,43 +514,29 @@ def validate_schedule(schedule: Schedule, traces: list[TensorTrace],
     if peak > budget:
         violations.append(f"peak memory {peak} exceeds budget {budget}")
 
-    gathers_by_page: dict[int, list[Task]] = {}
-    moves_by_page: dict[int, list[Task]] = {}
+    first: dict[tuple[str, int], int] = {}  # (operation, target) -> earliest trigger
     for t in schedule.tasks:
-        if t.operation == "all_gather":
-            gathers_by_page.setdefault(t.target, []).append(t)
-        elif t.operation == "move_to_gpu":
-            moves_by_page.setdefault(t.target, []).append(t)
+        key = (t.operation, t.target)
+        first[key] = min(t.trigger_id, first.get(key, t.trigger_id))
 
+    last = -1
     for t in schedule.tasks:
+        if (t.operation == "all_gather" and schedule.sharding.owns(t.target)
+                and first.get(("move_to_gpu", t.target), math.inf) > t.trigger_id):
+            violations.append(
+                f"all_gather of owned page {t.target} at trigger {t.trigger_id} "
+                f"precedes its move_to_gpu"
+            )
         if t.operation != "compute":
             continue
         for pid in schedule.model.layer_pages[t.target]:
-            gs = gathers_by_page.get(pid, [])
-            if not any(g.trigger_id <= t.trigger_id for g in gs):
+            if first.get(("all_gather", pid), math.inf) > t.trigger_id:
                 violations.append(
                     f"compute(layer {t.target}, slot {t.slot}) lacks a preceding "
                     f"all_gather for page {pid}"
                 )
-
-    for pid, gs in gathers_by_page.items():
-        if not schedule.sharding.owns(pid):
-            continue
-        for g in gs:
-            ms = moves_by_page.get(pid, [])
-            if not any(m.trigger_id <= g.trigger_id for m in ms):
-                violations.append(
-                    f"all_gather of owned page {pid} at trigger {g.trigger_id} "
-                    f"precedes its move_to_gpu"
-                )
-
-    last = -1
-    for t in schedule.tasks:
-        if t.operation == "compute":
-            if t.trigger_id <= last:
-                violations.append(
-                    f"compute triggers not strictly increasing at slot {t.slot}"
-                )
-            last = t.trigger_id
+        if t.trigger_id <= last:
+            violations.append(f"compute triggers not strictly increasing at slot {t.slot}")
+        last = t.trigger_id
 
     return violations

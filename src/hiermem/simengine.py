@@ -29,7 +29,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, SimulationError, check_type
+from .errors import ConfigError, SimulationError, check_range, check_type
 from .scheduler import Schedule
 from .tracer import CPU_BYTES_PER_S, GPU_BYTES_PER_S, TensorTrace, TimingModel
 
@@ -43,8 +43,8 @@ class LinkSpec:
     latency_s: float = DEFAULT_LATENCY_S
 
     def __post_init__(self):
-        if self.bandwidth_bytes_per_s <= 0 or self.latency_s < 0:
-            raise ConfigError("link needs positive bandwidth and non-negative latency")
+        check_range("'bandwidth_bytes_per_s'", self.bandwidth_bytes_per_s, 0, above=True)
+        check_range("'latency_s'", self.latency_s, 0)
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,10 @@ class HardwareProfile:
         missing = set(LINKS) - set(self.links)
         if missing:
             raise ConfigError(f"profile lacks links: {sorted(missing)}")
-        if self.gpu_bytes_per_s <= 0 or self.cpu_bytes_per_s <= 0:
-            raise ConfigError("compute rates must be positive")
-        if self.num_gpus < 1 or self.pcie_lanes < 1:
-            raise ConfigError("num_gpus and pcie_lanes must be >= 1")
+        for rate in ("gpu_bytes_per_s", "cpu_bytes_per_s"):
+            check_range(f"hardware field {rate!r}", getattr(self, rate), 0, above=True)
+        for count in ("num_gpus", "pcie_lanes"):
+            check_range(f"hardware field {count!r}", getattr(self, count), 1, finite=False)
 
     def transfer_time(self, nbytes: int, link: str) -> float:
         """latency + bytes/bandwidth for a single transfer on a link."""
@@ -121,11 +121,13 @@ class HardwareProfile:
             if key in raw:
                 check_type(f"hardware field {key!r}", raw[key],
                            (int,) if key in ("num_gpus", "pcie_lanes") else (int, float))
-        links = {
-            name: LinkSpec(entry["bandwidth_bytes_per_s"],
-                           entry.get("latency_s", DEFAULT_LATENCY_S))
-            for name, entry in raw["links"].items()
-        }
+        links = {}
+        for name, entry in raw["links"].items():
+            try:
+                links[name] = LinkSpec(entry["bandwidth_bytes_per_s"],
+                                       entry.get("latency_s", DEFAULT_LATENCY_S))
+            except ConfigError as err:
+                raise ConfigError(f"hardware field 'links.{name}': {err}") from None
         return cls(links, **{k: raw[k] for k in scalars if k in raw})
 
 

@@ -1,19 +1,85 @@
-"""Reference phase 1: the scheduler's forward/backward sweep as it was first
-written, rebuilding the whole residency profile for every query.
+"""Reference scheduler: phase 1's forward/backward sweep as it was first
+written, rebuilding the whole residency profile for every query, and phase 2
+and the per-layer working set as they were written before both ran on phase
+1's maintained residency.
 
-It is quadratic in the number of decisions and kept only so tests can
-require the incremental scheduler to emit exactly the same tasks.
+Phase 1 here is quadratic in the number of decisions. All of it is kept only
+so tests can require the scheduler to emit exactly the same tasks.
 """
+from dataclasses import replace
+
 from hiermem.errors import InfeasibleScheduleError
 from hiermem.scheduler import (
+    _RESIDENT_KINDS,
     LayerModel,
     Schedule,
     ShardingModel,
     Task,
-    _layer_working_set,
     _resident_profile,
-    advance_gathers,
 )
+from hiermem.tracer import TensorTrace, backward_id
+
+
+def reference_layer_working_set(model: LayerModel, traces: list[TensorTrace], layer: int) -> int:
+    """Gathered FP16 params of the layer plus its peak live traced bytes."""
+    n = model.num_layers
+    slots = (layer, backward_id(layer, n))
+    live = {s: 0 for s in slots}
+    for tr in traces:
+        spec = model.tensor_info.get(tr.tensor_id)
+        if spec is None or spec.kind not in _RESIDENT_KINDS or spec.layer_index != layer:
+            continue
+        for s in slots:
+            if tr.first_id <= s <= tr.end_id:
+                live[s] += spec.bytes
+    return len(model.layer_pages[layer]) * model.page_bytes + max(live.values())
+
+
+def reference_advance_gathers(schedule: Schedule, traces: list[TensorTrace]) -> Schedule:
+    """Re-trigger each all_gather at its earliest in-budget point.
+
+    Tasks are scanned in schedule order. An owned page's gather may never
+    precede that page's move; a non-owned gather stops at the first slot
+    whose residency would overflow the budget. Only gather triggers change,
+    and none increases.
+    """
+    model, sharding = schedule.model, schedule.sharding
+    page_bytes = model.page_bytes
+    budget = schedule.gpu_budget
+    tasks = list(schedule.tasks)
+    resident = _resident_profile(tasks, model, sharding, traces)
+
+    moves_by_page: dict[int, list[int]] = {}
+    evicts_by_page: dict[int, list[int]] = {}
+    for t in tasks:
+        if t.operation == "move_to_gpu":
+            moves_by_page.setdefault(t.target, []).append(t.trigger_id)
+        elif t.operation == "evict_to_cpu":
+            evicts_by_page.setdefault(t.target, []).append(t.trigger_id)
+
+    for idx, task in enumerate(tasks):
+        if task.operation != "all_gather":
+            continue
+        old = task.trigger_id
+        # a re-gather may not precede the eviction it recovers from
+        lb = max([e for e in evicts_by_page.get(task.target, []) if e <= old],
+                 default=0)
+        if task.owned:
+            moves = [m for m in moves_by_page.get(task.target, []) if m <= old]
+            lb = max(lb, max(moves) if moves else old)
+            new = lb  # owned-page gathers reuse the resident shard: no memory cost
+        else:
+            new = old
+            while new > lb and resident[new - 1] + page_bytes <= budget:
+                new -= 1
+            for x in range(new, old):
+                resident[x] += page_bytes
+        if new != old:
+            tasks[idx] = replace(task, trigger_id=new)
+
+    order = sorted(range(len(tasks)), key=lambda k: (tasks[k].trigger_id, k))
+    return Schedule(tuple(tasks[k] for k in order), "phase2",
+                    budget, model, sharding)
 
 
 def reference_build_phase1(model: LayerModel, traces, gpu_budget: int,
@@ -22,7 +88,7 @@ def reference_build_phase1(model: LayerModel, traces, gpu_budget: int,
     page_bytes = model.page_bytes
     own_pages = [[p for p in pages if sharding.owns(p)] for pages in model.layer_pages]
 
-    sizes = [_layer_working_set(model, traces, i) for i in range(n)]
+    sizes = [reference_layer_working_set(model, traces, i) for i in range(n)]
     for i, size in enumerate(sizes):
         if size > gpu_budget:
             raise InfeasibleScheduleError(i, size, gpu_budget)
@@ -100,4 +166,4 @@ def reference_schedule(model: LayerModel, traces, gpu_budget: int,
         n = model.num_layers
         raise InfeasibleScheduleError(slot if slot < n else 2 * n - 1 - slot,
                                       peak, gpu_budget)
-    return phase1, advance_gathers(phase1, traces)
+    return phase1, reference_advance_gathers(phase1, traces)

@@ -220,7 +220,12 @@ class TestLockfreeCmd:
         ({"hyper": {"lr": 0.01, "momentum": 0.9}},
          "unknown toy config 'hyper' keys: ['momentum']"),
         ([2, 8, 8], "toy config must be a JSON object"),
-    ], ids=["unknown_key", "mistyped_value", "unknown_hyper_key", "not_object"])
+        ({"val_size": 0}, "toy config 'val_size' must be >= 1, not 0"),
+        ({"noise_std": -1.0}, "toy config 'noise_std' must be finite and >= 0, not -1.0"),
+        ({"hyper": {"lr": float("nan")}}, "toy config 'hyper' 'lr' must be finite, not nan"),
+        ({"hyper": {"eps": float("inf")}}, "toy config 'hyper' 'eps' must be finite, not inf"),
+    ], ids=["unknown_key", "mistyped_value", "unknown_hyper_key", "not_object",
+            "val_size_zero", "noise_std_negative", "lr_nan", "eps_inf"])
     def test_bad_toy_config_is_usage_error(self, tmp_path, capsys, toy, message):
         path = write(tmp_path, "toy.json", toy)
         assert run(["lockfree", "--toy-config", path, "--iters", "2"]) == EXIT_USAGE
@@ -236,6 +241,14 @@ class TestLockfreeCmd:
         assert run(["lockfree", "--toy-config", toy, "--delays", bad,
                     "--iters", "2"]) == EXIT_USAGE
         assert "unknown delay model keys: ['nvme_bytes_per_s']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", [0, -1e9, float("nan")], ids=["zero", "negative", "nan"])
+    def test_delay_rate_out_of_range_is_usage_error(self, tmp_path, capsys, rate):
+        delays = write(tmp_path, "delays.json", {"pcie_bytes_per_s": rate})
+        assert run(["lockfree", "--delays", delays, "--iters", "2",
+                    "--out", str(tmp_path / "r.json")]) == EXIT_USAGE
+        assert "delay model 'pcie_bytes_per_s' must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("max_inflight", ["0", "-1"])
     def test_max_inflight_below_one_is_usage_error(self, capsys, max_inflight):
@@ -319,6 +332,12 @@ class TestPipelineCmd:
         ("num_gpus_str", "'num_gpus' has type str"),
         ("num_gpus_float", "'num_gpus' has type float"),
         ("lanes_bool", "'pcie_lanes' has type bool"),
+        ("bandwidth_nan",
+         "'links.pcie_h2d': 'bandwidth_bytes_per_s' must be finite and > 0, not nan"),
+        ("bandwidth_inf",
+         "'links.pcie_h2d': 'bandwidth_bytes_per_s' must be finite and > 0, not inf"),
+        ("latency_nan", "'links.ssd_io': 'latency_s' must be finite and >= 0, not nan"),
+        ("rate_nan", "'gpu_bytes_per_s' must be finite and > 0, not nan"),
     ])
     def test_malformed_hardware_is_usage_error(self, tmp_path, capsys, case, field):
         hardware = hardware_preset("a100-server").to_dict()
@@ -338,6 +357,10 @@ class TestPipelineCmd:
                 "num_gpus_str": (hardware, "num_gpus", "8"),
                 "num_gpus_float": (hardware, "num_gpus", 8.0),
                 "lanes_bool": (hardware, "pcie_lanes", True),
+                "bandwidth_nan": (links["pcie_h2d"], "bandwidth_bytes_per_s", float("nan")),
+                "bandwidth_inf": (links["pcie_h2d"], "bandwidth_bytes_per_s", float("inf")),
+                "latency_nan": (links["ssd_io"], "latency_s", float("nan")),
+                "rate_nan": (hardware, "gpu_bytes_per_s", float("nan")),
             }[case]
             entry[key] = value
         config = write(tmp_path, "exp.json", {"model": "preset:tiny-2layer",

@@ -1,6 +1,6 @@
-"""Phase 1 with a maintained residency profile: same output as the
-rebuild-per-query reference, profile invariant, and a guard on how many
-residency profiles one schedule() builds from scratch."""
+"""Both scheduler phases on one maintained residency: same output as the
+frozen reference, profile invariant, valid and deterministic schedules, and
+a guard on how many residencies one schedule() builds from scratch."""
 import json
 import random
 
@@ -20,6 +20,7 @@ from hiermem.scheduler import (
     _Residency,
     _resident_profile,
     schedule,
+    validate_schedule,
 )
 from hiermem.tracer import TimingModel, build_trace
 from reference_phase1 import reference_schedule
@@ -109,6 +110,31 @@ def instances(draw):
     return model, traces, ShardingModel(world, draw(st.integers(0, world - 1)))
 
 
+budgets = st.builds(lambda pages, extra: pages * PAGE + extra,
+                    st.integers(2, 16), st.sampled_from([0, MIB, 5 * MIB]))
+
+
+class TestProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(instances(), budgets)
+    def test_matches_frozen_reference(self, instance, budget):
+        model, traces, sharding = instance
+        assert_matches_reference(model, traces, budget, sharding)
+
+    @settings(max_examples=150, deadline=None)
+    @given(instances(), budgets)
+    def test_both_phases_valid_and_deterministic(self, instance, budget):
+        model, traces, sharding = instance
+        try:
+            runs = [[schedule(model, traces, budget, sharding, phase1_only=True),
+                     schedule(model, traces, budget, sharding)] for _ in range(2)]
+        except InfeasibleScheduleError:
+            return
+        for sched in runs[0]:
+            assert validate_schedule(sched, traces) == []
+        assert [s.to_dict() for s in runs[0]] == [s.to_dict() for s in runs[1]]
+
+
 def assert_profile_is_sweep(resident, tasks, model, sharding, traces):
     for exclude in [None, *range(model.num_layers)]:
         assert resident.profile(exclude) == \
@@ -154,8 +180,8 @@ class TestMaintainedProfile:
 
 
 def test_whole_profile_builds_do_not_grow_with_decisions(monkeypatch):
-    """One schedule() builds the same few residency profiles from scratch
-    however many deferrals and evictions phase 1 makes."""
+    """One schedule() builds one residency from scratch however many
+    deferrals and evictions phase 1 makes."""
     builds = []
 
     class Counting(_Residency):
@@ -175,5 +201,5 @@ def test_whole_profile_builds_do_not_grow_with_decisions(monkeypatch):
                                        phase1_only=True)))
     (d0, e0), (d1, e1) = seen
     assert d0 > 0 and e0 > 0 and d0 != d1 and e0 != e1
-    # one profile maintained by phase 1, one sweep in advance_gathers
-    assert counts == [2, 2]
+    # phase 1 builds and maintains it; the working sets and phase 2 read it
+    assert counts == [1, 1]

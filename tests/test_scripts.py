@@ -1,4 +1,6 @@
-"""Smoke tests: each script in scripts/ runs to the end on tiny arguments."""
+"""Smoke tests: each script in scripts/ runs to the end on tiny arguments,
+and every function perfbench traces by name still exists."""
+import importlib
 import os
 import subprocess
 import sys
@@ -28,3 +30,17 @@ def test_script_runs(script):
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert expected in proc.stdout
+
+
+def test_perfbench_targets_resolve(monkeypatch):
+    """A renamed target would otherwise fail only a traced benchmark run."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    layers = importlib.import_module("layers")
+    spans = importlib.import_module("spans")
+    missing = []
+    for target in layers.TARGETS:
+        try:
+            spans.resolve(target)
+        except (ImportError, LookupError) as err:
+            missing.append(f"{target.module}:{target.qualname}: {err}")
+    assert missing == []
