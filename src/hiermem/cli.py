@@ -23,7 +23,8 @@ from . import footprint as fp
 from . import lockfree as lf
 from . import pagemem as pm
 from . import presets
-from .errors import ConfigError, InfeasibleScheduleError, check_type
+from .errors import (AllocationError, ConfigError, InfeasibleScheduleError, MoveError,
+                     check_fields, check_type)
 from .scheduler import LayerModel, Schedule, ShardingModel, peak_memory, schedule
 from .simengine import compare, simulate
 from .tracer import LogicalTimeline, TensorTrace, TimingModel, build_trace, validate_trace
@@ -259,36 +260,74 @@ def cmd_footprint(args) -> int:
 
 # -- pagemem demo ---------------------------------------------------------------
 
+# The fields of a pool spec entry and of each kind of op in a pagemem-demo
+# script, with their types; the optional ones are those with defaults.
+_DEMO_POOL = {"tier": (str,), "capacity_bytes": (int,), "page_bytes": (int,)}
+_DEMO_OPS = {
+    "allocate": {"name": (str,), "bytes": (int,), "tier": (str,),
+                 "kind": (str,), "layer_index": (int,)},
+    "release": {"name": (str,)},
+    "move": {"page_id": (int,), "target": (str,)},
+    "merge": {"name": (str,)},
+}
+_DEMO_OPTIONAL = {"page_bytes", "kind", "layer_index"}
+
+
+def _check_demo_op(i: int, op) -> str:
+    """The kind of op ``i`` of a pagemem-demo script, once its keys and
+    value types are those the kind takes."""
+    kind = op.get("op") if isinstance(op, dict) else None
+    if not isinstance(kind, str) or kind not in _DEMO_OPS:
+        raise UsageError(f"op {i}: not an object whose 'op' is one of {list(_DEMO_OPS)}")
+    fields = _DEMO_OPS[kind]
+    check_fields(f"op {i} ({kind})", {k: v for k, v in op.items() if k != "op"}, fields,
+                 required=fields.keys() - _DEMO_OPTIONAL)
+    return kind
+
+
 def cmd_pagemem_demo(args) -> int:
-    pool_spec = _load_json(args.pool_spec)
+    pools = check_fields("pool spec", _load_json(args.pool_spec), {"pools": (list,)},
+                         required=["pools"])["pools"]
+    for k, p in enumerate(pools):
+        check_fields(f"pool spec entry {k}", p, _DEMO_POOL,
+                     required=_DEMO_POOL.keys() - _DEMO_OPTIONAL)
     ops = _load_json(args.ops)
+    if not isinstance(ops, list):
+        raise UsageError(f"{args.ops}: an ops script is a JSON list of ops")
     manager = pm.PageManager([
         (p["tier"], p["capacity_bytes"], p.get("page_bytes", pm.PAGE_BYTES_DEFAULT))
-        for p in pool_spec["pools"]
+        for p in pools
     ])
-    name_to_id: dict[str, int] = {}
+    name_to_id: dict[str, int] = {}  # live tensors by name
     log = []
-    for op in ops:
-        kind = op["op"]
-        if kind == "allocate":
-            spec = fp.TensorSpec(op["name"], op.get("kind", "param16"),
-                                 op["bytes"], op.get("layer_index", 0))
-            tensor = manager.allocate(spec, op["tier"])
-            name_to_id[op["name"]] = tensor.tensor_id
-            log.append({"op": "allocate", "name": op["name"],
-                        "tensor_id": tensor.tensor_id, "pages": tensor.page_list})
-        elif kind == "release":
-            freed = manager.release(name_to_id[op["name"]])
-            log.append({"op": "release", "name": op["name"], "freed_bytes": freed})
-        elif kind == "move":
-            desc = manager.page_move(op["page_id"], op["target"])
-            log.append({"op": "move", "page_id": op["page_id"],
-                        "bytes": desc.bytes, "src": desc.src_tier.name,
-                        "dst": desc.dst_tier.name, "new_page_id": desc.new_page_id})
-        elif kind == "merge":
-            log.append(manager.tensor_merge(name_to_id[op["name"]]))
-        else:
-            raise UsageError(f"unknown op {kind!r} in ops script")
+    for i, op in enumerate(ops):
+        kind = _check_demo_op(i, op)
+        name = op.get("name")
+        if kind in ("release", "merge") and name not in name_to_id:
+            raise UsageError(f"op {i}: no live tensor named {name!r}")
+        try:
+            if kind == "allocate":
+                spec = fp.TensorSpec(name, op.get("kind", "param16"),
+                                     op["bytes"], op.get("layer_index", 0))
+                tensor = manager.allocate(spec, op["tier"])
+                name_to_id[name] = tensor.tensor_id
+                log.append({"op": "allocate", "name": name,
+                            "tensor_id": tensor.tensor_id, "pages": tensor.page_list})
+            elif kind == "release":
+                freed = manager.release(name_to_id.pop(name))
+                log.append({"op": "release", "name": name, "freed_bytes": freed})
+            elif kind == "move":
+                try:
+                    desc = manager.page_move(op["page_id"], op["target"])
+                except KeyError as exc:  # no such page, or a free one
+                    raise UsageError(f"op {i}: {exc.args[0]}") from None
+                log.append({"op": "move", "page_id": op["page_id"],
+                            "bytes": desc.bytes, "src": desc.src_tier.name,
+                            "dst": desc.dst_tier.name, "new_page_id": desc.new_page_id})
+            else:
+                log.append(manager.tensor_merge(name_to_id[name]))
+        except (AllocationError, MoveError, ConfigError) as exc:
+            raise UsageError(f"op {i}: {exc}") from None
     _dump_json({"schema_version": SCHEMA_VERSION, "log": log,
                 "state": manager.state_dict()}, args.out)
     return EXIT_OK

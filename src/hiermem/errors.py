@@ -14,6 +14,23 @@ def check_type(field: str, value, expected: tuple[type, ...]) -> None:
                           f"expected {' or '.join(t.__name__ for t in expected)}")
 
 
+def check_fields(what: str, raw, types: dict[str, tuple[type, ...]],
+                 required=()) -> dict:
+    """``raw`` once it is an object whose keys are in ``types`` and include
+    ``required``, each value of its key's types; otherwise ConfigError."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = sorted(set(raw) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {unknown}")
+    missing = sorted(set(required) - set(raw))
+    if missing:
+        raise ConfigError(f"{what} lacks {missing}")
+    for key, value in raw.items():
+        check_type(f"{what} {key!r}", value, types[key])
+    return raw
+
+
 def check_range(field: str, value, low: float = -math.inf, *, above: bool = False,
                 finite: bool = True) -> None:
     """Raise ConfigError naming ``field`` unless ``value`` is at least ``low``

@@ -38,25 +38,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError, check_range, check_type
+from .errors import ConfigError, ProtocolError, check_fields, check_range
 from .presets import HARDWARE_PRESETS
 
 # raw link bandwidths of the built-in preset (not one overridden from a directory)
 _A100_LINKS = HARDWARE_PRESETS["a100-server"]["links"]
 _REAL = (int, float)
-
-
-def _checked(what: str, raw, types: dict[str, tuple[type, ...]]) -> dict:
-    """``raw`` once it is an object whose keys are in ``types``, each value
-    of its key's types; otherwise ConfigError."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{what} must be a JSON object")
-    unknown = sorted(set(raw) - set(types))
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {unknown}")
-    for key, value in raw.items():
-        check_type(f"{what} {key!r}", value, types[key])
-    return raw
 
 
 @dataclass(frozen=True)
@@ -98,8 +85,8 @@ class ToyTrainConfig:
         """A toy config read from JSON, ``hyper`` an object of AdamHyper fields."""
         types = {f.name: (int,) for f in fields(cls)} | {"noise_std": _REAL,
                                                          "hyper": (dict,)}
-        raw = _checked("toy config", raw, types)
-        hyper = _checked("toy config 'hyper'", raw.get("hyper", {}),
+        raw = check_fields("toy config", raw, types)
+        hyper = check_fields("toy config 'hyper'", raw.get("hyper", {}),
                          {f.name: _REAL for f in fields(AdamHyper)})
         return cls(**{**raw, "hyper": AdamHyper(**hyper)})
 
@@ -167,7 +154,7 @@ class DelayModel:
     @classmethod
     def from_dict(cls, raw) -> "DelayModel":
         types = {f.name: _REAL for f in fields(cls)} | {"ssd_bytes_per_s": (*_REAL, type(None))}
-        return cls(**_checked("delay model", raw, types))
+        return cls(**check_fields("delay model", raw, types))
 
 
 @dataclass(frozen=True)

@@ -8,17 +8,18 @@ and their pages are never offered for sharing. Moves are metadata-only
 (free at source, claim at destination); transfer timing belongs to the
 simulation engine.
 
-Invariant: a page is in use iff it has occupants. A pool's free heap holds
-exactly the ids of its pages without occupants, and only ``TierPool``
-methods (``claim``, ``claim_run``, ``free``) change it; each claim also
-updates the pool's peak page count.
+Invariant: a page is in use iff it has occupants. Each pool keeps a
+page-state index derived from its pages' occupants: one flag per page for
+"no occupants", one for "sole occupant is a shareable tail", and the count
+of free pages. ``TierPool.set_occupants`` (and ``claim``, which calls it) is
+the one writer of a page's occupants; it keeps the index and the pool's peak
+page count in step, so first-fit, claim and merge scan bytes, not pages.
 
 A pool is a single-owner state machine: callers serialize mutations;
 snapshots (``state_dict``) may be shared freely.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -140,8 +141,10 @@ class TierPool:
         self.pages: dict[int, Page] = {
             first_page_id + i: Page(first_page_id + i, self.tier, page_bytes) for i in range(n)
         }
-        self._free: list[int] = sorted(self.pages)
-        heapq.heapify(self._free)
+        # the page-state index, by page_id - first_page_id (see the module docstring)
+        self._free = bytearray(b"\x01") * n  # 1: no occupants
+        self._tail = bytearray(n)  # 1: the only occupant is a shareable tail
+        self._free_count = n
         self.stats = PoolStats()
         self.manager: PageManager | None = None  # set by the owning PageManager
 
@@ -151,36 +154,56 @@ class TierPool:
 
     @property
     def free_page_count(self) -> int:
-        return len(self._free)
+        return self._free_count
 
     @property
     def allocated_page_count(self) -> int:
-        return self.num_pages - self.free_page_count
+        return self.num_pages - self._free_count
 
-    def claim(self) -> Page:
-        if not self._free:
+    def set_occupants(self, page: Page, occupants: list[Occupant]) -> None:
+        """Give one of this pool's pages its new occupants, keeping the
+        page-state index and the peak page count in step."""
+        i = page.page_id - self.first_page_id
+        free = not occupants
+        self._free_count += free - self._free[i]
+        self._free[i] = free
+        self._tail[i] = len(occupants) == 1 and occupants[0].shareable
+        page.occupants = occupants
+        if not free:
+            self.stats.peak_allocated_pages = max(
+                self.stats.peak_allocated_pages, self.allocated_page_count
+            )
+
+    def claim(self, occupants: list[Occupant]) -> Page:
+        """Place ``occupants`` on the lowest free page."""
+        i = self._free.find(1)
+        if i < 0:
             raise AllocationError(
                 f"{self.tier.name} pool out of pages", self.page_bytes, 0
             )
-        page = self.pages[heapq.heappop(self._free)]
-        self._note_peak()
+        page = self.pages[self.first_page_id + i]
+        self.set_occupants(page, occupants)
         return page
 
-    def claim_run(self, pages: list[Page]) -> None:
-        """Take the given free pages off the free heap in one pass over it."""
-        taken = {page.page_id for page in pages}
-        self._free = [pid for pid in self._free if pid not in taken]
-        heapq.heapify(self._free)
-        self._note_peak()
+    def shared_tail_fit(self, nbytes: int) -> Page | None:
+        """The lowest page whose sole occupant is a shareable tail with
+        ``nbytes`` to spare, or None."""
+        i = self._tail.find(1)
+        while i >= 0:
+            page = self.pages[self.first_page_id + i]
+            if page.available_bytes >= nbytes:
+                return page
+            i = self._tail.find(1, i + 1)
+        return None
 
-    def _note_peak(self) -> None:
-        self.stats.peak_allocated_pages = max(
-            self.stats.peak_allocated_pages, self.allocated_page_count
-        )
-
-    def free(self, page: Page) -> None:
-        assert not page.occupants, "freeing a page with occupants"
-        heapq.heappush(self._free, page.page_id)
+    def lowest_run(self, n: int, also: list[int]) -> int | None:
+        """First page id of the lowest run of ``n`` pages that are each free
+        or in ``also``, or None."""
+        usable = bytearray(self._free)
+        for pid in also:
+            usable[pid - self.first_page_id] = 1
+        i = usable.find(b"\x01" * n)
+        return None if i < 0 else self.first_page_id + i
 
     def allocated_pages(self) -> list[Page]:
         """Pages in use, in page id order."""
@@ -251,13 +274,7 @@ class PageManager:
         page_bytes = pool.page_bytes
         full, tail = divmod(spec.bytes, page_bytes)
 
-        shared: Page | None = None
-        if tail:
-            for page in pool.pages.values():  # first-fit in page id order
-                if (len(page.occupants) == 1 and page.occupants[0].shareable
-                        and page.available_bytes >= tail):
-                    shared = page
-                    break
+        shared = pool.shared_tail_fit(tail) if tail else None
         fresh_needed = full + (1 if tail and shared is None else 0)
         if pool.free_page_count < fresh_needed:
             raise AllocationError(
@@ -270,18 +287,15 @@ class PageManager:
         self._next_tensor_id += 1
         page_list: list[int] = []
         for _ in range(full):
-            page = pool.claim()
-            page.occupants.append(Occupant(tensor_id, page_bytes, shareable=False))
+            page = pool.claim([Occupant(tensor_id, page_bytes, shareable=False)])
             page_list.append(page.page_id)
         if tail:
-            is_large_tail = full > 0
+            chunk = Occupant(tensor_id, tail, shareable=full > 0)
             if shared is not None:
-                shared.occupants.append(Occupant(tensor_id, tail, shareable=is_large_tail))
+                pool.set_occupants(shared, shared.occupants + [chunk])
                 page_list.append(shared.page_id)
             else:
-                page = pool.claim()
-                page.occupants.append(Occupant(tensor_id, tail, shareable=is_large_tail))
-                page_list.append(page.page_id)
+                page_list.append(pool.claim([chunk]).page_id)
 
         itemsize = 4 if spec.kind == "optim32" else 2
         shape = (spec.bytes // itemsize,)
@@ -301,9 +315,7 @@ class PageManager:
             pool = pools[page.tier] = self.pools[page.tier]
             keep = [o for o in page.occupants if o.tensor_id != tensor_id]
             freed += sum(o.bytes for o in page.occupants) - sum(o.bytes for o in keep)
-            page.occupants = keep
-            if not keep:
-                pool.free(page)
+            pool.set_occupants(page, keep)
         for pool in pools.values():
             pool.stats.releases += 1
         return freed
@@ -330,10 +342,8 @@ class PageManager:
         if dst_pool.page_bytes != src_pool.page_bytes:
             raise MoveError("pools use different page sizes; cannot carry the page over")
 
-        new_page = dst_pool.claim()
-        new_page.occupants = page.occupants
-        page.occupants = []
-        src_pool.free(page)
+        new_page = dst_pool.claim(page.occupants)
+        src_pool.set_occupants(page, [])
         src_pool.stats.moves_out += 1
         dst_pool.stats.moves_in += 1
         for occ in new_page.occupants:
@@ -361,31 +371,24 @@ class PageManager:
 
         chunks = [next(o for o in pool.pages[pid].occupants if o.tensor_id == tensor_id)
                   for pid in ids]
-        # the lowest run of n pages that are free or held only by this tensor
+        # the lowest run of n pages that are free or held by this tensor alone
         n = len(ids)
-        run_len = 0
-        for last in pool.pages.values():
-            run_len = run_len + 1 if all(o.tensor_id == tensor_id for o in last.occupants) else 0
-            if run_len == n:
-                break
-        else:
+        start = pool.lowest_run(n, [pid for pid in ids if len(pool.pages[pid].occupants) == 1])
+        if start is None:
             raise AllocationError(
                 f"no contiguous run of {n} pages available in {pool.tier.name} for merge",
                 tensor.bytes, pool.free_page_count * pool.page_bytes,
             )
 
-        run = list(range(last.page_id - n + 1, last.page_id + 1))
+        run = list(range(start, start + n))
         # chunks not already on their target page; detach them all, which
-        # frees every target page they go to, then claim those and place
+        # frees every target page they go to, then place them
         moves = [(pool.pages[pid], pool.pages[target], chunk)
                  for pid, target, chunk in zip(ids, run, chunks) if pid != target]
         for page, _, chunk in moves:
-            page.occupants = [o for o in page.occupants if o is not chunk]
-            if not page.occupants:
-                pool.free(page)
-        pool.claim_run([target for _, target, _ in moves])
+            pool.set_occupants(page, [o for o in page.occupants if o is not chunk])
         for _, target, chunk in moves:
-            target.occupants.append(chunk)
+            pool.set_occupants(target, target.occupants + [chunk])
         tensor.page_list = run
         return {"tensor_id": tensor_id, "contiguous": True,
                 "page_ids": run, "moved_chunks": len(moves)}

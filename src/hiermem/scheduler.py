@@ -43,7 +43,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .errors import ConfigError, InfeasibleScheduleError
+from .errors import ConfigError, InfeasibleScheduleError, check_fields
 from .footprint import TensorSpec
 from .pagemem import PAGE_BYTES_DEFAULT, check_page_bytes
 from .tracer import TensorTrace, backward_id
@@ -180,14 +180,34 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Schedule":
-        tasks = tuple(
-            Task(t["operation"], t["target"], t["trigger_id"], t["layer"],
-                 t["slot"], t.get("owned", False))
-            for t in raw["tasks"]
-        )
-        return cls(tasks, raw["phase"], raw["gpu_budget"],
-                   LayerModel.from_dict(raw["model"]),
+        model = LayerModel.from_dict(raw["model"])
+        tasks = tuple(_task_from_dict(k, t, model) for k, t in enumerate(raw["tasks"]))
+        return cls(tasks, raw["phase"], raw["gpu_budget"], model,
                    ShardingModel(raw.get("world_size", 1), raw.get("rank", 0)))
+
+
+_TASK_FIELDS = {"operation": (str,), "target": (int,), "trigger_id": (int,),
+                "layer": (int,), "slot": (int,), "owned": (bool,)}
+
+
+def _task_from_dict(k: int, raw, model: LayerModel) -> Task:
+    """Task ``k`` of a schedule file; ConfigError names the task and field
+    of anything the model cannot run."""
+    task = Task(**check_fields(f"task {k}", raw, _TASK_FIELDS,
+                               required=_TASK_FIELDS.keys() - {"owned"}))
+    if task.operation not in OPERATIONS:
+        raise ConfigError(f"task {k} 'operation': unknown operation {task.operation!r}")
+    n = model.num_layers
+    # trigger 2n is the end of the last compute, where its layer's evictions start
+    for name, high in (("trigger_id", 2 * n + 1), ("slot", 2 * n), ("layer", n)):
+        if not 0 <= getattr(task, name) < high:
+            raise ConfigError(f"task {k} {name!r} must be in [0, {high}), "
+                              f"not {getattr(task, name)}")
+    if task.operation == "compute" and not 0 <= task.target < n:
+        raise ConfigError(f"task {k} 'target': compute target {task.target} is not a layer")
+    if task.operation != "compute" and task.target not in model.page_layer:
+        raise ConfigError(f"task {k} 'target': page {task.target} is not a parameter page")
+    return task
 
 
 # -- residency ---------------------------------------------------------------

@@ -76,6 +76,42 @@ class TestPagememDemoCmd:
         assert state["pools"]["CPU"]["allocated_pages"] == 1
         assert any(t["tier"] == "NOT_READY" for t in state["tensors"])
 
+    W = {"op": "allocate", "name": "w", "bytes": 10 * 2**20, "tier": "GPU"}
+
+    @pytest.mark.parametrize("ops,message", [
+        ([{"op": "release", "name": "w"}], "op 0: no live tensor named 'w'"),
+        ([W, {"op": "release", "name": "w"}, {"op": "merge", "name": "w"}],
+         "op 2: no live tensor named 'w'"),
+        ([{"op": "allocate", "bytes": 2**20, "tier": "GPU"}], "op 0 (allocate) lacks ['name']"),
+        ([{**W, "bytes": "5"}], "op 0 (allocate) 'bytes' has type str"),
+        ([{"op": "move", "page_id": 99, "target": "CPU"}], "op 0: unknown page id 99"),
+        (W, "an ops script is a JSON list"),
+        ([{**W, "bytes": 2**30}], "op 0: GPU pool cannot fit"),
+        ([W, {"op": "move", "page_id": 0, "target": "GPU"}],
+         "op 1: page 0 already resides on GPU"),
+    ], ids=["release_unknown", "merge_released", "allocate_no_name", "bytes_str",
+            "move_unknown_page", "script_object", "allocation_too_large", "move_same_tier"])
+    def test_bad_op_script_is_usage_error(self, tmp_path, capsys, ops, message):
+        pool = write(tmp_path, "pool.json", {"pools": [
+            {"tier": "GPU", "capacity_bytes": 64 * 2**20, "page_bytes": 4 * 2**20},
+            {"tier": "CPU", "capacity_bytes": 64 * 2**20, "page_bytes": 4 * 2**20},
+        ]})
+        out = tmp_path / "state.json"
+        assert run(["pagemem-demo", "--pool-spec", pool,
+                    "--ops", write(tmp_path, "ops.json", ops), "--out", str(out)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry,message", [
+        ({"tier": "GPU"}, "pool spec entry 0 lacks ['capacity_bytes']"),
+        ({"tier": "GPU", "capacity_bytes": "64"}, "'capacity_bytes' has type str"),
+    ])
+    def test_bad_pool_spec_is_usage_error(self, tmp_path, capsys, entry, message):
+        pool = write(tmp_path, "pool.json", {"pools": [entry]})
+        assert run(["pagemem-demo", "--pool-spec", pool,
+                    "--ops", write(tmp_path, "ops.json", [])]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
 
 class TestTraceCmd:
     def test_emits_five_field_records(self, tmp_path):
@@ -136,6 +172,30 @@ class TestSimulateCmd:
         assert 0.0 <= report["gpu_idle_fraction"] <= 1.0
         header = tl.read_text().splitlines()[0]
         assert header == "task_id,operation,resource,start_s,end_s"
+
+    @pytest.mark.parametrize("field,value,compute", [
+        ("operation", "bogus", False),
+        ("trigger_id", -5, False),
+        ("trigger_id", "3", False),
+        ("target", 99, True),
+    ])
+    def test_bad_task_is_usage_error(self, tmp_path, capsys, field, value, compute):
+        cfg = write(tmp_path, "cfg.json", TINY)
+        traces, sched = tmp_path / "traces.json", tmp_path / "sched.json"
+        run(["trace", "--config", cfg, "--out", str(traces)])
+        run(["schedule", "--config", cfg, "--traces", str(traces),
+             "--gpu-budget", str(2**30), "--out", str(sched)])
+        raw = json.loads(sched.read_text())
+        k = next(k for k, t in enumerate(raw["tasks"])
+                 if (t["operation"] == "compute") == compute)
+        raw["tasks"][k][field] = value
+        bad = write(tmp_path, "bad.json", raw)
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run(["simulate", "--schedule", bad, "--traces", str(traces),
+                    "--out", str(out)]) == EXIT_USAGE
+        assert f"task {k} {field!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def corrupt(traces, case):

@@ -321,6 +321,23 @@ def lowest_merge_start(pool, tensor_id, n):
     return None
 
 
+def first_fit_tail(pool, tail):
+    """Brute force: the lowest page id whose only occupant is a shareable
+    tail with ``tail`` bytes to spare, or None."""
+    return next((pid for pid, page in pool.pages.items()
+                 if len(page.occupants) == 1 and page.occupants[0].shareable
+                 and page.available_bytes >= tail), None)
+
+
+def check_page_index(pool):
+    """The pool's page-state index equals a brute-force scan of its pages."""
+    pages = list(pool.pages.values())  # page id order
+    assert pool._free == bytearray(not p.occupants for p in pages)
+    assert pool._tail == bytearray(len(p.occupants) == 1 and p.occupants[0].shareable
+                                   for p in pages)
+    assert pool.free_page_count == sum(not p.occupants for p in pages)
+
+
 TIERS = ["GPU", "CPU", "SSD"]
 KINDS = ["param16", "grad16", "optim32"]
 SIZES = [1024, MIB, 2 * MIB, 4 * MIB, 6 * MIB, 7 * MIB, 12 * MIB]
@@ -333,19 +350,31 @@ SIZES = [1024, MIB, 2 * MIB, 4 * MIB, 6 * MIB, 7 * MIB, 12 * MIB]
                                 st.integers(0, 6), st.integers(0, 5)),
                       min_size=20, max_size=60))
 def test_invariants_hold_under_move_and_merge(steps):
-    """Page use has one record: a page is on its pool's free heap iff it has
-    no occupants; the recorded peak never falls below the allocated count;
+    """Page use has one record: each pool's page-state index (free flags,
+    shareable-tail flags, free count) equals a brute-force scan of the
+    occupants; the recorded peak never falls below the allocated count; a
+    tail lands on the lowest shareable tail with room, else on a fresh page;
     a merge lands on the lowest run a brute-force scan accepts."""
     mgr = PageManager([("GPU", 32 * MIB, 4 * MIB), ("CPU", 32 * MIB, 4 * MIB),
                        ("SSD", 16 * MIB, 4 * MIB)])
     for op, a, b in steps:
         live = sorted(mgr.tensors)
         if op == "allocate":
+            nbytes = SIZES[a % len(SIZES)]
+            pool = mgr.pool(TIERS[b % 3])
+            tail = nbytes % pool.page_bytes
+            expected = first_fit_tail(pool, tail) if tail else None
             try:
-                mgr.allocate(spec(f"t{a}", SIZES[a % len(SIZES)], kind=KINDS[b % 3]),
-                             TIERS[b % 3])
+                tensor = mgr.allocate(spec(f"t{a}", nbytes, kind=KINDS[b % 3]), pool.tier)
             except AllocationError:
                 pass
+            else:
+                if tail:
+                    tail_page = mgr.page(tensor.page_list[-1])
+                    if expected is None:
+                        assert [o.tensor_id for o in tail_page.occupants] == [tensor.tensor_id]
+                    else:
+                        assert tail_page.page_id == expected
         elif op == "release" and live:
             mgr.release(live[a % len(live)])
         elif op == "move" and live:  # each page of a tensor, as a layer's move does
@@ -376,8 +405,7 @@ def test_invariants_hold_under_move_and_merge(steps):
                     assert run[0] == expected
         check_invariants(mgr)
         for pool in mgr.pools.values():
-            assert sorted(pool._free) == [pid for pid, page in pool.pages.items()
-                                          if not page.occupants]
+            check_page_index(pool)
             assert pool.stats.peak_allocated_pages >= pool.allocated_page_count
 
 
