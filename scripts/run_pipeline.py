@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Run the full pipeline on a preset model and print the headline numbers."""
 import argparse
-import json
 
-from hiermem.cli import run_pipeline
+from hiermem.cli import _dump_json, run_pipeline
 from hiermem.footprint import GIB
 
 
@@ -41,9 +40,8 @@ def main():
               f"gpu idle {sim['gpu_idle_fraction']:.3f}")
     print(f"phase1 -> phase2 speedup: "
           f"{report['simulation']['phase1_vs_phase2']['speedup']:.3f}x")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+    if args.out:  # the bytes `hiermem pipeline --out` writes for this config
+        _dump_json(report, args.out)
         print(f"report written to {args.out}")
 
 

@@ -24,7 +24,7 @@ from . import lockfree as lf
 from . import pagemem as pm
 from . import presets
 from .errors import (AllocationError, ConfigError, InfeasibleScheduleError, MoveError,
-                     check_fields, check_type)
+                     check_fields)
 from .scheduler import LayerModel, Schedule, ShardingModel, peak_memory, schedule
 from .simengine import compare, simulate
 from .tracer import LogicalTimeline, TensorTrace, TimingModel, build_trace, validate_trace
@@ -51,8 +51,8 @@ def _load_json(path: str):
     if not p.is_file():
         raise UsageError(f"no such file: {path}")
     try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(p.read_bytes())
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise UsageError(f"bad JSON in {path}: {exc}") from None
 
 
@@ -187,12 +187,7 @@ def _dump_json(data, out: str | None):
 
 
 def _timing_from_file(path: str | None) -> TimingModel:
-    if path:
-        raw = _load_json(path)
-        if "table" in raw:
-            raw["table"] = {k: tuple(v) for k, v in raw["table"].items()}
-        return TimingModel.from_dict(raw)
-    return TimingModel()
+    return TimingModel.from_dict(_load_json(path)) if path else TimingModel()
 
 
 def _resolve_config(args) -> fp.TransformerConfig:
@@ -423,43 +418,25 @@ def cmd_lockfree(args) -> int:
 
 # -- pipeline ----------------------------------------------------------------------
 
-# Every pipeline config key with its default; _REQUIRED keys have none, and
-# a world_size of None means the hardware's num_gpus.
-_REQUIRED = object()
-_PIPELINE_DEFAULTS = {
-    "model": _REQUIRED,
-    "gpu_budget_bytes": _REQUIRED,
-    "hardware": "preset:a100-server",
-    "page_bytes": pm.PAGE_BYTES_DEFAULT,
-    "recompute": False,
-    "granularity": "per_table_row",
-    "world_size": None,
-    "rank": 0,
-    "iterations": 1,
-    "update_mode": "none",
-    "optimizer_tier": "ssd",
-    "phase": "phase2",
-    "seed": 0,
+# Every pipeline config key with its types, and the defaults of the optional
+# ones; a world_size of None means the hardware's num_gpus.
+_PIPELINE_TYPES = {
+    "model": (str, dict), "gpu_budget_bytes": (int,), "hardware": (str, dict),
+    "page_bytes": (int,), "recompute": (bool,), "granularity": (str,),
+    "world_size": (int, type(None)), "rank": (int,), "iterations": (int,),
+    "update_mode": (str,), "optimizer_tier": (str,), "phase": (str,), "seed": (int,),
 }
-# Accepted value types where the default's own type does not say it.
-_PIPELINE_TYPES = {"model": (str, dict), "gpu_budget_bytes": (int,),
-                   "hardware": (str, dict), "world_size": (int, type(None))}
+_PIPELINE_DEFAULTS = {
+    "hardware": "preset:a100-server", "page_bytes": pm.PAGE_BYTES_DEFAULT, "recompute": False,
+    "granularity": "per_table_row", "world_size": None, "rank": 0, "iterations": 1,
+    "update_mode": "none", "optimizer_tier": "ssd", "phase": "phase2", "seed": 0,
+}
 
 
 def run_pipeline(config: dict) -> dict:
     """footprint -> inventory -> trace -> schedule (both phases) -> simulate (both)."""
-    if not isinstance(config, dict):
-        raise ConfigError("pipeline config must be a JSON object")
-    unknown = sorted(set(config) - set(_PIPELINE_DEFAULTS))
-    if unknown:
-        raise ConfigError(f"unknown pipeline config keys: {unknown}")
-    for key, value in config.items():
-        check_type(f"pipeline config {key!r}", value,
-                   _PIPELINE_TYPES.get(key, (type(_PIPELINE_DEFAULTS[key]),)))
-    c = {**_PIPELINE_DEFAULTS, **config}
-    missing = [k for k, v in c.items() if v is _REQUIRED]
-    if missing:
-        raise ConfigError(f"pipeline config lacks {missing}")
+    c = {**_PIPELINE_DEFAULTS, **check_fields("pipeline config", config, _PIPELINE_TYPES,
+                                              required=("model", "gpu_budget_bytes"))}
     if c["phase"] not in ("phase1", "phase2"):
         raise ConfigError(f"phase must be 'phase1' or 'phase2', not {c['phase']!r}")
     cfg = presets.resolve_model(c["model"])
@@ -516,8 +493,8 @@ def cmd_pipeline(args) -> int:
                   "gpu_budget_bytes": args.gpu_budget or 16 * fp.GIB}
     elif args.config:
         config = _load_json(args.config)
-        if args.gpu_budget:
-            config["gpu_budget_bytes"] = args.gpu_budget
+        if args.gpu_budget and isinstance(config, dict):  # run_pipeline rejects the rest
+            config = {**config, "gpu_budget_bytes": args.gpu_budget}
     else:
         raise UsageError("provide --config FILE or --preset NAME")
     report = run_pipeline(config)

@@ -1,5 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. ``check_fields`` is the one checker
+of the JSON objects read from outside (configs, presets, timing, hardware and
+schedule files), each against a field->types table; ``check_range`` bounds values."""
 import math
+import sys
+
+REAL = (int, float)  # a JSON number; check_type keeps bools out of it
 
 
 class ConfigError(ValueError):
@@ -34,8 +39,10 @@ def check_fields(what: str, raw, types: dict[str, tuple[type, ...]],
 def check_range(field: str, value, low: float = -math.inf, *, above: bool = False,
                 finite: bool = True) -> None:
     """Raise ConfigError naming ``field`` unless ``value`` is at least ``low``
-    (above it if ``above``) and, if ``finite``, finite. NaN is never in range."""
-    if not (value > low if above else value >= low) or (finite and not math.isfinite(value)):
+    (above it if ``above``) and, if ``finite``, finite. NaN is never in range,
+    nor, where ``finite``, an int too large for a float."""
+    if not (value > low if above else value >= low) or \
+            (finite and not abs(value) <= sys.float_info.max):
         want = ["finite"] if finite else []
         if low > -math.inf:
             want.append(f"{'>' if above else '>='} {low:g}")

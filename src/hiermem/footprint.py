@@ -11,10 +11,10 @@ All arithmetic is exact integer arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Literal
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields, check_range
 
 MIB = 2**20
 GIB = 2**30
@@ -36,25 +36,18 @@ class TransformerConfig:
     num_heads: int = 1
 
     def __post_init__(self):
-        for name in ("batch_size", "seq_len", "d_model", "d_ffn", "num_layers", "num_heads"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        for f in fields(self):
+            check_range(f"model config {f.name!r}", getattr(self, f.name), 1, finite=False)
         if self.d_model % self.num_heads != 0:
             raise ConfigError(
                 f"d_model ({self.d_model}) must be divisible by num_heads ({self.num_heads})"
             )
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "TransformerConfig":
-        allowed = {"batch_size", "seq_len", "d_model", "d_ffn", "num_layers", "num_heads"}
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        try:
-            return cls(**raw)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+    def from_dict(cls, raw) -> "TransformerConfig":
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+        return cls(**check_fields("model config", raw, {f.name: (int,) for f in fields(cls)},
+                                  required=required))
 
 
 @dataclass(frozen=True)

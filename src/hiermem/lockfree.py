@@ -38,12 +38,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError, check_fields, check_range
+from .errors import REAL, ConfigError, ProtocolError, check_fields, check_range
 from .presets import HARDWARE_PRESETS
 
 # raw link bandwidths of the built-in preset (not one overridden from a directory)
 _A100_LINKS = HARDWARE_PRESETS["a100-server"]["links"]
-_REAL = (int, float)
 
 
 @dataclass(frozen=True)
@@ -79,15 +78,16 @@ class ToyTrainConfig:
         for size in ("num_layers", "dim", "batch_size", "val_size"):
             check_range(f"toy config {size!r}", getattr(self, size), 1, finite=False)
         check_range("toy config 'noise_std'", self.noise_std, 0)
+        check_range("toy config 'seed'", self.seed, 0, finite=False)  # numpy's seeds are >= 0
 
     @classmethod
     def from_dict(cls, raw) -> "ToyTrainConfig":
         """A toy config read from JSON, ``hyper`` an object of AdamHyper fields."""
-        types = {f.name: (int,) for f in fields(cls)} | {"noise_std": _REAL,
+        types = {f.name: (int,) for f in fields(cls)} | {"noise_std": REAL,
                                                          "hyper": (dict,)}
         raw = check_fields("toy config", raw, types)
         hyper = check_fields("toy config 'hyper'", raw.get("hyper", {}),
-                         {f.name: _REAL for f in fields(AdamHyper)})
+                         {f.name: REAL for f in fields(AdamHyper)})
         return cls(**{**raw, "hyper": AdamHyper(**hyper)})
 
     @property
@@ -153,7 +153,7 @@ class DelayModel:
 
     @classmethod
     def from_dict(cls, raw) -> "DelayModel":
-        types = {f.name: _REAL for f in fields(cls)} | {"ssd_bytes_per_s": (*_REAL, type(None))}
+        types = {f.name: REAL for f in fields(cls)} | {"ssd_bytes_per_s": (*REAL, type(None))}
         return cls(**check_fields("delay model", raw, types))
 
 

@@ -44,38 +44,30 @@ HARDWARE_PRESETS: dict[str, dict] = {
 }
 
 
-def _dir_override(name: str, kind: str) -> dict | None:
+def _preset_fields(name: str, kind: str, builtins: dict[str, dict]) -> dict:
+    """The fields of the ``kind`` preset ``name``: its preset directory file if
+    there is one, else the built-in of that name."""
     preset_dir = os.environ.get(PRESET_DIR_ENV)
-    if not preset_dir:
-        return None
-    path = Path(preset_dir) / f"{name}.json"
-    if not path.is_file():
-        return None
-    raw = json.loads(path.read_text())
-    if raw.get("kind", kind) != kind:
-        raise ConfigError(f"preset file {path} is not a {kind} preset")
-    raw.pop("kind", None)
-    return raw
+    path = preset_dir and Path(preset_dir) / f"{name}.json"
+    if path and path.is_file():
+        try:
+            raw = json.loads(path.read_bytes())
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ConfigError(f"bad JSON in preset file {path}: {exc}") from None
+        if not isinstance(raw, dict) or raw.pop("kind", kind) != kind:
+            raise ConfigError(f"preset file {path} is not a JSON object of a {kind} preset")
+        return raw
+    if name not in builtins:
+        raise ConfigError(f"unknown {kind} preset {name!r} (known: {sorted(builtins)})")
+    return builtins[name]
 
 
 def model_preset(name: str) -> TransformerConfig:
-    raw = _dir_override(name, "model")
-    if raw is None:
-        if name not in MODEL_PRESETS:
-            raise ConfigError(f"unknown model preset {name!r} "
-                              f"(known: {sorted(MODEL_PRESETS)})")
-        raw = MODEL_PRESETS[name]
-    return TransformerConfig.from_dict(raw)
+    return TransformerConfig.from_dict(_preset_fields(name, "model", MODEL_PRESETS))
 
 
 def hardware_preset(name: str) -> HardwareProfile:
-    raw = _dir_override(name, "hardware")
-    if raw is None:
-        if name not in HARDWARE_PRESETS:
-            raise ConfigError(f"unknown hardware preset {name!r} "
-                              f"(known: {sorted(HARDWARE_PRESETS)})")
-        raw = HARDWARE_PRESETS[name]
-    return HardwareProfile.from_dict(raw)
+    return HardwareProfile.from_dict(_preset_fields(name, "hardware", HARDWARE_PRESETS))
 
 
 def resolve_model(spec) -> TransformerConfig:

@@ -147,13 +147,28 @@ class LayerModel:
         }
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "LayerModel":
-        info = {
-            t["tensor_id"]: TensorSpec(t["name"], t["kind"], t["bytes"], t["layer_index"])
-            for t in raw["tensors"]
-        }
-        return cls(raw["num_layers"], raw["page_bytes"], raw["layer_param_bytes"],
-                   raw["layer_optim_bytes"], info, raw.get("batch_size", 1))
+    def from_dict(cls, raw) -> "LayerModel":
+        """The model of a schedule file; ConfigError names the bad field."""
+        raw = check_fields("schedule 'model'", raw, _MODEL_FIELDS,
+                           required=_MODEL_FIELDS.keys() - {"batch_size"})
+        n = raw["num_layers"]
+        for key in ("layer_param_bytes", "layer_optim_bytes"):
+            if len(raw[key]) != n or not {type(b) for b in raw[key]} <= {int}:
+                raise ConfigError(f"schedule 'model' {key!r} must be a list of {n} ints")
+        info = {}
+        for k, t in enumerate(raw["tensors"]):
+            t = check_fields(f"schedule tensor {k}", t, _TENSOR_FIELDS, required=_TENSOR_FIELDS)
+            if not 0 <= t["layer_index"] < n:
+                raise ConfigError(f"schedule tensor {k} 'layer_index' must be in [0, {n})")
+            info[t["tensor_id"]] = TensorSpec(t["name"], t["kind"], t["bytes"], t["layer_index"])
+        return cls(n, raw["page_bytes"], raw["layer_param_bytes"], raw["layer_optim_bytes"],
+                   info, raw.get("batch_size", 1))
+
+
+_MODEL_FIELDS = {"num_layers": (int,), "page_bytes": (int,), "layer_param_bytes": (list,),
+                 "layer_optim_bytes": (list,), "batch_size": (int,), "tensors": (list,)}
+_TENSOR_FIELDS = {"tensor_id": (int,), "name": (str,), "kind": (str,), "bytes": (int,),
+                  "layer_index": (int,)}
 
 
 @dataclass(frozen=True)
@@ -179,20 +194,31 @@ class Schedule:
         }
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "Schedule":
+    def from_dict(cls, raw) -> "Schedule":
+        """A schedule file as ``hiermem schedule`` writes it; ConfigError names
+        the field of anything the simulator cannot run."""
+        raw = check_fields("schedule", raw, _SCHEDULE_FIELDS,
+                           required=("phase", "gpu_budget", "model", "tasks"))
+        if raw["phase"] not in ("phase1", "phase2"):
+            raise ConfigError(f"schedule 'phase' {raw['phase']!r} is not 'phase1' or 'phase2'")
         model = LayerModel.from_dict(raw["model"])
-        tasks = tuple(_task_from_dict(k, t, model) for k, t in enumerate(raw["tasks"]))
-        return cls(tasks, raw["phase"], raw["gpu_budget"], model,
-                   ShardingModel(raw.get("world_size", 1), raw.get("rank", 0)))
+        sharding = ShardingModel(raw.get("world_size", 1), raw.get("rank", 0))
+        tasks = tuple(_task_from_dict(k, t, model, sharding) for k, t in enumerate(raw["tasks"]))
+        return cls(tasks, raw["phase"], raw["gpu_budget"], model, sharding)
 
 
+# schema_version and peak_bytes are what ``hiermem schedule`` adds to to_dict()
+_SCHEDULE_FIELDS = {"phase": (str,), "gpu_budget": (int,), "world_size": (int,),
+                    "rank": (int,), "model": (dict,), "tasks": (list,),
+                    "schema_version": (str,), "peak_bytes": (int,)}
 _TASK_FIELDS = {"operation": (str,), "target": (int,), "trigger_id": (int,),
                 "layer": (int,), "slot": (int,), "owned": (bool,)}
 
 
-def _task_from_dict(k: int, raw, model: LayerModel) -> Task:
+def _task_from_dict(k: int, raw, model: LayerModel, sharding: ShardingModel) -> Task:
     """Task ``k`` of a schedule file; ConfigError names the task and field
-    of anything the model cannot run."""
+    of anything the model cannot run. A page task is owned exactly when
+    the rank owns its page; a compute task never is."""
     task = Task(**check_fields(f"task {k}", raw, _TASK_FIELDS,
                                required=_TASK_FIELDS.keys() - {"owned"}))
     if task.operation not in OPERATIONS:
@@ -207,6 +233,10 @@ def _task_from_dict(k: int, raw, model: LayerModel) -> Task:
         raise ConfigError(f"task {k} 'target': compute target {task.target} is not a layer")
     if task.operation != "compute" and task.target not in model.page_layer:
         raise ConfigError(f"task {k} 'target': page {task.target} is not a parameter page")
+    owned = task.operation != "compute" and sharding.owns(task.target)
+    if task.owned != owned:
+        raise ConfigError(f"task {k} 'owned' must be {str(owned).lower()} for {task.operation} "
+                          f"of {task.target} on rank {sharding.rank} of {sharding.world_size}")
     return task
 
 

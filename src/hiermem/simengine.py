@@ -29,7 +29,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, SimulationError, check_range, check_type
+from .errors import REAL, ConfigError, SimulationError, check_fields, check_range
 from .scheduler import Schedule
 from .tracer import CPU_BYTES_PER_S, GPU_BYTES_PER_S, TensorTrace, TimingModel
 
@@ -58,9 +58,8 @@ class HardwareProfile:
     pcie_lanes: int = 4
 
     def __post_init__(self):
-        missing = set(LINKS) - set(self.links)
-        if missing:
-            raise ConfigError(f"profile lacks links: {sorted(missing)}")
+        check_fields("hardware field 'links'", self.links, dict.fromkeys(LINKS, (LinkSpec,)),
+                     required=LINKS)
         for rate in ("gpu_bytes_per_s", "cpu_bytes_per_s"):
             check_range(f"hardware field {rate!r}", getattr(self, rate), 0, above=True)
         for count in ("num_gpus", "pcie_lanes"):
@@ -97,38 +96,22 @@ class HardwareProfile:
         }
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "HardwareProfile":
-        if not isinstance(raw, dict):
-            raise ConfigError("hardware must be a JSON object")
-        if not isinstance(raw.get("links"), dict):
-            raise ConfigError("hardware field 'links' must be an object of link entries")
-        for name, entry in raw["links"].items():
-            if not isinstance(entry, dict):
-                raise ConfigError(f"hardware field 'links.{name}' must be an object")
-            if "bandwidth_bytes_per_s" not in entry:
-                raise ConfigError(f"hardware field 'links.{name}' lacks "
-                                  "'bandwidth_bytes_per_s'")
-        scalars = ("gpu_bytes_per_s", "cpu_bytes_per_s", "num_gpus", "pcie_lanes")
-        unknown = sorted(set(raw) - {"links", *scalars}) + sorted(
-            f"links.{name}.{key}" for name, entry in raw["links"].items()
-            for key in entry if key not in ("bandwidth_bytes_per_s", "latency_s"))
-        if unknown:
-            raise ConfigError(f"unknown hardware fields: {unknown}")
-        for name, entry in raw["links"].items():
-            for key, value in entry.items():
-                check_type(f"hardware field 'links.{name}.{key}'", value, (int, float))
-        for key in scalars:
-            if key in raw:
-                check_type(f"hardware field {key!r}", raw[key],
-                           (int,) if key in ("num_gpus", "pcie_lanes") else (int, float))
+    def from_dict(cls, raw) -> "HardwareProfile":
+        raw = check_fields("hardware", raw, _HARDWARE_FIELDS, required=("links",))
         links = {}
         for name, entry in raw["links"].items():
+            what = f"hardware field 'links.{name}'"
+            entry = check_fields(what, entry, _LINK_FIELDS, required=("bandwidth_bytes_per_s",))
             try:
-                links[name] = LinkSpec(entry["bandwidth_bytes_per_s"],
-                                       entry.get("latency_s", DEFAULT_LATENCY_S))
+                links[name] = LinkSpec(**entry)
             except ConfigError as err:
-                raise ConfigError(f"hardware field 'links.{name}': {err}") from None
-        return cls(links, **{k: raw[k] for k in scalars if k in raw})
+                raise ConfigError(f"{what}: {err}") from None
+        return cls(**{**raw, "links": links})
+
+
+_HARDWARE_FIELDS = {"links": (dict,), "gpu_bytes_per_s": REAL, "cpu_bytes_per_s": REAL,
+                    "num_gpus": (int,), "pcie_lanes": (int,)}
+_LINK_FIELDS = {"bandwidth_bytes_per_s": REAL, "latency_s": REAL}
 
 
 @dataclass(frozen=True)

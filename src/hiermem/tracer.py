@@ -13,9 +13,10 @@ Pure derivation; everything here is safe to call concurrently.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import REAL, ConfigError, check_fields, check_range
 from .footprint import TensorSpec
 
 # A100 compute rates, defined here once: TimingModel and HardwareProfile
@@ -101,6 +102,13 @@ class TimingModel:
     cpu_time_const: float = 1e-3
     table: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for name in ("gpu_sec_per_byte", "cpu_sec_per_byte", "gpu_time_const", "cpu_time_const"):
+            check_range(f"timing {name!r}", getattr(self, name), 0)
+        for name, times in self.table.items():
+            for t in times:
+                check_range(f"timing 'table' entry {name!r}", t, 0)
+
     def times_for(self, spec: TensorSpec) -> tuple[float, float]:
         """Returns (cpu_time, gpu_time) for producing this tensor."""
         if self.kind == "table":
@@ -123,12 +131,19 @@ class TimingModel:
         raise ConfigError(f"unknown timing model kind {self.kind!r}")
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "TimingModel":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown timing fields: {sorted(unknown)}")
-        return cls(**raw)
+    def from_dict(cls, raw) -> "TimingModel":
+        """A timing model read from JSON, each ``table`` entry a [cpu, gpu] list."""
+        table = check_fields("timing", raw, _TIMING_FIELDS).get("table", {})
+        for name, times in table.items():
+            if type(times) is not list or len(times) != 2 or \
+                    not {type(t) for t in times} <= set(REAL):
+                raise ConfigError(f"timing 'table' entry {name!r} must be a "
+                                  f"[cpu_time, gpu_time] pair of reals, not {times!r}")
+        return cls(**{**raw, "table": {name: tuple(times) for name, times in table.items()}})
+
+
+_TIMING_FIELDS = {"kind": (str,), "gpu_sec_per_byte": REAL, "cpu_sec_per_byte": REAL,
+                  "gpu_time_const": REAL, "cpu_time_const": REAL, "table": (dict,)}
 
 
 def _is_checkpoint_act(spec: TensorSpec) -> bool:
@@ -173,7 +188,8 @@ def build_trace(
 
 
 def validate_trace(traces: list[TensorTrace], timeline: LogicalTimeline) -> list[str]:
-    """Empty list iff ids are unique integers and every trace fits the timeline."""
+    """Empty list iff ids are unique integers, every trace fits the timeline
+    and every production time is finite and >= 0."""
     violations: list[str] = []
     seen: set[int] = set()
     for tr in traces:
@@ -194,6 +210,6 @@ def validate_trace(traces: list[TensorTrace], timeline: LogicalTimeline) -> list
                 f"tensor {tr.tensor_id}: lifetime [{tr.first_id}, {tr.end_id}] outside "
                 f"[0, {timeline.num_ops})"
             )
-        if tr.cpu_time < 0 or tr.gpu_time < 0:
-            violations.append(f"tensor {tr.tensor_id}: negative production time")
+        if not all(0 <= t < math.inf for t in (tr.cpu_time, tr.gpu_time)):
+            violations.append(f"tensor {tr.tensor_id}: production time negative or not finite")
     return violations

@@ -52,6 +52,11 @@ class TestFootprintCmd:
         cfg = write(tmp_path, "cfg.json", {**TINY, "d_model": -1})
         assert run(["footprint", "--config", cfg]) == EXIT_USAGE
 
+    def test_bool_field_is_usage_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg.json", {**TINY, "num_layers": True})
+        assert run(["footprint", "--config", cfg]) == EXIT_USAGE
+        assert "'num_layers' has type bool" in capsys.readouterr().err
+
     def test_missing_args_usage(self):
         assert run(["footprint"]) == EXIT_USAGE
 
@@ -123,6 +128,19 @@ class TestTraceCmd:
         assert set(traces[0]) == {"tensor_id", "first_id", "end_id",
                                   "cpu_time", "gpu_time"}
         assert all(0 <= t["first_id"] <= t["end_id"] < 4 for t in traces)
+
+    @pytest.mark.parametrize("timing, field", [
+        ({"gpu_sec_per_byte": "fast"}, "'gpu_sec_per_byte' has type str"),
+        ({"gpu_sec_per_byte": -1}, "'gpu_sec_per_byte' must be finite and >= 0"),
+        ({"kind": "table", "table": {"x": 5}}, "'table' entry 'x' must be a"),
+    ])
+    def test_bad_timing_is_usage_error(self, tmp_path, capsys, timing, field):
+        cfg = write(tmp_path, "cfg.json", TINY)
+        out = tmp_path / "traces.json"
+        assert run(["trace", "--config", cfg, "--timing", write(tmp_path, "t.json", timing),
+                    "--out", str(out)]) == EXIT_USAGE
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_recompute_flag(self, tmp_path):
         cfg = write(tmp_path, "cfg.json", TINY)
@@ -197,6 +215,53 @@ class TestSimulateCmd:
         assert f"task {k} {field!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case, field", [
+        ("not_object", "schedule must be a JSON object"),
+        ("no_model", "schedule lacks ['gpu_budget', 'model', 'phase']"),
+        ("short_layer_param_bytes", "'layer_param_bytes' must be a list of 2 ints"),
+        ("no_tensors", "'model' lacks ['tensors']"),
+        ("tensor_layer_out_of_range", "'layer_index' must be in [0, 2)"),
+        ("budget_str", "'gpu_budget' has type str"),
+        ("phase_int", "'phase' has type int"),
+        ("phase_unknown", "'phase' 'phase3' is not"),
+        ("gather_owned_flipped", "'owned' must be true for all_gather"),
+        ("compute_owned", "'owned' must be false for compute"),
+        ("world_size_2", "'owned' must be false"),
+    ])
+    def test_bad_schedule_is_usage_error(self, tmp_path, capsys, case, field):
+        traces, sched = tmp_path / "traces.json", tmp_path / "sched.json"
+        run(["trace", "--preset", "tiny-2layer", "--out", str(traces)])
+        run(["schedule", "--preset", "tiny-2layer", "--traces", str(traces),
+             "--gpu-budget", str(2**30), "--out", str(sched)])
+        raw = json.loads(sched.read_text())
+        model, tasks = raw["model"], raw["tasks"]
+        if case == "not_object":
+            raw = [raw]
+        elif case == "no_model":
+            raw = {"tasks": []}
+        elif case == "short_layer_param_bytes":
+            model["layer_param_bytes"].pop()
+        elif case == "no_tensors":
+            del model["tensors"]
+        elif case == "tensor_layer_out_of_range":
+            model["tensors"][0]["layer_index"] = 2
+        elif case == "budget_str":
+            raw["gpu_budget"] = "big"
+        elif case in ("phase_int", "phase_unknown"):
+            raw["phase"] = 7 if case == "phase_int" else "phase3"
+        elif case == "gather_owned_flipped":
+            next(t for t in tasks if t["operation"] == "all_gather")["owned"] = False
+        elif case == "compute_owned":
+            next(t for t in tasks if t["operation"] == "compute")["owned"] = True
+        else:
+            raw["world_size"] = 2
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run(["simulate", "--schedule", write(tmp_path, "bad.json", raw),
+                    "--traces", str(traces), "--out", str(out)]) == EXIT_USAGE
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
 
 def corrupt(traces, case):
     """Break a valid trace list in one way that validate_trace names."""
@@ -207,6 +272,8 @@ def corrupt(traces, case):
         t["first_id"], t["end_id"] = t["end_id"], t["first_id"]
     elif case == "negative_gpu_time":
         traces[0]["gpu_time"] = -1.0
+    elif case == "nan_gpu_time":
+        traces[0]["gpu_time"] = float("nan")
     elif case == "duplicate_tensor_id":
         traces[1]["tensor_id"] = traces[0]["tensor_id"]
     elif case == "missing_key":
@@ -219,7 +286,7 @@ def corrupt(traces, case):
 class TestTraceFileValidation:
     @pytest.mark.parametrize("case", ["end_past_timeline", "first_after_end",
                                       "negative_gpu_time", "duplicate_tensor_id",
-                                      "missing_key", "fractional_first_id"])
+                                      "missing_key", "fractional_first_id", "nan_gpu_time"])
     def test_bad_traces_are_usage_errors(self, tmp_path, capsys, case):
         cfg = write(tmp_path, "cfg.json", TINY)
         traces, sched = tmp_path / "traces.json", tmp_path / "sched.json"
@@ -284,8 +351,9 @@ class TestLockfreeCmd:
         ({"noise_std": -1.0}, "toy config 'noise_std' must be finite and >= 0, not -1.0"),
         ({"hyper": {"lr": float("nan")}}, "toy config 'hyper' 'lr' must be finite, not nan"),
         ({"hyper": {"eps": float("inf")}}, "toy config 'hyper' 'eps' must be finite, not inf"),
+        ({"seed": -1}, "toy config 'seed' must be >= 0, not -1"),
     ], ids=["unknown_key", "mistyped_value", "unknown_hyper_key", "not_object",
-            "val_size_zero", "noise_std_negative", "lr_nan", "eps_inf"])
+            "val_size_zero", "noise_std_negative", "lr_nan", "eps_inf", "seed_negative"])
     def test_bad_toy_config_is_usage_error(self, tmp_path, capsys, toy, message):
         path = write(tmp_path, "toy.json", toy)
         assert run(["lockfree", "--toy-config", path, "--iters", "2"]) == EXIT_USAGE
@@ -363,6 +431,12 @@ class TestPipelineCmd:
         assert run(["pipeline", "--config", config]) == EXIT_USAGE
         assert "iteration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", [[], ["--gpu-budget", str(2**30)]])
+    def test_config_not_object_is_usage_error(self, tmp_path, capsys, budget):
+        config = write(tmp_path, "exp.json", ["preset:tiny-2layer"])
+        assert run(["pipeline", "--config", config, *budget]) == EXIT_USAGE
+        assert "pipeline config must be a JSON object" in capsys.readouterr().err
+
     def test_mistyped_value_is_usage_error(self, tmp_path, capsys):
         config = write(tmp_path, "exp.json", {"model": "preset:tiny-2layer",
                                               "gpu_budget_bytes": 2**30,
@@ -385,8 +459,8 @@ class TestPipelineCmd:
         ("no_links", "'links'"),
         ("link_not_object", "'links.pcie_h2d'"),
         ("no_bandwidth", "'bandwidth_bytes_per_s'"),
-        ("bandwidth_str", "'links.pcie_h2d.bandwidth_bytes_per_s' has type str"),
-        ("latency_bool", "'links.ssd_io.latency_s' has type bool"),
+        ("bandwidth_str", "'links.pcie_h2d' 'bandwidth_bytes_per_s' has type str"),
+        ("latency_bool", "'links.ssd_io' 'latency_s' has type bool"),
         ("rate_str", "'gpu_bytes_per_s' has type str"),
         ("rate_bool", "'cpu_bytes_per_s' has type bool"),
         ("num_gpus_str", "'num_gpus' has type str"),
@@ -482,3 +556,12 @@ class TestPresetDir:
         assert run(["footprint", "--preset", "mymodel", "--format", "json",
                     "--out", str(out)]) == EXIT_OK
         assert run(["footprint", "--preset", "nonexistent"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"kind": "model", "batch_size":', "\udcff",
+                                      '{"kind": "hardware", "links": {}}'],
+                             ids=["not_object", "bad_json", "bad_utf8", "hardware_kind"])
+    def test_bad_preset_file_is_usage_error(self, tmp_path, monkeypatch, capsys, text):
+        (tmp_path / "mymodel.json").write_text(text, errors="surrogateescape")
+        monkeypatch.setenv("HIERMEM_PRESET_DIR", str(tmp_path))
+        assert run(["footprint", "--preset", "mymodel"]) == EXIT_USAGE
+        assert "mymodel.json" in capsys.readouterr().err

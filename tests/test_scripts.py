@@ -1,12 +1,15 @@
 """Smoke tests: each script in scripts/ runs to the end on tiny arguments,
 and every function perfbench traces by name still exists."""
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from hiermem.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,15 +24,32 @@ SCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPTS))
-def test_script_runs(script):
-    args, expected = SCRIPTS[script]
+def run_script(script, args):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert expected in proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_runs(script):
+    args, expected = SCRIPTS[script]
+    assert expected in run_script(script, args)
+
+
+def test_run_pipeline_report_is_the_cli_report(tmp_path):
+    """run_pipeline.py --out writes the bytes `hiermem pipeline --out` writes
+    for the same config: strict JSON, sorted keys, a trailing newline."""
+    script_out, cli_out = tmp_path / "script.json", tmp_path / "cli.json"
+    run_script("run_pipeline.py", ["--model", "preset:tiny-2layer", "--out", str(script_out)])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": "preset:tiny-2layer", "hardware": "preset:a100-server",
+                                  "gpu_budget_bytes": 2**30, "iterations": 1,
+                                  "update_mode": "none", "recompute": False}))
+    assert main(["pipeline", "--config", str(config), "--out", str(cli_out)]) == EXIT_OK
+    assert script_out.read_bytes() == cli_out.read_bytes()
 
 
 def test_perfbench_targets_resolve(monkeypatch):

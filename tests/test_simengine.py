@@ -67,7 +67,7 @@ class TestOneCostModel:
         with pytest.raises(ConfigError, match="num_gpu"):
             HardwareProfile.from_dict({**raw, "num_gpu": 2})
         links = {**raw["links"], "ssd_io": {"bandwidth_bytes_per_s": 3.5e9, "latency": 0.0}}
-        with pytest.raises(ConfigError, match=r"links\.ssd_io\.latency"):
+        with pytest.raises(ConfigError, match=r"'links\.ssd_io' keys: \['latency'\]"):
             HardwareProfile.from_dict({**raw, "links": links})
 
     def test_delay_model_uses_the_preset_link_bandwidths(self):
