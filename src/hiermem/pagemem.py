@@ -1,7 +1,7 @@
-"""Page-granular memory manager over pre-allocated GPU/CPU/SSD tier pools.
+"""Page-granular memory manager over GPU/CPU/SSD tier pools.
 
-Every tier is carved into fixed-size pages up front; tensors occupy whole
-pages except for their final (tail) chunk, and a page holds at most two
+Every tier is a pool of fixed-size pages with consecutive ids; tensors occupy
+whole pages except for their final (tail) chunk, and a page holds at most two
 occupants: tails of two large tensors, or a large tail plus one small
 tensor. Small tensors (< page size) otherwise live alone on their own page
 and their pages are never offered for sharing. Moves are metadata-only
@@ -14,6 +14,13 @@ page-state index derived from its pages' occupants: one flag per page for
 of free pages. ``TierPool.set_occupants`` (and ``claim``, which calls it) is
 the one writer of a page's occupants; it keeps the index and the pool's peak
 page count in step, so first-fit, claim and merge scan bytes, not pages.
+
+A pool costs what it has held, not what it could hold. The index covers
+pages up to a high-water mark, the highest page ever given occupants; every
+page past the mark has never been claimed and is free. A ``Page`` record is
+made the first time its page is claimed. Building a pool is O(1) whatever
+its capacity, and its index and records grow with the highest page claimed.
+Page ids and first-fit order are those of a pool whose every page exists.
 
 A pool is a single-owner state machine: callers serialize mutations;
 snapshots (``state_dict``) may be shared freely.
@@ -48,14 +55,14 @@ class Tier(Enum):
 
     @classmethod
     def parse(cls, value: "Tier | str | int") -> "Tier":
+        """A Tier, a tier name in any case, or a tier number that is not a bool."""
         if isinstance(value, Tier):
             return value
-        if isinstance(value, str):
-            try:
-                return cls[value.upper()]
-            except KeyError:
-                raise ConfigError(f"unknown tier {value!r}") from None
-        return cls(value)
+        if isinstance(value, str) and value.upper() in cls.__members__:
+            return cls[value.upper()]
+        if type(value) is int and 0 <= value < len(cls):
+            return cls(value)
+        raise ConfigError(f"unknown tier {value!r}")
 
 
 @dataclass
@@ -124,7 +131,9 @@ class TransferDescriptor:
 
 
 class TierPool:
-    """Pre-allocated pool of fixed-size pages for one memory tier."""
+    """Pool of ``num_pages`` fixed-size pages for one memory tier, ids from
+    ``first_page_id``. The page-state index and the page records reach only
+    as far as the high-water mark (see the module docstring)."""
 
     def __init__(self, tier: Tier, capacity_bytes: int, page_bytes: int, first_page_id: int = 0):
         check_page_bytes(page_bytes)
@@ -137,20 +146,15 @@ class TierPool:
         self.capacity_bytes = capacity_bytes
         self.page_bytes = page_bytes
         self.first_page_id = first_page_id
-        n = capacity_bytes // page_bytes
-        self.pages: dict[int, Page] = {
-            first_page_id + i: Page(first_page_id + i, self.tier, page_bytes) for i in range(n)
-        }
-        # the page-state index, by page_id - first_page_id (see the module docstring)
-        self._free = bytearray(b"\x01") * n  # 1: no occupants
-        self._tail = bytearray(n)  # 1: the only occupant is a shareable tail
-        self._free_count = n
+        self.num_pages = capacity_bytes // page_bytes
+        self._pages: dict[int, Page] = {}  # every page ever claimed, by id
+        # the page-state index, by page_id - first_page_id, for the pages
+        # below the high-water mark len(_free) (see the module docstring)
+        self._free = bytearray()  # 1: no occupants
+        self._tail = bytearray()  # 1: the only occupant is a shareable tail
+        self._free_count = self.num_pages
         self.stats = PoolStats()
         self.manager: PageManager | None = None  # set by the owning PageManager
-
-    @property
-    def num_pages(self) -> int:
-        return len(self.pages)
 
     @property
     def free_page_count(self) -> int:
@@ -160,10 +164,25 @@ class TierPool:
     def allocated_page_count(self) -> int:
         return self.num_pages - self._free_count
 
+    def page(self, page_id: int) -> Page:
+        """The record of one of this pool's pages: a fresh free Page if it
+        was never claimed. KeyError for an id outside the pool."""
+        page = self._pages.get(page_id)
+        if page is None:
+            if not 0 <= page_id - self.first_page_id < self.num_pages:
+                raise KeyError(f"unknown page id {page_id}")
+            page = Page(page_id, self.tier, self.page_bytes)
+        return page
+
     def set_occupants(self, page: Page, occupants: list[Occupant]) -> None:
         """Give one of this pool's pages its new occupants, keeping the
-        page-state index and the peak page count in step."""
+        page record, the page-state index and the peak page count in step."""
         i = page.page_id - self.first_page_id
+        grow = i + 1 - len(self._free)
+        if grow > 0:  # past the high-water mark, where every page is free
+            self._free += b"\x01" * grow
+            self._tail += bytes(grow)
+        self._pages[page.page_id] = page
         free = not occupants
         self._free_count += free - self._free[i]
         self._free[i] = free
@@ -177,11 +196,13 @@ class TierPool:
     def claim(self, occupants: list[Occupant]) -> Page:
         """Place ``occupants`` on the lowest free page."""
         i = self._free.find(1)
-        if i < 0:
-            raise AllocationError(
-                f"{self.tier.name} pool out of pages", self.page_bytes, 0
-            )
-        page = self.pages[self.first_page_id + i]
+        if i < 0:  # none free below the mark: take the page at it
+            i = len(self._free)
+            if i == self.num_pages:
+                raise AllocationError(
+                    f"{self.tier.name} pool out of pages", self.page_bytes, 0
+                )
+        page = self.page(self.first_page_id + i)
         self.set_occupants(page, occupants)
         return page
 
@@ -190,7 +211,7 @@ class TierPool:
         ``nbytes`` to spare, or None."""
         i = self._tail.find(1)
         while i >= 0:
-            page = self.pages[self.first_page_id + i]
+            page = self._pages[self.first_page_id + i]
             if page.available_bytes >= nbytes:
                 return page
             i = self._tail.find(1, i + 1)
@@ -199,7 +220,7 @@ class TierPool:
     def lowest_run(self, n: int, also: list[int]) -> int | None:
         """First page id of the lowest run of ``n`` pages that are each free
         or in ``also``, or None."""
-        usable = bytearray(self._free)
+        usable = self._free + b"\x01" * min(n, self.num_pages - len(self._free))
         for pid in also:
             usable[pid - self.first_page_id] = 1
         i = usable.find(b"\x01" * n)
@@ -207,7 +228,11 @@ class TierPool:
 
     def allocated_pages(self) -> list[Page]:
         """Pages in use, in page id order."""
-        return [page for page in self.pages.values() if page.occupants]
+        pages, i = [], self._free.find(0)
+        while i >= 0:
+            pages.append(self._pages[self.first_page_id + i])
+            i = self._free.find(0, i + 1)
+        return pages
 
 
 def pool_init(tier, capacity_bytes: int, page_bytes: int = PAGE_BYTES_DEFAULT) -> TierPool:
@@ -258,8 +283,8 @@ class PageManager:
 
     def page(self, page_id: int) -> Page:
         for pool in self.pools.values():
-            if page_id in pool.pages:
-                return pool.pages[page_id]
+            if 0 <= page_id - pool.first_page_id < pool.num_pages:
+                return pool.page(page_id)
         raise KeyError(f"unknown page id {page_id}")
 
     # -- allocation ---------------------------------------------------------
@@ -369,11 +394,11 @@ class PageManager:
             return {"tensor_id": tensor_id, "contiguous": True,
                     "page_ids": list(ids), "moved_chunks": 0}
 
-        chunks = [next(o for o in pool.pages[pid].occupants if o.tensor_id == tensor_id)
-                  for pid in ids]
+        pages = [pool.page(pid) for pid in ids]
+        chunks = [next(o for o in page.occupants if o.tensor_id == tensor_id) for page in pages]
         # the lowest run of n pages that are free or held by this tensor alone
         n = len(ids)
-        start = pool.lowest_run(n, [pid for pid in ids if len(pool.pages[pid].occupants) == 1])
+        start = pool.lowest_run(n, [p.page_id for p in pages if len(p.occupants) == 1])
         if start is None:
             raise AllocationError(
                 f"no contiguous run of {n} pages available in {pool.tier.name} for merge",
@@ -383,8 +408,8 @@ class PageManager:
         run = list(range(start, start + n))
         # chunks not already on their target page; detach them all, which
         # frees every target page they go to, then place them
-        moves = [(pool.pages[pid], pool.pages[target], chunk)
-                 for pid, target, chunk in zip(ids, run, chunks) if pid != target]
+        moves = [(page, pool.page(target), chunk)
+                 for page, target, chunk in zip(pages, run, chunks) if page.page_id != target]
         for page, _, chunk in moves:
             pool.set_occupants(page, [o for o in page.occupants if o is not chunk])
         for _, target, chunk in moves:

@@ -122,15 +122,9 @@ class LayerModel:
                        page_bytes: int = PAGE_BYTES_DEFAULT,
                        batch_size: int = 1) -> "LayerModel":
         num_layers = max(s.layer_index for s in inventory) + 1
-        params = [0] * num_layers
-        optims = [0] * num_layers
-        for spec in inventory:
-            if spec.kind == "param16":
-                params[spec.layer_index] += spec.bytes
-            elif spec.kind == "optim32":
-                optims[spec.layer_index] += spec.bytes
         info = {i: spec for i, spec in enumerate(inventory)}
-        return cls(num_layers, page_bytes, params, optims, info, batch_size)
+        return cls(num_layers, page_bytes, _layer_bytes(inventory, num_layers, "param16"),
+                   _layer_bytes(inventory, num_layers, "optim32"), info, batch_size)
 
     def to_dict(self) -> dict:
         return {
@@ -161,8 +155,24 @@ class LayerModel:
             if not 0 <= t["layer_index"] < n:
                 raise ConfigError(f"schedule tensor {k} 'layer_index' must be in [0, {n})")
             info[t["tensor_id"]] = TensorSpec(t["name"], t["kind"], t["bytes"], t["layer_index"])
+        # the per-layer totals must be those from_inventory takes of the tensors
+        for key, kind in (("layer_param_bytes", "param16"), ("layer_optim_bytes", "optim32")):
+            held = _layer_bytes(info.values(), n, kind)
+            for layer, (got, want) in enumerate(zip(raw[key], held)):
+                if got != want:
+                    raise ConfigError(f"schedule 'model' {key!r} layer {layer} is {got}, "
+                                      f"but its {kind} tensors hold {want} bytes")
         return cls(n, raw["page_bytes"], raw["layer_param_bytes"], raw["layer_optim_bytes"],
                    info, raw.get("batch_size", 1))
+
+
+def _layer_bytes(specs, num_layers: int, kind: str) -> list[int]:
+    """Bytes of the ``kind`` tensors of each layer."""
+    totals = [0] * num_layers
+    for spec in specs:
+        if spec.kind == kind:
+            totals[spec.layer_index] += spec.bytes
+    return totals
 
 
 _MODEL_FIELDS = {"num_layers": (int,), "page_bytes": (int,), "layer_param_bytes": (list,),

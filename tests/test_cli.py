@@ -107,6 +107,25 @@ class TestPagememDemoCmd:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_petabyte_pool(self, tmp_path):
+        """A pool costs what it holds: a 1 PiB SSD pool at 64 KiB pages
+        (2**34 pages) replays a script like a small one."""
+        pool = write(tmp_path, "pool.json", {"pools": [
+            {"tier": "GPU", "capacity_bytes": 64 * 2**20, "page_bytes": 2**16},
+            {"tier": "SSD", "capacity_bytes": 2**50, "page_bytes": 2**16},
+        ]})
+        ops = write(tmp_path, "ops.json", [
+            {"op": "allocate", "name": "m", "bytes": 3 * 2**16 + 5, "tier": "SSD",
+             "kind": "optim32"},
+            {"op": "move", "page_id": 1024, "target": "GPU"},
+        ])
+        out = tmp_path / "state.json"
+        assert run(["pagemem-demo", "--pool-spec", pool, "--ops", ops,
+                    "--out", str(out)]) == EXIT_OK
+        state = json.loads(out.read_text())["state"]
+        assert state["pools"]["SSD"]["free_pages"] == 2**34 - 3
+        assert state["tensors"][0]["page_list"] == [0, 1025, 1026, 1027]
+
     @pytest.mark.parametrize("entry,message", [
         ({"tier": "GPU"}, "pool spec entry 0 lacks ['capacity_bytes']"),
         ({"tier": "GPU", "capacity_bytes": "64"}, "'capacity_bytes' has type str"),
@@ -221,6 +240,8 @@ class TestSimulateCmd:
         ("short_layer_param_bytes", "'layer_param_bytes' must be a list of 2 ints"),
         ("no_tensors", "'model' lacks ['tensors']"),
         ("tensor_layer_out_of_range", "'layer_index' must be in [0, 2)"),
+        ("param_bytes_doubled", "'layer_param_bytes' layer 0 is"),
+        ("optim_bytes_off_by_one", "'layer_optim_bytes' layer 1 is"),
         ("budget_str", "'gpu_budget' has type str"),
         ("phase_int", "'phase' has type int"),
         ("phase_unknown", "'phase' 'phase3' is not"),
@@ -245,6 +266,10 @@ class TestSimulateCmd:
             del model["tensors"]
         elif case == "tensor_layer_out_of_range":
             model["tensors"][0]["layer_index"] = 2
+        elif case == "param_bytes_doubled":
+            model["layer_param_bytes"][0] *= 2
+        elif case == "optim_bytes_off_by_one":
+            model["layer_optim_bytes"][1] += 1
         elif case == "budget_str":
             raw["gpu_budget"] = "big"
         elif case in ("phase_int", "phase_unknown"):

@@ -1,5 +1,6 @@
 """Page pools: packing policy, occupancy invariants, moves, merge, fragmentation."""
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -44,14 +45,61 @@ class TestPoolInit:
         with pytest.raises(ConfigError):
             pool_init("GPU", 4 * MIB, 4.0 * MIB)  # not an int
 
+    def test_page_accessor(self):
+        mgr = PageManager([("GPU", 16 * MIB, 4 * MIB), ("CPU", 16 * MIB, 4 * MIB)])
+        cpu = mgr.pool("CPU")
+        page = cpu.page(7)  # never claimed: a free page of the pool
+        assert (page.page_id, page.tier, page.occupants) == (7, Tier.CPU, [])
+        assert mgr.page(7).tier is Tier.CPU
+        for pid in (3, 8, -1):
+            with pytest.raises(KeyError):
+                cpu.page(pid)
+        with pytest.raises(KeyError):
+            mgr.page(8)
+
+    def test_cost_does_not_depend_on_capacity(self):
+        """A 1 TiB GPU pool and a 1 PiB SSD pool at 64 KiB pages (2**24 and
+        2**34 pages) cost what the pages in use cost."""
+        page = 64 * 2**10
+        tracemalloc.start()
+        try:
+            mgr = PageManager([("GPU", 2**40, page), ("SSD", 2**50, page)])
+            t = mgr.allocate(spec("m", 3 * page + 5, kind="optim32"), "SSD")
+            desc = mgr.page_move(t.page_list[0], "GPU")
+            state = mgr.state_dict()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < MIB
+        assert t.page_list == [0, 2**24 + 1, 2**24 + 2, 2**24 + 3]
+        assert (desc.page_id, desc.new_page_id) == (2**24, 0)
+        assert state["pools"]["SSD"]["free_pages"] == 2**34 - 3
+        assert [p["page_id"] for p in state["pages"]] == t.page_list
+
+
+@pytest.mark.parametrize("value,tier", [
+    (Tier.SSD, Tier.SSD), ("gpu", Tier.GPU), ("Cpu", Tier.CPU), ("SSD", Tier.SSD),
+    (0, Tier.GPU), (1, Tier.CPU), (2, Tier.SSD),
+])
+def test_tier_parse(value, tier):
+    assert Tier.parse(value) is tier
+
+
+@pytest.mark.parametrize("value", [True, False, 7, -1, 3, None, 1.0, "ram", "", "GPU0"])
+def test_tier_parse_rejects_non_tiers(value):
+    with pytest.raises(ConfigError, match="unknown tier"):
+        Tier.parse(value)
+    with pytest.raises(ConfigError):
+        pool_init(value, 4 * MIB, 4 * MIB)
+
 
 class TestAllocate:
     def test_multi_page_tensor_with_tail(self):
         pool = pool_init("GPU", 40 * MIB, 4 * MIB)
         t = tensor_allocate(pool, spec("big", 10 * MIB))
         assert len(t.page_list) == 3
-        full = [pool.pages[p] for p in t.page_list[:2]]
-        tail = pool.pages[t.page_list[2]]
+        full = [pool.page(p) for p in t.page_list[:2]]
+        tail = pool.page(t.page_list[2])
         assert all(p.available_bytes == 0 for p in full)
         assert tail.available_bytes == 2 * MIB
 
@@ -59,7 +107,7 @@ class TestAllocate:
         pool = pool_init("GPU", 40 * MIB, 4 * MIB)
         big = tensor_allocate(pool, spec("big", 10 * MIB))
         small = tensor_allocate(pool, spec("small", 2 * MIB))
-        tail = pool.pages[big.page_list[-1]]
+        tail = pool.page(big.page_list[-1])
         assert small.page_list == [tail.page_id]
         assert len(tail.occupants) == 2
         assert tail.available_bytes == 0
@@ -69,7 +117,7 @@ class TestAllocate:
         tensor_allocate(pool, spec("big", 10 * MIB))
         tensor_allocate(pool, spec("small", 2 * MIB))
         tiny = tensor_allocate(pool, spec("tiny", 1024))
-        page = pool.pages[tiny.page_list[0]]
+        page = pool.page(tiny.page_list[0])
         assert len(page.occupants) == 1
 
     def test_two_small_tensors_never_share(self):
@@ -109,7 +157,7 @@ class TestRelease:
         free_before = pool.free_page_count
         tensor_release(pool, small.tensor_id)
         assert pool.free_page_count == free_before  # 0 pages freed
-        tail = pool.pages[big.page_list[-1]]
+        tail = pool.page(big.page_list[-1])
         assert tail.available_bytes == 2 * MIB
 
     def test_release_counts_tensors_not_pages(self):
@@ -309,13 +357,19 @@ def is_run(page_ids):
     return page_ids == list(range(page_ids[0], page_ids[0] + len(page_ids)))
 
 
+def pool_ids(pool):
+    """Every page id of the pool, claimed or not."""
+    return range(pool.first_page_id, pool.first_page_id + pool.num_pages)
+
+
 def lowest_merge_start(pool, tensor_id, n):
     """Brute force: the smallest page id starting n pool pages that are each
     free or held by this tensor alone, or None."""
-    for start in sorted(pool.pages):
+    ids = pool_ids(pool)
+    for start in ids:
         run = range(start, start + n)
-        if all(pid in pool.pages and all(o.tensor_id == tensor_id
-                                         for o in pool.pages[pid].occupants)
+        if all(pid in ids and all(o.tensor_id == tensor_id
+                                  for o in pool.page(pid).occupants)
                for pid in run):
             return start
     return None
@@ -324,17 +378,20 @@ def lowest_merge_start(pool, tensor_id, n):
 def first_fit_tail(pool, tail):
     """Brute force: the lowest page id whose only occupant is a shareable
     tail with ``tail`` bytes to spare, or None."""
-    return next((pid for pid, page in pool.pages.items()
+    pages = (pool.page(pid) for pid in pool_ids(pool))
+    return next((page.page_id for page in pages
                  if len(page.occupants) == 1 and page.occupants[0].shareable
                  and page.available_bytes >= tail), None)
 
 
 def check_page_index(pool):
-    """The pool's page-state index equals a brute-force scan of its pages."""
-    pages = list(pool.pages.values())  # page id order
-    assert pool._free == bytearray(not p.occupants for p in pages)
-    assert pool._tail == bytearray(len(p.occupants) == 1 and p.occupants[0].shareable
-                                   for p in pages)
+    """The pool's page-state index, padded past its high-water mark with
+    never-claimed (free, not tail) pages, equals a brute-force scan of its pages."""
+    pages = [pool.page(pid) for pid in pool_ids(pool)]
+    pad = pool.num_pages - len(pool._free)
+    assert pool._free + b"\x01" * pad == bytearray(not p.occupants for p in pages)
+    assert pool._tail + bytes(pad) == bytearray(
+        len(p.occupants) == 1 and p.occupants[0].shareable for p in pages)
     assert pool.free_page_count == sum(not p.occupants for p in pages)
 
 

@@ -1,5 +1,6 @@
 """Smoke tests: each script in scripts/ runs to the end on tiny arguments,
-and every function perfbench traces by name still exists."""
+every function perfbench traces by name still exists, and the allocator
+benchmark runs clean at tiny size."""
 import importlib
 import json
 import os
@@ -64,3 +65,17 @@ def test_perfbench_targets_resolve(monkeypatch):
         except (ImportError, LookupError) as err:
             missing.append(f"{target.module}:{target.qualname}: {err}")
     assert missing == []
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_perfbench_alloc_tiny(trace):
+    """The allocator workload reads allocated_pages(), num_pages and
+    free_page_count, so API drift in pagemem fails here, not first in a
+    benchmark run."""
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),
+                           "--workload", "alloc-256g", "--tiny", "--seconds", "0.2",
+                           "--trace", trace],
+                          capture_output=True, text=True, timeout=120, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0 and result["correct"] is True
