@@ -2,8 +2,10 @@
 
 Subcommands: footprint, pagemem-demo, trace, schedule, simulate, lockfree,
 pipeline, plot. Configs and reports are JSON (reports carry a
-schema_version); timelines and curves are CSV. Exit codes: 0 ok, 1 usage,
-2 infeasible schedule, 3 internal error.
+schema_version). ``plot`` turns a report into CSV: the timeline of a
+simulate or pipeline report, a lockfree report's loss curve, or resource
+utilization. Exit codes: 0 ok, 1 usage, 2 infeasible schedule, 3 internal
+error.
 """
 from __future__ import annotations
 
@@ -23,8 +25,8 @@ from . import footprint as fp
 from . import lockfree as lf
 from . import pagemem as pm
 from . import presets
-from .errors import (AllocationError, ConfigError, InfeasibleScheduleError, MoveError,
-                     check_fields)
+from .errors import (REAL, AllocationError, ConfigError, InfeasibleScheduleError, MoveError,
+                     check_fields, check_type)
 from .scheduler import LayerModel, Schedule, ShardingModel, peak_memory, schedule
 from .simengine import compare, simulate
 from .tracer import LogicalTimeline, TensorTrace, TimingModel, build_trace, validate_trace
@@ -382,13 +384,6 @@ def cmd_simulate(args) -> int:
     data = report.to_dict()
     data["schema_version"] = SCHEMA_VERSION
     _dump_json(data, args.out)
-    # only once the report is written, so a rejected report leaves no timeline
-    if args.timeline:
-        with open(args.timeline, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["task_id", "operation", "resource", "start_s", "end_s"])
-            for e in report.timeline:
-                writer.writerow([e.task_id, e.operation, e.resource, e.start_s, e.end_s])
     return EXIT_OK
 
 
@@ -504,35 +499,55 @@ def cmd_pipeline(args) -> int:
 
 # -- plot --------------------------------------------------------------------------
 
+# The fields of one timeline entry, in the order of the CSV columns.
+_TIMELINE_ENTRY = {"task_id": (str,), "operation": (str,), "resource": (str,),
+                   "start_s": REAL, "end_s": REAL}
+
+
+def _plot_source(report, key: str, section: str | None) -> dict:
+    """The object whose ``key`` a plot reads: the report itself or, when it
+    has no ``key`` and ``section`` is given, a pipeline report's
+    ``simulation`` ``section``."""
+    check_type("report", report, (dict,))
+    if report.get(key) is None and section is not None:
+        sims = report.get("simulation", {})
+        check_type("report 'simulation'", sims, (dict,))
+        if sims.get(section) is not None:
+            check_type(f"report 'simulation' {section!r}", sims[section], (dict,))
+            report = sims[section]
+    if report.get(key) is None:
+        raise UsageError(f"report has no {key} section")
+    return report
+
+
+def _check_numbers(what: str, values, container: type) -> None:
+    """ConfigError unless ``values`` is a ``container`` (list or dict) of numbers."""
+    check_type(what, values, (container,))
+    for k, v in (values.items() if container is dict else enumerate(values)):
+        check_type(f"{what} [{k!r}]", v, REAL)
+
+
 def cmd_plot(args) -> int:
     report = _load_json(args.report)
     rows: list[list] = []
     if args.kind == "timeline":
-        timeline = report.get("timeline")
-        if timeline is None:
-            sim = report.get("simulation", {}).get(args.section)
-            timeline = sim.get("timeline") if sim else None
-        if timeline is None:
-            raise UsageError("report has no timeline section")
-        rows.append(["task_id", "operation", "resource", "start_s", "end_s"])
-        for e in timeline:
-            rows.append([e["task_id"], e["operation"], e["resource"],
-                         e["start_s"], e["end_s"]])
+        timeline = _plot_source(report, "timeline", args.section)["timeline"]
+        check_type("report 'timeline'", timeline, (list,))
+        rows.append(list(_TIMELINE_ENTRY))
+        for i, e in enumerate(timeline):
+            check_fields(f"report 'timeline' entry {i}", e, _TIMELINE_ENTRY,
+                         required=_TIMELINE_ENTRY)
+            rows.append([e[k] for k in _TIMELINE_ENTRY])
     elif args.kind == "loss":
-        curve = report.get("loss_curve")
-        if curve is None:
-            raise UsageError("report has no loss_curve section")
+        curve = _plot_source(report, "loss_curve", None)["loss_curve"]
+        _check_numbers("report 'loss_curve'", curve, list)
         rows.append(["iteration", "loss"])
         rows += [[i, v] for i, v in enumerate(curve)]
     elif args.kind == "utilization":
-        util = report.get("utilization")
-        busy = report.get("busy_s", {})
-        if util is None:
-            sim = report.get("simulation", {}).get(args.section)
-            if sim:
-                util, busy = sim.get("utilization"), sim.get("busy_s", {})
-        if util is None:
-            raise UsageError("report has no utilization section")
+        source = _plot_source(report, "utilization", args.section)
+        util, busy = source["utilization"], source.get("busy_s", {})
+        _check_numbers("report 'utilization'", util, dict)
+        _check_numbers("report 'busy_s'", busy, dict)
         rows.append(["resource", "busy_s", "utilization"])
         rows += [[r, busy.get(r, 0.0), u] for r, u in sorted(util.items())]
     else:
@@ -602,7 +617,6 @@ def build_parser() -> _Parser:
     p.add_argument("--update-mode", choices=["none", "sync"], default="none")
     p.add_argument("--optimizer-tier", choices=["ssd", "cpu"], default="ssd")
     p.add_argument("--out")
-    p.add_argument("--timeline")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("lockfree", help="toy trainer with the lock-free protocol")

@@ -22,17 +22,13 @@ parameters without touching gradients that arrived mid-update. Publishes
 are torn-read-free: each publish installs a brand-new immutable
 (version, array) record behind a single reference swap.
 
-Runs execute either on a deterministic virtual clock (actors are
-coroutines driven by a discrete-event loop) or on real threads with real
-sleeps for concurrency stress.
+Runs execute on a deterministic virtual clock: the actors are coroutines
+driven by a discrete-event loop.
 """
 from __future__ import annotations
 
 import heapq
 import math
-import queue as queue_mod
-import threading
-import time
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields
 
@@ -107,7 +103,7 @@ class ToyTrainConfig:
 
 @dataclass(frozen=True)
 class DelayModel:
-    """Simulated transfer/compute costs, charged on a virtual or wall clock."""
+    """Simulated transfer/compute costs, charged on the virtual clock."""
 
     pcie_bytes_per_s: float = _A100_LINKS["pcie_h2d"]["bandwidth_bytes_per_s"]
     # None: master states live in CPU RAM
@@ -423,7 +419,7 @@ def validation_loss(buffer: ParamBuffer, readout, x_val, y_val) -> float:
     return loss
 
 
-# -- actor runtimes -------------------------------------------------------------
+# -- actor runtime --------------------------------------------------------------
 
 
 class _Mailbox:
@@ -504,58 +500,6 @@ class VirtualRuntime:
             stuck = [i for i, f in enumerate(finished) if not f]
             raise ProtocolError(f"deadlock: actors {stuck} never finished")
         return max(self.clocks)
-
-
-class _ThreadMailbox:
-    def __init__(self):
-        self.queue: queue_mod.Queue = queue_mod.Queue()
-
-
-class ThreadRuntime:
-    """Drives the same coroutine actors on real threads with real sleeps."""
-
-    def __init__(self, time_scale: float = 1.0, watchdog_s: float = 60.0):
-        self.time_scale = time_scale
-        self.watchdog_s = watchdog_s
-        self._failure: list[BaseException] = []
-
-    def mailbox(self) -> _ThreadMailbox:
-        return _ThreadMailbox()
-
-    def _drive(self, gen):
-        try:
-            value = None
-            while True:
-                try:
-                    effect = gen.send(value)
-                except StopIteration:
-                    return
-                value = None
-                if effect[0] == "sleep":
-                    if effect[1] > 0:
-                        time.sleep(effect[1] * self.time_scale)
-                elif effect[0] == "send":
-                    effect[1].queue.put(effect[2])
-                elif effect[0] == "recv":
-                    value = effect[1].queue.get(timeout=self.watchdog_s)
-                else:
-                    raise ProtocolError(f"unknown actor effect {effect[0]!r}")
-        except BaseException as exc:  # surfaced to the caller after join
-            self._failure.append(exc)
-
-    def run(self, actors) -> float:
-        start = time.monotonic()
-        threads = [threading.Thread(target=self._drive, args=(g,), daemon=True)
-                   for g in actors]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=self.watchdog_s)
-            if t.is_alive():
-                raise ProtocolError("watchdog: actor thread did not finish")
-        if self._failure:
-            raise ProtocolError(f"actor failed: {self._failure[0]!r}") from self._failure[0]
-        return time.monotonic() - start
 
 
 # -- actors ---------------------------------------------------------------------
@@ -741,10 +685,9 @@ def _make_report(mode, cfg, iterations, rec, buffer, readout, val, makespan) -> 
     )
 
 
-def run_lockfree(toy_cfg: ToyTrainConfig, delays: DelayModel, iterations: int,
-                 mode: str = "virtual", max_inflight: int | None = None,
-                 time_scale: float = 1.0) -> TrainReport:
-    """Train with the three concurrent actors; deterministic in virtual mode."""
+def run_lockfree(toy_cfg: ToyTrainConfig, delays: DelayModel, iterations: int, *,
+                 max_inflight: int | None = None) -> TrainReport:
+    """Train with the three concurrent actors on the virtual clock."""
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
     if max_inflight is not None and max_inflight < 1:
@@ -754,7 +697,7 @@ def run_lockfree(toy_cfg: ToyTrainConfig, delays: DelayModel, iterations: int,
     masters = MasterState(student)
     rec = _RunRecorder()
 
-    runtime = VirtualRuntime() if mode == "virtual" else ThreadRuntime(time_scale)
+    runtime = VirtualRuntime()
     boxes = {"buf": runtime.mailbox(), "upd": runtime.mailbox(), "gpu": runtime.mailbox()}
     actors = [
         _gpu_actor(toy_cfg, delays, buffer, readout, teacher, boxes, iterations,
@@ -799,20 +742,3 @@ def run_sync(toy_cfg: ToyTrainConfig, delays: DelayModel, iterations: int) -> Tr
             if snapshot is not None:
                 run(_update_layer(cfg, delays, buffer, masters, layer, snapshot, rec, None))
     return _make_report("sync", cfg, iterations, rec, buffer, readout, val, clock)
-
-
-def reference_train(toy_cfg: ToyTrainConfig, iterations: int) -> list[float]:
-    """Single-threaded reference trainer: same math, no buffers or actors."""
-    cfg = toy_cfg
-    teacher, student, readout, _ = init_problem(cfg)
-    masters = MasterState(student)
-    losses = []
-    for it in range(iterations):
-        x, y = batch_for(cfg, teacher, readout, it)
-        params = [p.astype(np.float16).astype(np.float32) for p in masters.p32]
-        loss, grads = forward_backward(params, readout, x, y)
-        losses.append(loss)
-        for l in reversed(range(cfg.num_layers)):
-            g16 = grads[l].astype(np.float16)
-            masters.update_layer(l, g16.astype(np.float32), cfg.hyper)
-    return losses

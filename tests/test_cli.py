@@ -202,13 +202,15 @@ class TestSimulateCmd:
         out = tmp_path / "report.json"
         tl = tmp_path / "timeline.csv"
         assert run(["simulate", "--schedule", str(sched), "--traces", str(traces),
-                    "--profile", "preset:a100-server", "--out", str(out),
-                    "--timeline", str(tl)]) == EXIT_OK
+                    "--profile", "preset:a100-server", "--out", str(out)]) == EXIT_OK
         report = json.loads(out.read_text())
         assert report["makespan_s"] > 0
         assert 0.0 <= report["gpu_idle_fraction"] <= 1.0
-        header = tl.read_text().splitlines()[0]
-        assert header == "task_id,operation,resource,start_s,end_s"
+        assert run(["plot", "--report", str(out), "--kind", "timeline",
+                    "--out", str(tl)]) == EXIT_OK
+        lines = tl.read_text().splitlines()
+        assert lines[0] == "task_id,operation,resource,start_s,end_s"
+        assert len(lines) == 1 + len(report["timeline"])
 
     @pytest.mark.parametrize("field,value,compute", [
         ("operation", "bogus", False),
@@ -565,6 +567,27 @@ class TestPlotCmd:
     def test_missing_section_usage_error(self, tmp_path):
         bogus = write(tmp_path, "r.json", {"schema_version": "1"})
         assert run(["plot", "--report", bogus, "--kind", "loss"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("report,kind,field", [
+        ({"timeline": [{}]}, "timeline", "report 'timeline' entry 0 lacks"),
+        ({"timeline": 5}, "timeline", "report 'timeline' has type int"),
+        ({"loss_curve": 5}, "loss", "report 'loss_curve' has type int"),
+        ({"utilization": [1]}, "utilization", "report 'utilization' has type list"),
+        ({"simulation": 3}, "timeline", "report 'simulation' has type int"),
+        ({"simulation": 3}, "utilization", "report 'simulation' has type int"),
+        ({"simulation": {"phase2": 7}}, "timeline", "report 'simulation' 'phase2'"),
+        ({"simulation": {"phase2": 7}}, "utilization", "report 'simulation' 'phase2'"),
+        ([], "timeline", "report has type list"),
+        ([], "loss", "report has type list"),
+        ([], "utilization", "report has type list"),
+    ], ids=["timeline_entry_empty", "timeline_int", "loss_curve_int", "utilization_list",
+            "simulation_int-timeline", "simulation_int-utilization",
+            "section_int-timeline", "section_int-utilization",
+            "top_list-timeline", "top_list-loss", "top_list-utilization"])
+    def test_malformed_report_usage_error(self, tmp_path, capsys, report, kind, field):
+        bogus = write(tmp_path, "r.json", report)
+        assert run(["plot", "--report", bogus, "--kind", kind]) == EXIT_USAGE
+        assert field in capsys.readouterr().err
 
     def test_unknown_kind_usage_error(self, tmp_path):
         bogus = write(tmp_path, "r.json", {})

@@ -174,12 +174,10 @@ def test_nan_in_report_is_internal_error_and_writes_nothing(tmp_path, monkeypatc
         return dataclasses.replace(report, timeline=(first, *report.timeline[1:]))
 
     monkeypatch.setattr(cli, "simulate", nan_start)
-    out, timeline = tmp_path / "report.json", tmp_path / "timeline.csv"
-    argv = ["simulate", "--schedule", str(sched), "--traces", str(traces), "--out", str(out),
-            "--timeline", str(timeline)]
+    out = tmp_path / "report.json"
+    argv = ["simulate", "--schedule", str(sched), "--traces", str(traces), "--out", str(out)]
     assert main(argv) == EXIT_INTERNAL
     assert not out.exists()
-    assert not timeline.exists()
     out.write_text("previous\n")
     assert main(argv) == EXIT_INTERNAL
     assert out.read_text() == "previous\n"

@@ -67,13 +67,15 @@ def test_perfbench_targets_resolve(monkeypatch):
     assert missing == []
 
 
-@pytest.mark.parametrize("trace", ["0", "1"])
-def test_perfbench_alloc_tiny(trace):
+@pytest.mark.parametrize("workload,trace", [(w, t) for w in ("alloc-256g", "toy-train")
+                                             for t in ("0", "1")])
+def test_perfbench_workload_tiny(workload, trace):
     """The allocator workload reads allocated_pages(), num_pages and
-    free_page_count, so API drift in pagemem fails here, not first in a
-    benchmark run."""
+    free_page_count, and toy-train is the one workload that runs the
+    lock-free trainer, so API drift in pagemem or lockfree fails here, not
+    first in a benchmark run."""
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),
-                           "--workload", "alloc-256g", "--tiny", "--seconds", "0.2",
+                           "--workload", workload, "--tiny", "--seconds", "0.2",
                            "--trace", trace],
                           capture_output=True, text=True, timeout=120, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
