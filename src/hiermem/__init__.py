@@ -64,7 +64,6 @@ from .simengine import (
     simulate,
 )
 from .tracer import (
-    LogicalTimeline,
     TensorTrace,
     TimingModel,
     build_trace,

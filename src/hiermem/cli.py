@@ -29,7 +29,7 @@ from .errors import (REAL, AllocationError, ConfigError, InfeasibleScheduleError
                      check_fields, check_type)
 from .scheduler import LayerModel, Schedule, ShardingModel, peak_memory, schedule
 from .simengine import compare, simulate
-from .tracer import LogicalTimeline, TensorTrace, TimingModel, build_trace, validate_trace
+from .tracer import TensorTrace, TimingModel, build_trace, validate_trace
 
 SCHEMA_VERSION = "1"
 
@@ -345,7 +345,7 @@ def _traces_from_file(path: str, num_layers: int) -> list[TensorTrace]:
     """Traces read from a file, checked against an n-layer timeline."""
     try:
         traces = [TensorTrace(**t) for t in _load_json(path)]
-        violations = validate_trace(traces, LogicalTimeline.build(num_layers))
+        violations = validate_trace(traces, num_layers)
     except TypeError as exc:  # not a list of objects with the trace fields
         raise UsageError(f"bad trace in {path}: {exc}") from None
     if violations:
@@ -484,14 +484,13 @@ def run_pipeline(config: dict) -> dict:
 
 def cmd_pipeline(args) -> int:
     if args.preset:
-        config = {"model": f"preset:{args.preset}",
-                  "gpu_budget_bytes": args.gpu_budget or 16 * fp.GIB}
+        config = {"model": f"preset:{args.preset}", "gpu_budget_bytes": 16 * fp.GIB}
     elif args.config:
         config = _load_json(args.config)
-        if args.gpu_budget and isinstance(config, dict):  # run_pipeline rejects the rest
-            config = {**config, "gpu_budget_bytes": args.gpu_budget}
     else:
         raise UsageError("provide --config FILE or --preset NAME")
+    if args.gpu_budget is not None and isinstance(config, dict):  # run_pipeline rejects the rest
+        config = {**config, "gpu_budget_bytes": args.gpu_budget}
     report = run_pipeline(config)
     _dump_json(report, args.out)
     return EXIT_OK

@@ -272,21 +272,11 @@ class ParamBuffer:
         self._pending_msgs[layer] = 0
         return g, count, newest
 
-    def publish(self, layer: int, p32: np.ndarray, applied_iter: int | None = None,
-                clear: bool = True) -> int:
-        """Install fresh FP16 params; with ``clear`` also zero the gradient buffer.
-
-        The actor loop publishes with ``clear=False`` because the clear
-        already happened atomically inside :meth:`take`; clearing here again
-        would drop gradients that arrived during the master update.
+    def publish(self, layer: int, p32: np.ndarray, applied_iter: int | None = None) -> int:
+        """Install fresh FP16 params. The gradient buffer is left alone: its
+        clear happens atomically inside :meth:`take`, and gradients that
+        arrived during the master update must survive the publish.
         """
-        if clear:
-            self.ledger.record_take(
-                layer, float(np.sum(self.g16[layer], dtype=np.float64)),
-                self._pending_msgs[layer],
-            )
-            self.g16[layer] = np.zeros_like(self.g16[layer])
-            self._pending_msgs[layer] = 0
         old_version, _, old_iter = self._published[layer]
         rec = _published(
             p32, old_version + 1, old_iter if applied_iter is None else applied_iter
@@ -297,7 +287,8 @@ class ParamBuffer:
 
 def publish_params(buffer: ParamBuffer, layer: int, p32: np.ndarray) -> None:
     """Clear buffered gradients, then publish FP16 params (version += 1)."""
-    buffer.publish(layer, p32, clear=True)
+    buffer.take(layer)
+    buffer.publish(layer, p32)
 
 
 class ConservationLedger:
@@ -590,7 +581,7 @@ def _buffering_actor(buffer, boxes):
             yield ("send", boxes["upd"], ("taken", msg[1], buffer.take(msg[1])))
         elif kind == "publish":
             _, layer, p32, newest_iter = msg
-            buffer.publish(layer, p32, applied_iter=newest_iter, clear=False)
+            buffer.publish(layer, p32, applied_iter=newest_iter)
             if sync_waiter is not None and buffer.min_applied_iter() >= sync_waiter:
                 sync_waiter = None
                 yield ("send", boxes["gpu"], ("proceed",))
@@ -732,7 +723,7 @@ def run_sync(toy_cfg: ToyTrainConfig, delays: DelayModel, iterations: int) -> Tr
                 buffer.accumulate(effect[2][1])
             else:
                 _, layer, p32, newest_iter = effect[2]
-                buffer.publish(layer, p32, applied_iter=newest_iter, clear=False)
+                buffer.publish(layer, p32, applied_iter=newest_iter)
 
     for it in range(iterations):
         run(_gpu_iteration(cfg, delays, buffer, readout, teacher, it, rec, None))

@@ -43,7 +43,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .errors import ConfigError, InfeasibleScheduleError, check_fields
+from .errors import ConfigError, InfeasibleScheduleError, check_fields, check_range
 from .footprint import TensorSpec
 from .pagemem import PAGE_BYTES_DEFAULT, check_page_bytes
 from .tracer import TensorTrace, backward_id
@@ -547,6 +547,7 @@ def advance_gathers(schedule: Schedule, traces: list[TensorTrace]) -> Schedule:
 def schedule(model_layers: LayerModel, traces: list[TensorTrace], gpu_budget: int,
              sharding: ShardingModel | None = None, phase1_only: bool = False) -> Schedule:
     """Emit the page-level task schedule for one rank under a GPU budget."""
+    check_range("gpu budget", gpu_budget, 0, finite=False)
     sharding = sharding or ShardingModel()
     tasks, resident = _build_phase1(model_layers, traces, gpu_budget, sharding)
     phase1 = Schedule(tuple(tasks), "phase1", gpu_budget, model_layers, sharding)

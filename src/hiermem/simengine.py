@@ -19,6 +19,10 @@ iteration. Each iteration starts on an idle system at the previous
 iteration's makespan (0 for the first): its tasks without dependencies
 arrive then. Every task runs on a resource; there are no control tasks.
 
+The template is built in one pass over the tasks in trigger order, each
+trigger's page tasks in schedule order before its compute; one table gives
+every page operation its resource and duration.
+
 The event loop is single-threaded and deterministic; causality within
 every iteration and resource exclusivity across the whole timeline are
 re-checked after every run.
@@ -217,11 +221,16 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
 
     slot_dur = _slot_durations(schedule, traces)
     update_cpu = _layer_update_cpu_s(schedule, traces)
-    h2d_bw = profile.pcie_effective_bw("pcie_h2d")
-    d2h_bw = profile.pcie_effective_bw("pcie_d2h")
-    h2d_lat = profile.links["pcie_h2d"].latency_s
-    d2h_lat = profile.links["pcie_d2h"].latency_s
-    gather_frac = (world - 1) / world
+    link = profile.links["gpu_interconnect"]
+    # operation -> (task id prefix, resource, duration) of one page task
+    page_ops = {
+        "move_to_gpu": ("move", "pcie_h2d", profile.links["pcie_h2d"].latency_s +
+                        page_bytes / profile.pcie_effective_bw("pcie_h2d")),
+        "all_gather": ("gather", "gpu_interconnect", link.latency_s +
+                       page_bytes * ((world - 1) / world) / link.bandwidth_bytes_per_s),
+        "evict_to_cpu": ("evict", "pcie_d2h", profile.links["pcie_d2h"].latency_s +
+                         page_bytes / profile.pcie_effective_bw("pcie_d2h")),
+    }
 
     tasks: list[_SimTask] = []  # one iteration, replayed per iteration
 
@@ -229,63 +238,40 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
         tasks.append(_SimTask(len(tasks), task_id, operation, resource, duration, deps))
         return tasks[-1].uid
 
-    compute_tasks = {}
-    for t in schedule.tasks:
-        if t.operation == "compute":
-            if t.trigger_id in compute_tasks:
-                raise SimulationError(f"two compute tasks share trigger {t.trigger_id}")
-            compute_tasks[t.trigger_id] = t
-    by_trigger: dict[int, list] = {}
-    for t in schedule.tasks:
-        if t.operation != "compute":
-            by_trigger.setdefault(t.trigger_id, []).append(t)
-    max_trigger = max((t.trigger_id for t in schedule.tasks), default=0)
-
     prev_comp: int | None = None  # latest compute instantiated so far
     compute_uid: dict[int, int] = {}
-    moves_done: dict[int, list[tuple[int, int]]] = {}  # page -> [(trigger, uid)]
+    last_move: dict[int, int] = {}  # page -> uid of its latest move so far
     gather_uids_by_slot: dict[int, list[int]] = {}
     evict_uids_by_layer: dict[int, list[int]] = {}
 
-    for slot in range(max_trigger + 1):
-        # trigger t tasks become eligible when slot t is reached, i.e. at the
-        # finish of the latest compute before slot t (or at the iteration start)
+    # Trigger order, each trigger's page tasks in schedule order before its
+    # compute. Trigger t tasks become eligible when slot t is reached, i.e.
+    # at the finish of the latest compute before slot t (or iteration start).
+    for t in sorted(schedule.tasks, key=lambda t: (t.trigger_id, t.operation == "compute")):
         elig = [] if prev_comp is None else [prev_comp]
-        for t in by_trigger.get(slot, []):
-            if t.operation == "move_to_gpu":
-                dur = h2d_lat + page_bytes / h2d_bw
-                uid = add(f"move.p{t.target}@{t.trigger_id}", "move_to_gpu", "pcie_h2d",
-                          dur, elig)
-                moves_done.setdefault(t.target, []).append((t.trigger_id, uid))
-            elif t.operation == "all_gather":
-                dur = profile.links["gpu_interconnect"].latency_s + \
-                    page_bytes * gather_frac / profile.links["gpu_interconnect"].bandwidth_bytes_per_s
-                deps = elig
-                if t.owned:
-                    cands = [u for (trig, u) in moves_done.get(t.target, [])
-                             if trig <= t.trigger_id]
-                    if not cands:
-                        raise SimulationError(
-                            f"all_gather of owned page {t.target} has no earlier move"
-                        )
-                    deps = elig + [cands[-1]]
-                uid = add(f"gather.p{t.target}@{t.trigger_id}", "all_gather",
-                          "gpu_interconnect", dur, deps)
-                gather_uids_by_slot.setdefault(t.slot, []).append(uid)
-            elif t.operation == "evict_to_cpu":
-                dur = d2h_lat + page_bytes / d2h_bw
-                uid = add(f"evict.p{t.target}@{t.trigger_id}", "evict_to_cpu", "pcie_d2h",
-                          dur, elig)
-                evict_uids_by_layer.setdefault(t.layer, []).append(uid)
-            else:
-                raise SimulationError(f"unknown operation {t.operation!r}")
-
-        ct = compute_tasks.get(slot)
-        if ct is not None:
+        if t.operation == "compute":
+            slot = t.trigger_id
+            if slot in compute_uid:
+                raise SimulationError(f"two compute tasks share trigger {slot}")
             dur = slot_dur[slot] if slot < num_slots else 0.0
             deps = elig + gather_uids_by_slot.get(slot, [])
-            prev_comp = compute_uid[slot] = add(f"compute.s{slot}.l{ct.target}", "compute",
+            prev_comp = compute_uid[slot] = add(f"compute.s{slot}.l{t.target}", "compute",
                                                 "gpu", dur, deps)
+            continue
+        if t.operation not in page_ops:
+            raise SimulationError(f"unknown operation {t.operation!r}")
+        if t.operation == "all_gather" and t.owned:
+            if t.target not in last_move:
+                raise SimulationError(f"all_gather of owned page {t.target} has no earlier move")
+            elig.append(last_move[t.target])
+        prefix, resource, dur = page_ops[t.operation]
+        uid = add(f"{prefix}.p{t.target}@{t.trigger_id}", t.operation, resource, dur, elig)
+        if t.operation == "move_to_gpu":
+            last_move[t.target] = uid
+        elif t.operation == "all_gather":
+            gather_uids_by_slot.setdefault(t.slot, []).append(uid)
+        else:
+            evict_uids_by_layer.setdefault(t.layer, []).append(uid)
 
     if update_mode == "sync":
         prev_in_pipe: list[int] = []

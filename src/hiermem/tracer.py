@@ -47,44 +47,6 @@ class TensorTrace:
 
 
 @dataclass(frozen=True)
-class LogicalOp:
-    index: int
-    kind: str  # "forward" | "backward"
-    layer: int
-    gpu_time: float
-    cpu_time: float
-
-
-@dataclass(frozen=True)
-class LogicalTimeline:
-    """Forward ops l_0..l_{n-1} followed by backward ops l_{n-1}..l_0."""
-
-    num_layers: int
-    ops: tuple[LogicalOp, ...]
-
-    @property
-    def num_ops(self) -> int:
-        return 2 * self.num_layers
-
-    @classmethod
-    def build(cls, num_layers: int, traces: "list[TensorTrace] | None" = None) -> "LogicalTimeline":
-        if num_layers < 1:
-            raise ConfigError("timeline needs at least one layer")
-        gpu = [0.0] * (2 * num_layers)
-        cpu = [0.0] * (2 * num_layers)
-        for tr in traces or []:
-            gpu[tr.first_id] += tr.gpu_time
-            cpu[tr.first_id] += tr.cpu_time
-        ops = []
-        for i in range(num_layers):
-            ops.append(LogicalOp(i, "forward", i, gpu[i], cpu[i]))
-        for i in reversed(range(num_layers)):
-            idx = backward_id(i, num_layers)
-            ops.append(LogicalOp(idx, "backward", i, gpu[idx], cpu[idx]))
-        return cls(num_layers, tuple(ops))
-
-
-@dataclass(frozen=True)
 class TimingModel:
     """Per-tensor production-time estimates.
 
@@ -187,9 +149,10 @@ def build_trace(
     return traces
 
 
-def validate_trace(traces: list[TensorTrace], timeline: LogicalTimeline) -> list[str]:
-    """Empty list iff ids are unique integers, every trace fits the timeline
-    and every production time is finite and >= 0."""
+def validate_trace(traces: list[TensorTrace], num_layers: int) -> list[str]:
+    """Empty list iff ids are unique integers, every trace fits the 2n ops of
+    an n-layer iteration and every production time is finite and >= 0."""
+    num_ops = 2 * num_layers
     violations: list[str] = []
     seen: set[int] = set()
     for tr in traces:
@@ -205,10 +168,10 @@ def validate_trace(traces: list[TensorTrace], timeline: LogicalTimeline) -> list
             violations.append(
                 f"tensor {tr.tensor_id}: first_id {tr.first_id} > end_id {tr.end_id}"
             )
-        if tr.first_id < 0 or tr.end_id >= timeline.num_ops:
+        if tr.first_id < 0 or tr.end_id >= num_ops:
             violations.append(
                 f"tensor {tr.tensor_id}: lifetime [{tr.first_id}, {tr.end_id}] outside "
-                f"[0, {timeline.num_ops})"
+                f"[0, {num_ops})"
             )
         if not all(0 <= t < math.inf for t in (tr.cpu_time, tr.gpu_time)):
             violations.append(f"tensor {tr.tensor_id}: production time negative or not finite")

@@ -190,6 +190,11 @@ class TestScheduleCmd:
         assert run(["schedule", "--config", cfg, "--gpu-budget", "1024"]) \
             == EXIT_INFEASIBLE
 
+    def test_negative_budget_is_usage_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg.json", TINY)
+        assert run(["schedule", "--config", cfg, "--gpu-budget", "-5"]) == EXIT_USAGE
+        assert "gpu budget must be >= 0, not -5" in capsys.readouterr().err
+
 
 class TestSimulateCmd:
     def test_simulate_and_timeline(self, tmp_path):
@@ -457,6 +462,25 @@ class TestPipelineCmd:
                                               "iteration": 4})
         assert run(["pipeline", "--config", config]) == EXIT_USAGE
         assert "iteration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["preset", "config"])
+    def test_zero_gpu_budget_is_honoured(self, tmp_path, capsys, source):
+        argv = ["--preset", "tiny-2layer"] if source == "preset" else \
+            ["--config", write(tmp_path, "exp.json", {"model": "preset:tiny-2layer",
+                                                      "gpu_budget_bytes": 2**30})]
+        out = tmp_path / "report.json"
+        assert run(["pipeline", *argv, "--gpu-budget", "0", "--out", str(out)]) \
+            == EXIT_INFEASIBLE
+        assert "only 0 available" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_budget_is_usage_error(self, tmp_path, capsys, source):
+        argv = ["--preset", "tiny-2layer", "--gpu-budget", "-1"] if source == "flag" else \
+            ["--config", write(tmp_path, "exp.json", {"model": "preset:tiny-2layer",
+                                                      "gpu_budget_bytes": -1})]
+        assert run(["pipeline", *argv]) == EXIT_USAGE
+        assert "gpu budget must be >= 0, not -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("budget", [[], ["--gpu-budget", str(2**30)]])
     def test_config_not_object_is_usage_error(self, tmp_path, capsys, budget):

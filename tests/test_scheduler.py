@@ -127,6 +127,13 @@ class TestWorkedExamples:
             schedule(model, traces, 3 * PAGE, sharding)
         assert err.value.layer == 1
 
+    @pytest.mark.parametrize("budget", [-1, float("nan")])
+    def test_budget_below_zero_is_config_error(self, budget):
+        model, traces, sharding = make_instance([1, 1])
+        for phase1_only in (True, False):
+            with pytest.raises(ConfigError, match="gpu budget must be >= 0"):
+                schedule(model, traces, budget, sharding, phase1_only=phase1_only)
+
 
 class TestAvailableMemory:
     def test_empty_schedule_full_budget(self):

@@ -67,13 +67,16 @@ def test_perfbench_targets_resolve(monkeypatch):
     assert missing == []
 
 
-@pytest.mark.parametrize("workload,trace", [(w, t) for w in ("alloc-256g", "toy-train")
+@pytest.mark.parametrize("workload,trace", [(w, t) for w in ("paper-175b-l6", "sim-1.7b-48it",
+                                                              "alloc-256g", "toy-train")
                                              for t in ("0", "1")])
 def test_perfbench_workload_tiny(workload, trace):
-    """The allocator workload reads allocated_pages(), num_pages and
-    free_page_count, and toy-train is the one workload that runs the
-    lock-free trainer, so API drift in pagemem or lockfree fails here, not
-    first in a benchmark run."""
+    """Every benchmark workload runs clean at tiny size, so drift fails here,
+    not first in a benchmark run. Traced runs of the two pipeline workloads
+    check both schedule phases against the report (check_traced), so drift
+    in simulate or schedule fails; the allocator workload reads
+    allocated_pages(), num_pages and free_page_count; toy-train is the one
+    workload that runs the lock-free trainer."""
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),
                            "--workload", workload, "--tiny", "--seconds", "0.2",
                            "--trace", trace],

@@ -1,4 +1,5 @@
 """Discrete-event replay: transfer arithmetic, causality, overlap, update gating."""
+import dataclasses
 import random
 
 import pytest
@@ -286,14 +287,21 @@ def sim_cases(draw):
 
 class TestMatchesReference:
     """One iteration template replayed per iteration reports exactly what
-    the N-copy DAG with gate tasks did."""
+    the N-copy DAG with gate tasks did, whatever order the trigger groups
+    come in."""
 
     @settings(max_examples=150, deadline=None)
-    @given(sim_cases())
-    def test_random_schedules(self, case):
+    @given(sim_cases(), st.data())
+    def test_random_schedules(self, case, data):
         sched, traces, prof, kwargs = case
-        assert simulate(sched, traces, prof, **kwargs).to_dict() == \
-            reference_simulate(sched, traces, prof, **kwargs).to_dict()
+        expected = reference_simulate(sched, traces, prof, **kwargs).to_dict()
+        assert simulate(sched, traces, prof, **kwargs).to_dict() == expected
+        groups: dict[int, list[Task]] = {}
+        for t in sched.tasks:
+            groups.setdefault(t.trigger_id, []).append(t)
+        order = data.draw(st.permutations(sorted(groups)), label="trigger order")
+        shuffled = dataclasses.replace(sched, tasks=tuple(t for g in order for t in groups[g]))
+        assert simulate(shuffled, traces, prof, **kwargs).to_dict() == expected
 
     def test_gpt3_1_7b_evicting(self):
         cfg = model_preset("gpt3-1.7b")

@@ -4,7 +4,6 @@ import pytest
 from hiermem.errors import ConfigError
 from hiermem.footprint import TransformerConfig, tensor_inventory
 from hiermem.tracer import (
-    LogicalTimeline,
     TimingModel,
     backward_id,
     build_trace,
@@ -121,39 +120,19 @@ class TestValidateTrace:
     def test_valid_traces_pass(self):
         inv = make(layers=3)
         traces = build_trace(inv)
-        timeline = LogicalTimeline.build(3, traces)
-        assert validate_trace(traces, timeline) == []
+        assert validate_trace(traces, 3) == []
 
     def test_reversed_interval_flagged(self):
         from hiermem.tracer import TensorTrace
-        timeline = LogicalTimeline.build(2)
         bad = [TensorTrace(0, 3, 1, 0.0, 0.0)]
-        violations = validate_trace(bad, timeline)
+        violations = validate_trace(bad, 2)
         assert len(violations) == 1 and "tensor 0" in violations[0]
 
     def test_duplicate_id_flagged(self):
         from hiermem.tracer import TensorTrace
-        timeline = LogicalTimeline.build(2)
         bad = [TensorTrace(0, 0, 1, 0.0, 0.0), TensorTrace(0, 0, 1, 0.0, 0.0)]
-        assert any("duplicate" in v for v in validate_trace(bad, timeline))
+        assert any("duplicate" in v for v in validate_trace(bad, 2))
 
     def test_out_of_range_flagged(self):
         from hiermem.tracer import TensorTrace
-        timeline = LogicalTimeline.build(1)
-        assert validate_trace([TensorTrace(0, 0, 2, 0.0, 0.0)], timeline)
-
-
-class TestTimeline:
-    def test_structure(self):
-        tl = LogicalTimeline.build(3)
-        assert tl.num_ops == 6
-        assert [op.kind for op in tl.ops] == ["forward"] * 3 + ["backward"] * 3
-        assert [op.layer for op in tl.ops] == [0, 1, 2, 2, 1, 0]
-
-    def test_op_times_aggregate_traces(self):
-        inv = make(layers=2)
-        traces = build_trace(inv, TimingModel(gpu_sec_per_byte=1e-9))
-        tl = LogicalTimeline.build(2, traces)
-        expected_f0 = sum(t.gpu_time for t in traces if t.first_id == 0)
-        assert tl.ops[0].gpu_time == pytest.approx(expected_f0)
-
+        assert validate_trace([TensorTrace(0, 0, 2, 0.0, 0.0)], 1)
