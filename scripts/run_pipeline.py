@@ -2,8 +2,9 @@
 """Run the full pipeline on a preset model and print the headline numbers."""
 import argparse
 
-from hiermem.cli import _dump_json, run_pipeline
 from hiermem.footprint import GIB
+from hiermem.jsonio import write_json
+from hiermem.pipeline import run_pipeline
 
 
 def main():
@@ -41,7 +42,7 @@ def main():
     print(f"phase1 -> phase2 speedup: "
           f"{report['simulation']['phase1_vs_phase2']['speedup']:.3f}x")
     if args.out:  # the bytes `hiermem pipeline --out` writes for this config
-        _dump_json(report, args.out)
+        write_json(report, args.out)
         print(f"report written to {args.out}")
 
 

@@ -46,6 +46,7 @@ from .pagemem import (
     tensor_allocate,
     tensor_release,
 )
+from .pipeline import run_pipeline
 from .scheduler import (
     LayerModel,
     Schedule,

@@ -1,25 +1,19 @@
-"""Unified command-line front end composing the modules into experiments.
+"""The command-line front end: it parses arguments, calls the library,
+writes outputs (through ``jsonio``) and maps errors to exit codes.
 
 Subcommands: footprint, pagemem-demo, trace, schedule, simulate, lockfree,
 pipeline, plot. Configs and reports are JSON (reports carry a
 schema_version). ``plot`` turns a report into CSV: the timeline of a
 simulate or pipeline report, a lockfree report's loss curve, or resource
-utilization. Exit codes: 0 ok, 1 usage, 2 infeasible schedule, 3 internal
-error.
+utilization. ``--out`` absent or "-" is stdout. Exit codes: 0 ok, 1 usage
+(bad arguments, inputs or outputs), 2 infeasible schedule, 3 internal error.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import dataclasses
-import json
-import math
-import re
 import sys
-from json.encoder import encode_basestring_ascii
-from operator import itemgetter
-from pathlib import Path
-from typing import Callable
 
 from . import footprint as fp
 from . import lockfree as lf
@@ -27,11 +21,11 @@ from . import pagemem as pm
 from . import presets
 from .errors import (REAL, AllocationError, ConfigError, InfeasibleScheduleError, MoveError,
                      check_fields, check_type)
+from .jsonio import SCHEMA_VERSION, load_json, open_output, write_json
+from .pipeline import run_pipeline
 from .scheduler import LayerModel, Schedule, ShardingModel, peak_memory, schedule
-from .simengine import compare, simulate
+from .simengine import simulate
 from .tracer import TensorTrace, TimingModel, build_trace, validate_trace
-
-SCHEMA_VERSION = "1"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,165 +33,21 @@ EXIT_INFEASIBLE = 2
 EXIT_INTERNAL = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
-        raise UsageError(message)
-
-
-def _load_json(path: str):
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"no such file: {path}")
-    try:
-        return json.loads(p.read_bytes())
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise UsageError(f"bad JSON in {path}: {exc}") from None
-
-
-_JSON_OPTS = {"indent": 2, "sort_keys": True, "allow_nan": False}
-
-# How json encodes each scalar type a rows-path value may have. Exact types
-# only: a subclass (an IntEnum, say) keeps its list on the json.dumps path.
-_SCALAR_JSON = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: float.__repr__,
-    bool: {False: "false", True: "true"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
-
-def _scalar_json(value) -> str:
-    return _SCALAR_JSON[type(value)](value)
-
-
-# A rows list in the skeleton that json.dumps encodes; the index names the list.
-_ROWS_MARKER = "\x00hiermem-rows-%d\x00"
-_ROWS_MARKER_JSON = re.compile(r'"\\u0000hiermem-rows-(\d+)\\u0000"')
-
-
-def _row_columns(rows) -> tuple[list[str], list[tuple[list, Callable]]] | None:
-    """(sorted keys, (values, their encoder) per key) when ``rows`` is a
-    non-empty list of dicts that share one non-empty set of str keys and hold
-    only finite scalars, else None."""
-    first = rows[0] if type(rows) is list and rows else None
-    if type(first) is not dict or not first or \
-            not all(type(k) is str for k in first):
-        return None
-    keys = sorted(first)
-    if set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(keys)}:
-        return None
-    columns = []
-    for key in keys:
-        try:
-            values = list(map(itemgetter(key), rows))
-        except KeyError:  # a row with as many keys but other ones
-            return None
-        types = set(map(type, values))
-        if not types <= _SCALAR_JSON.keys():
-            return None
-        if float in types:
-            floats = values if len(types) == 1 else [v for v in values if type(v) is float]
-            if not all(map(math.isfinite, floats)):  # json.dumps raises for it
-                return None
-        columns.append((values, _SCALAR_JSON[types.pop()] if len(types) == 1 else _scalar_json))
-    return keys, columns
-
-
-def _swap_rows(obj, found: list):
-    """``obj`` with each rows list (see ``_row_columns``) replaced by its
-    marker string and recorded in ``found``; containers that hold none are
-    returned as they are."""
-    if type(obj) is dict:
-        items = obj.items()
-    elif type(obj) is list or type(obj) is tuple:
-        rows = _row_columns(obj)
-        if rows is not None:
-            found.append(rows)
-            return _ROWS_MARKER % (len(found) - 1)
-        items = enumerate(obj)
-    else:
-        return obj
-    swapped = None
-    for key, value in items:
-        new = _swap_rows(value, found)
-        if new is not value:
-            if swapped is None:
-                swapped = dict(obj) if type(obj) is dict else list(obj)
-            swapped[key] = new
-    return obj if swapped is None else swapped
-
-
-def _rows_json(rows, indent: int) -> str:
-    """A rows list as json.dumps formats it with its opening line at ``indent``."""
-    keys, columns = rows
-    pad = " " * (indent + 2)
-    template = pad + "{\n" + ",\n".join(
-        pad + "  " + encode_basestring_ascii(k).replace("%", "%%") + ": %s"
-        for k in keys) + "\n" + pad + "}"
-    encoded = [map(encode, values) for values, encode in columns]
-    return "[\n" + ",\n".join(map(template.__mod__, zip(*encoded))) + "\n" + \
-        " " * indent + "]"
-
-
-def _json_pieces(data) -> list[str]:
-    """The text of ``json.dumps(data, **_JSON_OPTS)`` as pieces to join."""
-    found: list = []
-    try:
-        skeleton = _swap_rows(data, found)
-    except RecursionError:  # a reference cycle or deep nesting: json.dumps decides
-        found, skeleton = [], data
-    text = json.dumps(skeleton, **_JSON_OPTS)
-    if not found:
-        return [text]
-    parts = _ROWS_MARKER_JSON.split(text)
-    if sorted(map(int, parts[1::2])) != list(range(len(found))):
-        # a string in the data holds a marker's text
-        return [json.dumps(data, **_JSON_OPTS)]
-    pieces = [parts[0]]
-    for i in range(1, len(parts), 2):
-        line = pieces[-1][pieces[-1].rfind("\n") + 1:]
-        pieces.append(_rows_json(found[int(parts[i])], len(line) - len(line.lstrip(" "))))
-        pieces.append(parts[i + 1])
-    return pieces
-
-
-def _dump_json(data, out: str | None):
-    """Write ``data`` as ``json.dumps(data, indent=2, sort_keys=True,
-    allow_nan=False)`` plus a newline, byte for byte, to ``out`` or stdout.
-
-    The pure-Python encoder that ``indent`` selects is slow on large arrays,
-    so a rows list is formatted here, one %-template per row: a non-empty
-    list of dicts that share one non-empty set of str keys and hold only
-    str, int, finite float, bool or None values (exact types). Every other
-    value, and the nesting, key order and indentation around the rows, goes
-    through json.dumps. Whatever json.dumps rejects (NaN, infinities,
-    unsupported types, cycles) raises the same exception type before ``out``
-    is opened.
-    """
-    pieces = _json_pieces(data)
-    pieces.append("\n")
-    if out:
-        with open(out, "w") as fh:
-            fh.writelines(pieces)
-    else:
-        sys.stdout.writelines(pieces)
+        raise ConfigError(message)
 
 
 def _timing_from_file(path: str | None) -> TimingModel:
-    return TimingModel.from_dict(_load_json(path)) if path else TimingModel()
+    return TimingModel.from_dict(load_json(path)) if path else TimingModel()
 
 
 def _resolve_config(args) -> fp.TransformerConfig:
     if getattr(args, "preset", None):
         return presets.model_preset(args.preset)
     if getattr(args, "config", None):
-        return presets.resolve_model(_load_json(args.config))
-    raise UsageError("provide --config FILE or --preset NAME")
+        return presets.resolve_model(load_json(args.config))
+    raise ConfigError("provide --config FILE or --preset NAME")
 
 
 # -- footprint ----------------------------------------------------------------
@@ -226,32 +76,34 @@ def cmd_footprint(args) -> int:
         "model": {k.replace("_bytes", ""): conv(v) for k, v in model.items()},
     }
     if args.format == "json":
-        _dump_json({"schema_version": SCHEMA_VERSION, "unit": args.unit,
+        write_json({"schema_version": SCHEMA_VERSION, "unit": args.unit,
                     "exact": args.exact, "num_layers": cfg.num_layers,
                     "rows": rows, "totals": totals}, args.out)
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["block", "layer", f"params_{args.unit}",
-                         f"acts_{args.unit}", f"optims_{args.unit}"])
-        for r in rows:
-            writer.writerow([r["block"], r["layer"], r["params"], r["acts"], r["optims"]])
-        writer.writerow(["total", "per_layer", totals["per_layer"]["params"],
-                         totals["per_layer"]["acts"], totals["per_layer"]["optims"]])
-        writer.writerow(["total", f"model_x{cfg.num_layers}", totals["model"]["params"],
-                         totals["model"]["acts"], totals["model"]["optims"]])
-    else:
+        return EXIT_OK
+    with open_output(args.out) as fh:
+        if args.format == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(["block", "layer", f"params_{args.unit}",
+                             f"acts_{args.unit}", f"optims_{args.unit}"])
+            for r in rows:
+                writer.writerow([r["block"], r["layer"], r["params"], r["acts"], r["optims"]])
+            writer.writerow(["total", "per_layer", totals["per_layer"]["params"],
+                             totals["per_layer"]["acts"], totals["per_layer"]["optims"]])
+            writer.writerow(["total", f"model_x{cfg.num_layers}", totals["model"]["params"],
+                             totals["model"]["acts"], totals["model"]["optims"]])
+            return EXIT_OK
         width = 24
 
         def fmt(v):
             return str(v) if isinstance(v, int) else f"{v:.6g}"
 
-        print(f"{'block':<10}{'layer':<{width}}{'params':>16}{'acts':>16}{'optims':>16}  [{args.unit}]")
+        print(f"{'block':<10}{'layer':<{width}}{'params':>16}{'acts':>16}{'optims':>16}  [{args.unit}]", file=fh)
         for r in rows:
-            print(f"{r['block']:<10}{r['layer']:<{width}}{fmt(r['params']):>16}{fmt(r['acts']):>16}{fmt(r['optims']):>16}")
+            print(f"{r['block']:<10}{r['layer']:<{width}}{fmt(r['params']):>16}{fmt(r['acts']):>16}{fmt(r['optims']):>16}", file=fh)
         t = totals["per_layer"]
-        print(f"{'total':<10}{'per layer':<{width}}{fmt(t['params']):>16}{fmt(t['acts']):>16}{fmt(t['optims']):>16}")
+        print(f"{'total':<10}{'per layer':<{width}}{fmt(t['params']):>16}{fmt(t['acts']):>16}{fmt(t['optims']):>16}", file=fh)
         t = totals["model"]
-        print(f"{'total':<10}{f'model ({cfg.num_layers} layers)':<{width}}{fmt(t['params']):>16}{fmt(t['acts']):>16}{fmt(t['optims']):>16}")
+        print(f"{'total':<10}{f'model ({cfg.num_layers} layers)':<{width}}{fmt(t['params']):>16}{fmt(t['acts']):>16}{fmt(t['optims']):>16}", file=fh)
     return EXIT_OK
 
 
@@ -275,7 +127,7 @@ def _check_demo_op(i: int, op) -> str:
     value types are those the kind takes."""
     kind = op.get("op") if isinstance(op, dict) else None
     if not isinstance(kind, str) or kind not in _DEMO_OPS:
-        raise UsageError(f"op {i}: not an object whose 'op' is one of {list(_DEMO_OPS)}")
+        raise ConfigError(f"op {i}: not an object whose 'op' is one of {list(_DEMO_OPS)}")
     fields = _DEMO_OPS[kind]
     check_fields(f"op {i} ({kind})", {k: v for k, v in op.items() if k != "op"}, fields,
                  required=fields.keys() - _DEMO_OPTIONAL)
@@ -283,14 +135,14 @@ def _check_demo_op(i: int, op) -> str:
 
 
 def cmd_pagemem_demo(args) -> int:
-    pools = check_fields("pool spec", _load_json(args.pool_spec), {"pools": (list,)},
+    pools = check_fields("pool spec", load_json(args.pool_spec), {"pools": (list,)},
                          required=["pools"])["pools"]
     for k, p in enumerate(pools):
         check_fields(f"pool spec entry {k}", p, _DEMO_POOL,
                      required=_DEMO_POOL.keys() - _DEMO_OPTIONAL)
-    ops = _load_json(args.ops)
+    ops = load_json(args.ops)
     if not isinstance(ops, list):
-        raise UsageError(f"{args.ops}: an ops script is a JSON list of ops")
+        raise ConfigError(f"{args.ops}: an ops script is a JSON list of ops")
     manager = pm.PageManager([
         (p["tier"], p["capacity_bytes"], p.get("page_bytes", pm.PAGE_BYTES_DEFAULT))
         for p in pools
@@ -301,7 +153,7 @@ def cmd_pagemem_demo(args) -> int:
         kind = _check_demo_op(i, op)
         name = op.get("name")
         if kind in ("release", "merge") and name not in name_to_id:
-            raise UsageError(f"op {i}: no live tensor named {name!r}")
+            raise ConfigError(f"op {i}: no live tensor named {name!r}")
         try:
             if kind == "allocate":
                 spec = fp.TensorSpec(name, op.get("kind", "param16"),
@@ -317,15 +169,15 @@ def cmd_pagemem_demo(args) -> int:
                 try:
                     desc = manager.page_move(op["page_id"], op["target"])
                 except KeyError as exc:  # no such page, or a free one
-                    raise UsageError(f"op {i}: {exc.args[0]}") from None
+                    raise ConfigError(exc.args[0]) from None
                 log.append({"op": "move", "page_id": op["page_id"],
                             "bytes": desc.bytes, "src": desc.src_tier.name,
                             "dst": desc.dst_tier.name, "new_page_id": desc.new_page_id})
             else:
                 log.append(manager.tensor_merge(name_to_id[name]))
         except (AllocationError, MoveError, ConfigError) as exc:
-            raise UsageError(f"op {i}: {exc}") from None
-    _dump_json({"schema_version": SCHEMA_VERSION, "log": log,
+            raise ConfigError(f"op {i}: {exc}") from None
+    write_json({"schema_version": SCHEMA_VERSION, "log": log,
                 "state": manager.state_dict()}, args.out)
     return EXIT_OK
 
@@ -337,19 +189,19 @@ def cmd_trace(args) -> int:
     inventory = fp.tensor_inventory(cfg, args.granularity)
     timing = _timing_from_file(args.timing)
     traces = build_trace(inventory, timing, recompute_policy=args.recompute)
-    _dump_json([t.__dict__ for t in traces], args.out)
+    write_json([t.__dict__ for t in traces], args.out)
     return EXIT_OK
 
 
 def _traces_from_file(path: str, num_layers: int) -> list[TensorTrace]:
     """Traces read from a file, checked against an n-layer timeline."""
     try:
-        traces = [TensorTrace(**t) for t in _load_json(path)]
+        traces = [TensorTrace(**t) for t in load_json(path)]
         violations = validate_trace(traces, num_layers)
     except TypeError as exc:  # not a list of objects with the trace fields
-        raise UsageError(f"bad trace in {path}: {exc}") from None
+        raise ConfigError(f"bad trace in {path}: {exc}") from None
     if violations:
-        raise UsageError(f"invalid traces in {path}: " + "; ".join(violations))
+        raise ConfigError(f"invalid traces in {path}: " + "; ".join(violations))
     return traces
 
 
@@ -367,23 +219,23 @@ def cmd_schedule(args) -> int:
     out = sched.to_dict()
     out["schema_version"] = SCHEMA_VERSION
     out["peak_bytes"] = peak_memory(sched, traces)
-    _dump_json(out, args.out)
+    write_json(out, args.out)
     return EXIT_OK
 
 
 # -- simulate ----------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    sched = Schedule.from_dict(_load_json(args.schedule))
+    sched = Schedule.from_dict(load_json(args.schedule))
     traces = _traces_from_file(args.traces, sched.model.num_layers)
     profile = presets.resolve_hardware(
-        args.profile if args.profile.startswith("preset:") else _load_json(args.profile)
+        args.profile if args.profile.startswith("preset:") else load_json(args.profile)
     )
     report = simulate(sched, traces, profile, iterations=args.iterations,
                       update_mode=args.update_mode, optimizer_tier=args.optimizer_tier)
     data = report.to_dict()
     data["schema_version"] = SCHEMA_VERSION
-    _dump_json(data, args.out)
+    write_json(data, args.out)
     return EXIT_OK
 
 
@@ -392,11 +244,11 @@ def cmd_simulate(args) -> int:
 def _delays_from_arg(arg: str) -> lf.DelayModel:
     if arg.startswith("preset:"):
         return lf.DelayModel.preset(arg.removeprefix("preset:"))
-    return lf.DelayModel.from_dict(_load_json(arg))
+    return lf.DelayModel.from_dict(load_json(arg))
 
 
 def cmd_lockfree(args) -> int:
-    cfg = lf.ToyTrainConfig.from_dict(_load_json(args.toy_config) if args.toy_config else {})
+    cfg = lf.ToyTrainConfig.from_dict(load_json(args.toy_config) if args.toy_config else {})
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     delays = _delays_from_arg(args.delays)
@@ -407,92 +259,23 @@ def cmd_lockfree(args) -> int:
                                  max_inflight=args.max_inflight)
     data = report.to_dict()
     data["schema_version"] = SCHEMA_VERSION
-    _dump_json(data, args.out)
+    write_json(data, args.out)
     return EXIT_OK
 
 
 # -- pipeline ----------------------------------------------------------------------
 
-# Every pipeline config key with its types, and the defaults of the optional
-# ones; a world_size of None means the hardware's num_gpus.
-_PIPELINE_TYPES = {
-    "model": (str, dict), "gpu_budget_bytes": (int,), "hardware": (str, dict),
-    "page_bytes": (int,), "recompute": (bool,), "granularity": (str,),
-    "world_size": (int, type(None)), "rank": (int,), "iterations": (int,),
-    "update_mode": (str,), "optimizer_tier": (str,), "phase": (str,), "seed": (int,),
-}
-_PIPELINE_DEFAULTS = {
-    "hardware": "preset:a100-server", "page_bytes": pm.PAGE_BYTES_DEFAULT, "recompute": False,
-    "granularity": "per_table_row", "world_size": None, "rank": 0, "iterations": 1,
-    "update_mode": "none", "optimizer_tier": "ssd", "phase": "phase2", "seed": 0,
-}
-
-
-def run_pipeline(config: dict) -> dict:
-    """footprint -> inventory -> trace -> schedule (both phases) -> simulate (both)."""
-    c = {**_PIPELINE_DEFAULTS, **check_fields("pipeline config", config, _PIPELINE_TYPES,
-                                              required=("model", "gpu_budget_bytes"))}
-    if c["phase"] not in ("phase1", "phase2"):
-        raise ConfigError(f"phase must be 'phase1' or 'phase2', not {c['phase']!r}")
-    cfg = presets.resolve_model(c["model"])
-    profile = presets.resolve_hardware(c["hardware"])
-    if c["world_size"] is None:
-        c["world_size"] = profile.num_gpus
-
-    model_fp = fp.model_footprint(cfg)
-    layer_fp = fp.layer_footprint(cfg)
-    inventory = fp.tensor_inventory(cfg, c["granularity"])
-    traces = build_trace(inventory, profile.timing_model(), recompute_policy=c["recompute"])
-    model = LayerModel.from_inventory(inventory, c["page_bytes"], cfg.batch_size)
-    sharding = ShardingModel(c["world_size"], c["rank"])
-
-    phase1 = schedule(model, traces, c["gpu_budget_bytes"], sharding, phase1_only=True)
-    phase2 = schedule(model, traces, c["gpu_budget_bytes"], sharding)
-    sim_args = {k: c[k] for k in ("iterations", "update_mode", "optimizer_tier")}
-    sim1 = simulate(phase1, traces, profile, **sim_args)
-    sim2 = simulate(phase2, traces, profile, **sim_args)
-    chosen = phase2 if c["phase"] == "phase2" else phase1
-
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "config": {**c, "model": cfg.__dict__, "hardware": profile.to_dict()},
-        "footprint": {
-            "per_layer": {
-                "params_bytes": layer_fp.params_bytes,
-                "acts_bytes": layer_fp.acts_bytes,
-                "optims_bytes": layer_fp.optims_bytes,
-            },
-            "model": model_fp,
-            "model_gib": {k: v / fp.GIB for k, v in model_fp.items()},
-            "param_count": fp.param_count(cfg),
-        },
-        "schedule": {
-            "phase1": {"num_tasks": len(phase1.tasks),
-                       "peak_bytes": peak_memory(phase1, traces)},
-            "phase2": {"num_tasks": len(phase2.tasks),
-                       "peak_bytes": peak_memory(phase2, traces)},
-            "selected_phase": chosen.phase,
-        },
-        "simulation": {
-            "phase1": sim1.to_dict(),
-            "phase2": sim2.to_dict(),
-            "phase1_vs_phase2": compare(sim1, sim2),
-        },
-    }
-    return report
-
-
 def cmd_pipeline(args) -> int:
     if args.preset:
         config = {"model": f"preset:{args.preset}", "gpu_budget_bytes": 16 * fp.GIB}
     elif args.config:
-        config = _load_json(args.config)
+        config = load_json(args.config)
     else:
-        raise UsageError("provide --config FILE or --preset NAME")
+        raise ConfigError("provide --config FILE or --preset NAME")
     if args.gpu_budget is not None and isinstance(config, dict):  # run_pipeline rejects the rest
         config = {**config, "gpu_budget_bytes": args.gpu_budget}
     report = run_pipeline(config)
-    _dump_json(report, args.out)
+    write_json(report, args.out)
     return EXIT_OK
 
 
@@ -515,7 +298,7 @@ def _plot_source(report, key: str, section: str | None) -> dict:
             check_type(f"report 'simulation' {section!r}", sims[section], (dict,))
             report = sims[section]
     if report.get(key) is None:
-        raise UsageError(f"report has no {key} section")
+        raise ConfigError(f"report has no {key} section")
     return report
 
 
@@ -527,7 +310,7 @@ def _check_numbers(what: str, values, container: type) -> None:
 
 
 def cmd_plot(args) -> int:
-    report = _load_json(args.report)
+    report = load_json(args.report)
     rows: list[list] = []
     if args.kind == "timeline":
         timeline = _plot_source(report, "timeline", args.section)["timeline"]
@@ -550,15 +333,10 @@ def cmd_plot(args) -> int:
         rows.append(["resource", "busy_s", "utilization"])
         rows += [[r, busy.get(r, 0.0), u] for r, u in sorted(util.items())]
     else:
-        raise UsageError(f"unknown plot kind {args.kind!r}")
+        raise ConfigError(f"unknown plot kind {args.kind!r}")
 
-    out = args.out or "-"
-    if out == "-":
-        writer = csv.writer(sys.stdout)
-        writer.writerows(rows)
-    else:
-        with open(out, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+    with open_output(args.out) as fh:
+        csv.writer(fh).writerows(rows)
     return EXIT_OK
 
 
@@ -650,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleScheduleError as exc:

@@ -500,7 +500,6 @@ class VirtualRuntime:
 class _RunRecorder:
     loss_curve: list = field(default_factory=list)
     staleness: Counter = field(default_factory=Counter)
-    staleness_records: list = field(default_factory=list)
     gpu_busy_s: float = 0.0
     rejected_updates: int = 0
 
@@ -516,9 +515,7 @@ def _gpu_iteration(cfg, delays, buffer, readout, teacher, it, rec, box):
     for l in range(cfg.num_layers):
         yield ("sleep", delays.fetch_s(cfg.param_bytes16))
         _, p16, applied = buffer.read(l)
-        staleness = max(0, (it - 1) - applied)
-        rec.staleness[staleness] += 1
-        rec.staleness_records.append((it, l, staleness))
+        rec.staleness[max(0, (it - 1) - applied)] += 1
         params.append(p16.astype(np.float32))
         t = delays.compute_s(cfg.flops_per_layer)
         rec.gpu_busy_s += t

@@ -6,12 +6,12 @@ they shadow the built-ins of the same name.
 """
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 from .errors import ConfigError
 from .footprint import TransformerConfig
+from .jsonio import load_json
 from .simengine import HardwareProfile
 from .tracer import CPU_BYTES_PER_S, GPU_BYTES_PER_S
 
@@ -50,10 +50,7 @@ def _preset_fields(name: str, kind: str, builtins: dict[str, dict]) -> dict:
     preset_dir = os.environ.get(PRESET_DIR_ENV)
     path = preset_dir and Path(preset_dir) / f"{name}.json"
     if path and path.is_file():
-        try:
-            raw = json.loads(path.read_bytes())
-        except ValueError as exc:  # bad JSON or bad UTF-8
-            raise ConfigError(f"bad JSON in preset file {path}: {exc}") from None
+        raw = load_json(path, "preset file ")
         if not isinstance(raw, dict) or raw.pop("kind", kind) != kind:
             raise ConfigError(f"preset file {path} is not a JSON object of a {kind} preset")
         return raw

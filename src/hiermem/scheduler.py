@@ -211,6 +211,7 @@ class Schedule:
                            required=("phase", "gpu_budget", "model", "tasks"))
         if raw["phase"] not in ("phase1", "phase2"):
             raise ConfigError(f"schedule 'phase' {raw['phase']!r} is not 'phase1' or 'phase2'")
+        check_range("schedule 'gpu_budget'", raw["gpu_budget"], 0, finite=False)
         model = LayerModel.from_dict(raw["model"])
         sharding = ShardingModel(raw.get("world_size", 1), raw.get("rank", 0))
         tasks = tuple(_task_from_dict(k, t, model, sharding) for k, t in enumerate(raw["tasks"]))

@@ -60,6 +60,39 @@ class TestFootprintCmd:
     def test_missing_args_usage(self):
         assert run(["footprint"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_out_gets_the_stdout_bytes(self, tmp_path, capsys, fmt):
+        cfg = write(tmp_path, "cfg.json", TINY)
+        assert run(["footprint", "--config", cfg, "--format", fmt]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        out = tmp_path / f"fp.{fmt}"
+        assert run(["footprint", "--config", cfg, "--format", fmt,
+                    "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode()
+
+    def test_dash_out_is_stdout(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["footprint", "--config", write(tmp_path, "cfg.json", TINY),
+                    "--format", "json", "--out", "-"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["num_layers"] == 2
+        assert not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize("command", ["footprint", "plot"])
+@pytest.mark.parametrize("where,reason", [("missing/x.out", "No such file or directory"),
+                                          (".", "Is a directory")],
+                         ids=["missing_dir", "directory"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, command, where, reason):
+    out = tmp_path / where
+    argv = {"footprint": ["footprint", "--preset", "tiny-2layer", "--format", "json"],
+            "plot": ["plot", "--report", write(tmp_path, "r.json", {"loss_curve": [1.0]}),
+                     "--kind", "loss"]}[command]
+    before = sorted(tmp_path.rglob("*"))
+    assert run([*argv, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestPagememDemoCmd:
     def test_replay_script(self, tmp_path):
@@ -106,6 +139,14 @@ class TestPagememDemoCmd:
                     "--ops", write(tmp_path, "ops.json", ops), "--out", str(out)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_move_error_is_prefixed_once(self, tmp_path, capsys):
+        pool = write(tmp_path, "pool.json", {"pools": [
+            {"tier": "GPU", "capacity_bytes": 64 * 2**20},
+            {"tier": "CPU", "capacity_bytes": 64 * 2**20}]})
+        ops = write(tmp_path, "ops.json", [{"op": "move", "page_id": 99, "target": "CPU"}])
+        assert run(["pagemem-demo", "--pool-spec", pool, "--ops", ops]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: op 0: unknown page id 99\n"
 
     def test_petabyte_pool(self, tmp_path):
         """A pool costs what it holds: a 1 PiB SSD pool at 64 KiB pages
@@ -250,6 +291,7 @@ class TestSimulateCmd:
         ("param_bytes_doubled", "'layer_param_bytes' layer 0 is"),
         ("optim_bytes_off_by_one", "'layer_optim_bytes' layer 1 is"),
         ("budget_str", "'gpu_budget' has type str"),
+        ("budget_negative", "'gpu_budget' must be >= 0, not -7"),
         ("phase_int", "'phase' has type int"),
         ("phase_unknown", "'phase' 'phase3' is not"),
         ("gather_owned_flipped", "'owned' must be true for all_gather"),
@@ -277,8 +319,8 @@ class TestSimulateCmd:
             model["layer_param_bytes"][0] *= 2
         elif case == "optim_bytes_off_by_one":
             model["layer_optim_bytes"][1] += 1
-        elif case == "budget_str":
-            raw["gpu_budget"] = "big"
+        elif case in ("budget_str", "budget_negative"):
+            raw["gpu_budget"] = "big" if case == "budget_str" else -7
         elif case in ("phase_int", "phase_unknown"):
             raw["phase"] = 7 if case == "phase_int" else "phase3"
         elif case == "gather_owned_flipped":

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hiermem import cli
+from hiermem import cli, jsonio
 from hiermem.cli import EXIT_INTERNAL, EXIT_OK, main
 
 OPTS = {"indent": 2, "sort_keys": True, "allow_nan": False}
@@ -79,13 +79,13 @@ def out_path(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None)
 @given(data=json_like | st.lists(json_like | unsupported, max_size=3))
-@example(data={"rows": [{"k": 1.0}], "text": cli._ROWS_MARKER % 0})
-@example(data=[[{"k": 1}], [{"k": 2}], 'x"' + cli._ROWS_MARKER % 1])
+@example(data={"rows": [{"k": 1.0}], "text": jsonio._ROWS_MARKER % 0})
+@example(data=[[{"k": 1}], [{"k": 2}], 'x"' + jsonio._ROWS_MARKER % 1])
 def test_writer_matches_json_dumps(out_path, data):
     def write(data):
         out_path.unlink(missing_ok=True)
         try:
-            cli._dump_json(data, str(out_path))
+            jsonio.write_json(data, str(out_path))
         except Exception:
             assert not out_path.exists()
             raise
@@ -96,10 +96,10 @@ def test_writer_matches_json_dumps(out_path, data):
 
 def test_rows_path_takes_flat_rows_only():
     rows = [{"a": 1.5, "b": None, "c": True, "d": "x"}, {"a": -0.0, "b": 3, "c": False, "d": ""}]
-    assert cli._row_columns(rows) is not None
+    assert jsonio._row_columns(rows) is not None
     for near in ([], [{}], [*rows, {"a": 1.0}], [*rows, {**rows[0], "e": 1}],
                  [{**rows[0], "a": [1]}], [{1: 1.0}], [{"a": math.nan}], (*rows,)):
-        assert cli._row_columns(near) is None
+        assert jsonio._row_columns(near) is None
 
 
 def test_cycle_is_rejected_like_json_dumps(out_path):
@@ -107,7 +107,7 @@ def test_cycle_is_rejected_like_json_dumps(out_path):
     data["self"] = data
     out_path.unlink(missing_ok=True)
     with pytest.raises(ValueError, match="Circular reference"):
-        cli._dump_json(data, str(out_path))
+        jsonio.write_json(data, str(out_path))
     assert not out_path.exists()
 
 
@@ -115,15 +115,15 @@ def test_cycle_is_rejected_like_json_dumps(out_path):
 
 @pytest.fixture
 def dumped(monkeypatch):
-    """The data of every _dump_json call, in order."""
+    """The data of every write_json call, in order."""
     seen = []
-    real = cli._dump_json
+    real = cli.write_json
 
     def spy(data, out):
         seen.append(data)
         return real(data, out)
 
-    monkeypatch.setattr(cli, "_dump_json", spy)
+    monkeypatch.setattr(cli, "write_json", spy)
     return seen
 
 

@@ -1,6 +1,8 @@
 """Smoke tests: each script in scripts/ runs to the end on tiny arguments,
 every function perfbench traces by name still exists, and the allocator
-benchmark runs clean at tiny size."""
+benchmark runs clean at tiny size. Only ``hiermem.__main__`` imports the
+command line, and no script imports a private hiermem name."""
+import ast
 import importlib
 import json
 import os
@@ -51,6 +53,33 @@ def test_run_pipeline_report_is_the_cli_report(tmp_path):
                                   "update_mode": "none", "recompute": False}))
     assert main(["pipeline", "--config", str(config), "--out", str(cli_out)]) == EXIT_OK
     assert script_out.read_bytes() == cli_out.read_bytes()
+
+
+def hiermem_imports(path: Path):
+    """(module, name) for each name ``path`` imports from hiermem, with
+    ``from . import x`` read as ``hiermem.x``; name is None for ``import m``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from ((a.name, None) for a in node.names if a.name.startswith("hiermem"))
+        elif isinstance(node, ast.ImportFrom):
+            module = "hiermem" + (f".{node.module}" if node.module else "") \
+                if node.level else node.module
+            if module.startswith("hiermem"):
+                yield from ((module, a.name) for a in node.names)
+
+
+def test_only_main_imports_cli():
+    importers = sorted(path.name for path in (ROOT / "src" / "hiermem").glob("*.py")
+                       if any(m == "hiermem.cli" or (m, n) == ("hiermem", "cli")
+                              for m, n in hiermem_imports(path)))
+    assert importers == ["__main__.py"]
+
+
+def test_scripts_import_no_private_names():
+    private = [(path.name, m, n) for path in (ROOT / "scripts").glob("*.py")
+               for m, n in hiermem_imports(path)
+               if (n or "").startswith("_") or "._" in m]
+    assert private == []
 
 
 def test_perfbench_targets_resolve(monkeypatch):
