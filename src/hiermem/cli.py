@@ -211,7 +211,7 @@ def cmd_schedule(args) -> int:
     cfg = _resolve_config(args)
     inventory = fp.tensor_inventory(cfg, args.granularity)
     traces = _traces_from_file(args.traces, cfg.num_layers) if args.traces else \
-        build_trace(inventory, _timing_from_file(args.timing))
+        build_trace(inventory)
     model = LayerModel.from_inventory(inventory, args.page_bytes, cfg.batch_size)
     sharding = ShardingModel(args.world_size, args.rank)
     sched = schedule(model, traces, args.gpu_budget, sharding,
@@ -375,7 +375,6 @@ def build_parser() -> _Parser:
     p.add_argument("--config")
     p.add_argument("--preset")
     p.add_argument("--traces")
-    p.add_argument("--timing")
     p.add_argument("--gpu-budget", type=int, required=True)
     p.add_argument("--page-bytes", type=int, default=pm.PAGE_BYTES_DEFAULT)
     p.add_argument("--world-size", type=int, default=1)

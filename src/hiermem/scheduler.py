@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 from .errors import ConfigError, InfeasibleScheduleError, check_fields, check_range
@@ -92,39 +93,47 @@ class ShardingModel:
 
 
 class LayerModel:
-    """Per-layer parameter pages plus the tensor size table behind the traces."""
+    """Per-layer parameter pages plus the tensor size table behind the traces.
+
+    The tensor table is the only size input: a layer's param and optim
+    bytes are the sums of its ``param16`` and ``optim32`` tensors. Layer l
+    holds max(1, ceil(param bytes / page_bytes)) pages with consecutive ids
+    that follow layer l-1's, so ``layer_pages[l]`` is a ``range`` and
+    ``layer_of`` bisects the layers' first ids; nothing is built per page.
+    """
 
     def __init__(self, num_layers: int, page_bytes: int,
-                 layer_param_bytes: list[int], layer_optim_bytes: list[int],
                  tensor_info: dict[int, TensorSpec], batch_size: int = 1):
         if num_layers < 1:
             raise ConfigError("model needs at least one layer")
         check_page_bytes(page_bytes)
+        check_range("model 'batch_size'", batch_size, 1, finite=False)
         self.num_layers = num_layers
         self.page_bytes = page_bytes
-        self.layer_param_bytes = list(layer_param_bytes)
-        self.layer_optim_bytes = list(layer_optim_bytes)
         self.tensor_info = dict(tensor_info)
         self.batch_size = batch_size
-        self.layer_pages: list[list[int]] = []
-        self.page_layer: dict[int, int] = {}
-        next_page = 0
-        for layer in range(num_layers):
-            count = max(1, math.ceil(layer_param_bytes[layer] / page_bytes))
-            pages = list(range(next_page, next_page + count))
-            next_page += count
-            self.layer_pages.append(pages)
-            for pid in pages:
-                self.page_layer[pid] = layer
+        self.layer_param_bytes = _layer_bytes(self.tensor_info.values(), num_layers, "param16")
+        self.layer_optim_bytes = _layer_bytes(self.tensor_info.values(), num_layers, "optim32")
+        counts = [max(1, math.ceil(b / page_bytes)) for b in self.layer_param_bytes]
+        self._starts = starts = list(accumulate(counts, initial=0))
+        self.layer_pages = [range(a, b) for a, b in zip(starts, starts[1:])]
+        self.num_pages = starts[-1]
+
+    def layer_of(self, pid: int) -> int:
+        """The layer of parameter page ``pid``, which must be below num_pages."""
+        return bisect_right(self._starts, pid) - 1
+
+    @cached_property
+    def page_layer(self) -> dict[int, int]:
+        """Page id -> layer, one entry per page, built on first access."""
+        return {pid: layer for layer, pages in enumerate(self.layer_pages) for pid in pages}
 
     @classmethod
     def from_inventory(cls, inventory: list[TensorSpec],
                        page_bytes: int = PAGE_BYTES_DEFAULT,
                        batch_size: int = 1) -> "LayerModel":
         num_layers = max(s.layer_index for s in inventory) + 1
-        info = {i: spec for i, spec in enumerate(inventory)}
-        return cls(num_layers, page_bytes, _layer_bytes(inventory, num_layers, "param16"),
-                   _layer_bytes(inventory, num_layers, "optim32"), info, batch_size)
+        return cls(num_layers, page_bytes, dict(enumerate(inventory)), batch_size)
 
     def to_dict(self) -> dict:
         return {
@@ -154,16 +163,18 @@ class LayerModel:
             t = check_fields(f"schedule tensor {k}", t, _TENSOR_FIELDS, required=_TENSOR_FIELDS)
             if not 0 <= t["layer_index"] < n:
                 raise ConfigError(f"schedule tensor {k} 'layer_index' must be in [0, {n})")
+            if t["tensor_id"] in info:
+                j = [u["tensor_id"] for u in raw["tensors"][:k]].index(t["tensor_id"])
+                raise ConfigError(f"schedule tensor {k} 'tensor_id' is tensor {j}'s too")
             info[t["tensor_id"]] = TensorSpec(t["name"], t["kind"], t["bytes"], t["layer_index"])
-        # the per-layer totals must be those from_inventory takes of the tensors
+        model = cls(n, raw["page_bytes"], info, raw.get("batch_size", 1))
+        # the file's per-layer totals must be those the model takes of its tensors
         for key, kind in (("layer_param_bytes", "param16"), ("layer_optim_bytes", "optim32")):
-            held = _layer_bytes(info.values(), n, kind)
-            for layer, (got, want) in enumerate(zip(raw[key], held)):
+            for layer, (got, want) in enumerate(zip(raw[key], getattr(model, key))):
                 if got != want:
                     raise ConfigError(f"schedule 'model' {key!r} layer {layer} is {got}, "
                                       f"but its {kind} tensors hold {want} bytes")
-        return cls(n, raw["page_bytes"], raw["layer_param_bytes"], raw["layer_optim_bytes"],
-                   info, raw.get("batch_size", 1))
+        return model
 
 
 def _layer_bytes(specs, num_layers: int, kind: str) -> list[int]:
@@ -242,7 +253,7 @@ def _task_from_dict(k: int, raw, model: LayerModel, sharding: ShardingModel) -> 
                               f"not {getattr(task, name)}")
     if task.operation == "compute" and not 0 <= task.target < n:
         raise ConfigError(f"task {k} 'target': compute target {task.target} is not a layer")
-    if task.operation != "compute" and task.target not in model.page_layer:
+    if task.operation != "compute" and not 0 <= task.target < model.num_pages:
         raise ConfigError(f"task {k} 'target': page {task.target} is not a parameter page")
     owned = task.operation != "compute" and sharding.owns(task.target)
     if task.owned != owned:
@@ -326,7 +337,7 @@ class _Residency:
             by_page = self.acquires
         else:
             return None
-        if task.target not in self.model.page_layer:
+        if not 0 <= task.target < self.model.num_pages:
             return None
         return by_page.setdefault(task.target, [])
 
@@ -337,7 +348,7 @@ class _Residency:
         return per_layer
 
     def _refresh(self, pid: int) -> None:
-        layer = self.model.page_layer[pid]
+        layer = self.model.layer_of(pid)
         old = self.intervals.get(pid, [])
         new = _page_intervals(self.acquires.get(pid, ()), self.evicts.get(pid, ()),
                               backward_id(layer, self.model.num_layers) + 1)
@@ -408,7 +419,7 @@ def _build_phase1(model: LayerModel, traces: list[TensorTrace], gpu_budget: int,
                   sharding: ShardingModel) -> tuple[list[Task], _Residency]:
     n = model.num_layers
     page_bytes = model.page_bytes
-    page_layer = model.page_layer
+    layer_of = model.layer_of
     own_pages = [[p for p in pages if sharding.owns(p)] for pages in model.layer_pages]
 
     resident = _Residency(model, sharding, traces)
@@ -474,12 +485,12 @@ def _build_phase1(model: LayerModel, traces: list[TensorTrace], gpu_budget: int,
         add(Task("compute", i, i, i, i))
 
         while True:
-            while wait_stack and page_layer[wait_stack[-1]] <= i:
+            while wait_stack and layer_of(wait_stack[-1]) <= i:
                 wait_stack.pop()  # moved when its layer was drained
             if not wait_stack or gpu_budget - resident.resident(i) <= page_bytes:
                 break
             pid = wait_stack.pop()
-            layer = page_layer[pid]
+            layer = layer_of(pid)
             parked[layer].pop()  # the top of the stack is its layer's latest entry
             add(Task("move_to_gpu", pid, i, layer, layer, True))
 

@@ -236,6 +236,34 @@ class TestScheduleCmd:
         assert run(["schedule", "--config", cfg, "--gpu-budget", "-5"]) == EXIT_USAGE
         assert "gpu budget must be >= 0, not -5" in capsys.readouterr().err
 
+    def test_timing_option_is_gone(self, tmp_path, capsys):
+        # scheduling reads only a trace's ids, never its times
+        timing = write(tmp_path, "t.json", {"kind": "constant"})
+        assert run(["schedule", "--preset", "tiny-2layer", "--gpu-budget", str(2**30),
+                    "--timing", timing]) == EXIT_USAGE
+        assert "unrecognized arguments: --timing" in capsys.readouterr().err
+
+
+def tiny_schedule_file(tmp_path):
+    """Traces and a phase-2 schedule file of tiny-2layer at 1 GiB, plus the
+    schedule as data."""
+    traces, sched = tmp_path / "traces.json", tmp_path / "sched.json"
+    run(["trace", "--preset", "tiny-2layer", "--out", str(traces)])
+    run(["schedule", "--preset", "tiny-2layer", "--traces", str(traces),
+         "--gpu-budget", str(2**30), "--out", str(sched)])
+    return traces, json.loads(sched.read_text())
+
+
+def simulate_error(tmp_path, capsys, traces, raw):
+    """Exit code and stderr of simulating the schedule ``raw``; no report
+    may be written."""
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    code = run(["simulate", "--schedule", write(tmp_path, "bad.json", raw),
+                "--traces", str(traces), "--out", str(out)])
+    assert not out.exists()
+    return code, capsys.readouterr().err
+
 
 class TestSimulateCmd:
     def test_simulate_and_timeline(self, tmp_path):
@@ -335,6 +363,32 @@ class TestSimulateCmd:
                     "--traces", str(traces), "--out", str(out)]) == EXIT_USAGE
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("batch_size", [-3, 0])
+    def test_batch_size_below_one_is_usage_error(self, tmp_path, capsys, batch_size):
+        traces, raw = tiny_schedule_file(tmp_path)
+        raw["model"]["batch_size"] = batch_size
+        assert simulate_error(tmp_path, capsys, traces, raw) == (
+            EXIT_USAGE, f"error: model 'batch_size' must be >= 1, not {batch_size}\n")
+
+    def test_repeated_tensor_id_is_usage_error(self, tmp_path, capsys):
+        traces, raw = tiny_schedule_file(tmp_path)
+        tensors = raw["model"]["tensors"]
+        k = next(k for k, t in enumerate(tensors) if t["kind"] == "activation16")
+        tensors.append({**tensors[k], "bytes": 1000 * tensors[k]["bytes"]})
+        assert simulate_error(tmp_path, capsys, traces, raw) == (
+            EXIT_USAGE, f"error: schedule tensor {len(tensors) - 1} 'tensor_id' "
+                        f"is tensor {k}'s too\n")
+
+    @pytest.mark.parametrize("past_end", [False, True])
+    def test_page_target_out_of_range_is_usage_error(self, tmp_path, capsys, past_end):
+        traces, raw = tiny_schedule_file(tmp_path)
+        num_pages = 1 + max(t["target"] for t in raw["tasks"] if t["operation"] != "compute")
+        k = next(k for k, t in enumerate(raw["tasks"]) if t["operation"] == "all_gather")
+        target = num_pages if past_end else -1
+        raw["tasks"][k]["target"] = target
+        assert simulate_error(tmp_path, capsys, traces, raw) == (
+            EXIT_USAGE, f"error: task {k} 'target': page {target} is not a parameter page\n")
 
 
 def corrupt(traces, case):

@@ -1,8 +1,12 @@
 """Two-phase scheduler: worked examples, residency oracle, feasibility properties."""
 import json
+import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiermem.errors import ConfigError, InfeasibleScheduleError
 from hiermem.footprint import TensorSpec
@@ -50,7 +54,9 @@ def make_instance(layer_pages, acts=None, grads=None, page_bytes=PAGE,
             b = backward_id(layer, n)
             traces.append(TensorTrace(tid, b, b, 0.0, grads[layer] * 1e-10))
             tid += 1
-    model = LayerModel(n, page_bytes, params, [6 * p for p in params], tensor_info)
+    for layer, pbytes in enumerate(params):  # after the traced ids, so those do not move
+        tensor_info[tid + layer] = TensorSpec(f"L{layer}.optim", "optim32", 6 * pbytes, layer)
+    model = LayerModel(n, page_bytes, tensor_info)
     return model, traces, ShardingModel(world, rank)
 
 
@@ -86,6 +92,75 @@ def brute_force_resident(sched: Schedule, traces, x: int) -> int:
 def brute_force_peak(sched, traces):
     return max(brute_force_resident(sched, traces, x)
                for x in range(2 * sched.model.num_layers)) if sched.tasks else 0
+
+
+def param_model(layer_param_bytes, page_bytes, **extra_layer_tensors):
+    """LayerModel with one param16 tensor per layer of the given sizes, plus
+    ``kind=[bytes per layer]`` tensors after them; a 0 size is no tensor."""
+    specs = [TensorSpec(f"L{layer}.param", "param16", b, layer)
+             for layer, b in enumerate(layer_param_bytes) if b]
+    for kind, sizes in extra_layer_tensors.items():
+        specs += [TensorSpec(f"L{layer}.{kind}", kind, b, layer)
+                  for layer, b in enumerate(sizes) if b]
+    return LayerModel(len(layer_param_bytes), page_bytes, dict(enumerate(specs)))
+
+
+def enumerated_pages(layer_param_bytes, page_bytes):
+    """The page table written out: a list of page ids per layer and a dict
+    entry per page, consecutive ids layer after layer."""
+    layer_pages, page_layer, next_page = [], {}, 0
+    for layer, b in enumerate(layer_param_bytes):
+        count = max(1, math.ceil(b / page_bytes))
+        layer_pages.append(list(range(next_page, next_page + count)))
+        page_layer.update((pid, layer) for pid in layer_pages[-1])
+        next_page += count
+    return layer_pages, page_layer
+
+
+@st.composite
+def layer_byte_lists(draw):
+    """A page size and per-layer param bytes: empty layers, exact page
+    multiples, one byte over, and anything in between."""
+    page = draw(st.sampled_from([2**16, 2**22]))
+    size = st.one_of(st.just(0), st.integers(1, 5).map(lambda k: k * page),
+                     st.integers(0, 5).map(lambda k: k * page + 1), st.integers(0, 6 * page))
+    return page, draw(st.lists(size, min_size=1, max_size=8))
+
+
+class TestLayerModel:
+    @settings(max_examples=200, deadline=None)
+    @given(layer_byte_lists())
+    def test_pages_are_the_enumerated_table(self, case):
+        page_bytes, layer_bytes = case
+        model = param_model(layer_bytes, page_bytes)
+        layer_pages, page_layer = enumerated_pages(layer_bytes, page_bytes)
+        assert [list(pages) for pages in model.layer_pages] == layer_pages
+        assert model.num_pages == len(page_layer)
+        assert {pid: model.layer_of(pid) for pid in range(model.num_pages)} == page_layer
+        assert model.page_layer == page_layer
+
+    def test_layer_bytes_are_sums_of_the_tensor_table(self):
+        page = 2**16
+        model = param_model([page, 0, 3], page, param16=[1, 2, page], optim32=[6, 7, 8],
+                            activation16=[2**40, 0, 0])
+        assert model.layer_param_bytes == [page + 1, 2, page + 3]
+        assert model.layer_optim_bytes == [6, 7, 8]
+        assert [len(pages) for pages in model.layer_pages] == [2, 1, 2]
+
+    def test_cost_does_not_depend_on_layer_size(self):
+        """Two 4 GiB layers at 64 KiB pages (2**17 pages) build nothing per page."""
+        page = 2**16
+        info = {layer: TensorSpec(f"L{layer}.param", "param16", 4 * 2**30, layer)
+                for layer in range(2)}
+        tracemalloc.start()
+        try:
+            model = LayerModel(2, page, info)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < page
+        assert model.num_pages == 2**17
+        assert [model.layer_of(pid) for pid in (0, 2**16 - 1, 2**16, 2**17 - 1)] == [0, 0, 1, 1]
 
 
 class TestWorkedExamples:
