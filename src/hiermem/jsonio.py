@@ -1,6 +1,7 @@
 """JSON files in and out: ``load_json`` reads every JSON input, ``write_json``
 writes every report and ``open_output`` opens every output, JSON or CSV.
-Reports carry ``SCHEMA_VERSION``."""
+Reports carry ``SCHEMA_VERSION``. A ``RowStream`` is a rows list that
+``write_json`` writes a chunk at a time instead of holding it whole."""
 from __future__ import annotations
 
 import contextlib
@@ -8,10 +9,12 @@ import json
 import math
 import re
 import sys
+from abc import ABC, abstractmethod
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .errors import ConfigError
 
@@ -46,7 +49,36 @@ def open_output(out: str | None):
         yield fh
 
 
-_JSON_OPTS = {"indent": 2, "sort_keys": True, "allow_nan": False}
+class RowStream(ABC):
+    """A list of flat dicts that is built row by row as it is read.
+    ``keys``, distinct strs, name the values of each tuple ``rows()``
+    yields; json.dumps sees the stream as ``dicts()``, and ``write_json``
+    writes it in chunks with the same bytes."""
+
+    keys: tuple[str, ...]
+
+    @abstractmethod
+    def rows(self) -> Iterator[tuple]:
+        """Each row's values, in ``keys`` order."""
+
+    @abstractmethod
+    def value_types(self) -> tuple[type, ...] | None:
+        """The exact type of each key's values, in ``keys`` order, when every
+        value is a str or a finite float of that type; else None."""
+
+    def dicts(self) -> list[dict]:
+        return [dict(zip(self.keys, row)) for row in self.rows()]
+
+
+def _stream_dicts(obj):
+    """json.dumps's ``default``: a row stream is the list of its dicts."""
+    if isinstance(obj, RowStream):
+        return obj.dicts()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+_JSON_OPTS = {"indent": 2, "sort_keys": True, "allow_nan": False, "default": _stream_dicts}
+_CHUNK_ROWS = 1024  # rows of a stream formatted per write
 
 # How json encodes each scalar type a rows-path value may have. Exact types
 # only: a subclass (an IntEnum, say) keeps its list on the json.dumps path.
@@ -68,8 +100,8 @@ _ROWS_MARKER = "\x00hiermem-rows-%d\x00"
 _ROWS_MARKER_JSON = re.compile(r'"\\u0000hiermem-rows-(\d+)\\u0000"')
 
 
-def _row_columns(rows) -> tuple[list[str], list[tuple[list, Callable]]] | None:
-    """(sorted keys, (values, their encoder) per key) when ``rows`` is a
+def _row_columns(rows) -> tuple[list[str], list[Callable], list[list]] | None:
+    """(sorted keys, their encoders, their values) when ``rows`` is a
     non-empty list of dicts that share one non-empty set of str keys and hold
     only finite scalars, else None."""
     first = rows[0] if type(rows) is list and rows else None
@@ -79,7 +111,7 @@ def _row_columns(rows) -> tuple[list[str], list[tuple[list, Callable]]] | None:
     keys = sorted(first)
     if set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(keys)}:
         return None
-    columns = []
+    encoders, columns = [], []
     for key in keys:
         try:
             values = list(map(itemgetter(key), rows))
@@ -92,14 +124,39 @@ def _row_columns(rows) -> tuple[list[str], list[tuple[list, Callable]]] | None:
             floats = values if len(types) == 1 else [v for v in values if type(v) is float]
             if not all(map(math.isfinite, floats)):  # json.dumps raises for it
                 return None
-        columns.append((values, _SCALAR_JSON[types.pop()] if len(types) == 1 else _scalar_json))
-    return keys, columns
+        encoders.append(_SCALAR_JSON[types.pop()] if len(types) == 1 else _scalar_json)
+        columns.append(values)
+    return keys, encoders, [columns]
+
+
+def _stream_columns(stream: RowStream) -> tuple[list[str], list[Callable], Iterable] | None:
+    """(sorted keys, their encoders, chunks of their values) of a row stream
+    with keys whose values are strs and finite floats (``value_types``),
+    else None."""
+    keys, types = stream.keys, stream.value_types()
+    if not keys or types is None:
+        return None
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+
+    def chunks():
+        rows = stream.rows()
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            columns = list(zip(*chunk))
+            yield [columns[i] for i in order]
+
+    return [keys[i] for i in order], [_SCALAR_JSON[types[i]] for i in order], chunks()
 
 
 def _swap_rows(obj, found: list):
-    """``obj`` with each rows list (see ``_row_columns``) replaced by its
-    marker string and recorded in ``found``; containers that hold none are
-    returned as they are."""
+    """``obj`` with each rows list (see ``_row_columns``) and row stream (see
+    ``_stream_columns``) replaced by its marker string and recorded in
+    ``found``; containers that hold none are returned as they are."""
+    if isinstance(obj, RowStream):
+        rows = _stream_columns(obj)
+        if rows is None:  # json.dumps decides, on its dicts
+            return obj
+        found.append(rows)
+        return _ROWS_MARKER % (len(found) - 1)
     if type(obj) is dict:
         items = obj.items()
     elif type(obj) is list or type(obj) is tuple:
@@ -120,20 +177,27 @@ def _swap_rows(obj, found: list):
     return obj if swapped is None else swapped
 
 
-def _rows_json(rows, indent: int) -> str:
-    """A rows list as json.dumps formats it with its opening line at ``indent``."""
-    keys, columns = rows
+def _rows_json(rows, indent: int) -> Iterator[str]:
+    """A rows list as json.dumps formats it with its opening line at
+    ``indent``, one piece per chunk of rows, given (sorted keys, their
+    encoders, chunks of their values)."""
+    keys, encoders, chunks = rows
     pad = " " * (indent + 2)
     template = pad + "{\n" + ",\n".join(
         pad + "  " + encode_basestring_ascii(k).replace("%", "%%") + ": %s"
         for k in keys) + "\n" + pad + "}"
-    encoded = [map(encode, values) for values, encode in columns]
-    return "[\n" + ",\n".join(map(template.__mod__, zip(*encoded))) + "\n" + \
-        " " * indent + "]"
+    sep = "[\n"
+    for columns in chunks:
+        encoded = [map(encode, values) for encode, values in zip(encoders, columns)]
+        yield sep + ",\n".join(map(template.__mod__, zip(*encoded)))
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n" + " " * indent + "]"
 
 
-def _json_pieces(data) -> list[str]:
-    """The text of ``json.dumps(data, **_JSON_OPTS)`` as pieces to join."""
+def _json_pieces(data) -> list[Iterable[str]]:
+    """The text of ``json.dumps(data, **_JSON_OPTS)`` as pieces to join. A
+    row stream's piece is formatted as it is read; everything else is
+    formatted here, so that whatever json.dumps rejects raises here."""
     found: list = []
     try:
         skeleton = _swap_rows(data, found)
@@ -141,16 +205,19 @@ def _json_pieces(data) -> list[str]:
         found, skeleton = [], data
     text = json.dumps(skeleton, **_JSON_OPTS)
     if not found:
-        return [text]
+        return [(text,)]
     parts = _ROWS_MARKER_JSON.split(text)
     if sorted(map(int, parts[1::2])) != list(range(len(found))):
         # a string in the data holds a marker's text
-        return [json.dumps(data, **_JSON_OPTS)]
-    pieces = [parts[0]]
+        return [(json.dumps(data, **_JSON_OPTS),)]
+    pieces = [(parts[0],)]
     for i in range(1, len(parts), 2):
-        line = pieces[-1][pieces[-1].rfind("\n") + 1:]
-        pieces.append(_rows_json(found[int(parts[i])], len(line) - len(line.lstrip(" "))))
-        pieces.append(parts[i + 1])
+        line = parts[i - 1][parts[i - 1].rfind("\n") + 1:]
+        rows = found[int(parts[i])]
+        text = _rows_json(rows, len(line) - len(line.lstrip(" ")))
+        # a rows list is formatted now, as an int json.dumps refuses raises
+        pieces.append(("".join(text),) if type(rows[2]) is list else text)
+        pieces.append((parts[i + 1],))
     return pieces
 
 
@@ -167,8 +234,13 @@ def write_json(data, out: str | None):
     through json.dumps. Whatever json.dumps rejects (NaN, infinities,
     unsupported types, cycles) raises the same exception type before ``out``
     is opened.
+
+    A ``RowStream`` is written as json.dumps writes its ``dicts()``. When it
+    has keys and its values are strs and finite floats, it is formatted
+    like a rows list, a chunk of rows at a time, so its text is never held
+    whole; otherwise json.dumps formats its dicts.
     """
     pieces = _json_pieces(data)
-    pieces.append("\n")
     with open_output(out) as fh:
-        fh.writelines(pieces)
+        fh.writelines(chain.from_iterable(pieces))
+        fh.write("\n")

@@ -114,7 +114,7 @@ class LayerModel:
         self.batch_size = batch_size
         self.layer_param_bytes = _layer_bytes(self.tensor_info.values(), num_layers, "param16")
         self.layer_optim_bytes = _layer_bytes(self.tensor_info.values(), num_layers, "optim32")
-        counts = [max(1, math.ceil(b / page_bytes)) for b in self.layer_param_bytes]
+        counts = [max(1, -(-b // page_bytes)) for b in self.layer_param_bytes]
         self._starts = starts = list(accumulate(counts, initial=0))
         self.layer_pages = [range(a, b) for a, b in zip(starts, starts[1:])]
         self.num_pages = starts[-1]
@@ -237,10 +237,28 @@ _TASK_FIELDS = {"operation": (str,), "target": (int,), "trigger_id": (int,),
                 "layer": (int,), "slot": (int,), "owned": (bool,)}
 
 
+def _page_task_fault(task: Task, model: LayerModel) -> tuple[str, str] | None:
+    """(field, what is wrong) when page task ``task`` names a layer other
+    than its page's, or is an all_gather whose slot is not one of its
+    layer's two compute slots at or after its trigger; else None."""
+    layer = model.layer_of(task.target)
+    if task.layer != layer:
+        return "layer", (f"{task.operation} of page {task.target} names layer {task.layer}, "
+                         f"but the page is in layer {layer}")
+    slots = (layer, 2 * model.num_layers - 1 - layer)
+    if task.operation == "all_gather" and (task.slot not in slots or
+                                           task.slot < task.trigger_id):
+        return "slot", (f"all_gather of page {task.target} (layer {layer}) at trigger "
+                        f"{task.trigger_id} must serve slot {slots[0]} or {slots[1]} at or "
+                        f"after its trigger, not slot {task.slot}")
+    return None
+
+
 def _task_from_dict(k: int, raw, model: LayerModel, sharding: ShardingModel) -> Task:
     """Task ``k`` of a schedule file; ConfigError names the task and field
-    of anything the model cannot run. A page task is owned exactly when
-    the rank owns its page; a compute task never is."""
+    of anything the model cannot run. A page task names its page's layer,
+    and an all_gather one of that layer's compute slots; a page task is
+    owned exactly when the rank owns its page; a compute task never is."""
     task = Task(**check_fields(f"task {k}", raw, _TASK_FIELDS,
                                required=_TASK_FIELDS.keys() - {"owned"}))
     if task.operation not in OPERATIONS:
@@ -255,6 +273,9 @@ def _task_from_dict(k: int, raw, model: LayerModel, sharding: ShardingModel) -> 
         raise ConfigError(f"task {k} 'target': compute target {task.target} is not a layer")
     if task.operation != "compute" and not 0 <= task.target < model.num_pages:
         raise ConfigError(f"task {k} 'target': page {task.target} is not a parameter page")
+    fault = task.operation != "compute" and _page_task_fault(task, model)
+    if fault:
+        raise ConfigError(f"task {k} {fault[0]!r}: {fault[1]}")
     owned = task.operation != "compute" and sharding.owns(task.target)
     if task.owned != owned:
         raise ConfigError(f"task {k} 'owned' must be {str(owned).lower()} for {task.operation} "
@@ -579,7 +600,10 @@ def schedule(model_layers: LayerModel, traces: list[TensorTrace], gpu_budget: in
 
 def validate_schedule(schedule: Schedule, traces: list[TensorTrace],
                       budget: int | None = None) -> list[str]:
-    """Empty list iff the schedule fits the budget and respects dependencies."""
+    """Empty list iff the schedule fits the budget, respects dependencies and
+    labels every page task as ``Schedule.from_dict`` requires: with its
+    page's layer, and an all_gather with one of that layer's compute slots
+    at or after its trigger."""
     budget = schedule.gpu_budget if budget is None else budget
     violations: list[str] = []
 
@@ -594,6 +618,9 @@ def validate_schedule(schedule: Schedule, traces: list[TensorTrace],
 
     last = -1
     for t in schedule.tasks:
+        fault = t.operation != "compute" and _page_task_fault(t, schedule.model)
+        if fault:
+            violations.append(fault[1])
         if (t.operation == "all_gather" and schedule.sharding.owns(t.target)
                 and first.get(("move_to_gpu", t.target), math.inf) > t.trigger_id):
             violations.append(

@@ -26,14 +26,23 @@ every page operation its resource and duration.
 The event loop is single-threaded and deterministic; causality within
 every iteration and resource exclusivity across the whole timeline are
 re-checked after every run.
+
+The report's timeline is stored as columns: the template's task ids,
+operations and resources once, and one start and one end column per
+iteration. Its rows, ordered by start time and then task id, are built as
+they are read: each iteration sorted on its own, then merged.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import ClassVar, Iterator
 
 from .errors import REAL, ConfigError, SimulationError, check_fields, check_range
+from .jsonio import RowStream
 from .scheduler import Schedule
 from .tracer import CPU_BYTES_PER_S, GPU_BYTES_PER_S, TensorTrace, TimingModel
 
@@ -128,12 +137,77 @@ class TimelineEntry:
 
 
 @dataclass(frozen=True)
+class Timeline(RowStream):
+    """The rows of a simulated timeline, built as they are read.
+
+    It holds the iteration template once, each task's id, operation and
+    resource by uid, and per iteration one start and one end column by uid.
+    Row k.u is task u of iteration k, with task id ``it{k}.<template id>``.
+    Rows come in report order, by (start_s, task_id): each iteration sorted
+    on its own, then merged. Task ids are unique, so the merge is the
+    global sort, ties at iteration boundaries included. Iterating gives
+    ``TimelineEntry`` values; ``rows()`` gives what ``jsonio`` writes.
+    """
+
+    task_ids: tuple[str, ...]
+    operations: tuple[str, ...]
+    resources: tuple[str, ...]
+    starts: tuple[array, ...]  # array('d') per iteration
+    ends: tuple[array, ...]
+
+    keys: ClassVar = ("start_s", "task_id", "end_s", "operation", "resource")
+
+    def __len__(self) -> int:
+        return len(self.task_ids) * len(self.starts)
+
+    def __iter__(self) -> Iterator[TimelineEntry]:
+        for start, task_id, end, operation, resource in self.rows():
+            yield TimelineEntry(task_id, operation, resource, start, end)
+
+    def rows(self) -> Iterator[tuple]:
+        # Groups of iterations whose start times overlap, as [lowest start,
+        # highest start, iterations]: rising and disjoint, so their rows
+        # follow one another, and only a group of two or more needs a merge.
+        groups: list[list] = []
+        for k, starts in enumerate(self.starts):
+            if not starts:
+                continue
+            group = [min(starts), max(starts), [k]]
+            while groups and groups[-1][1] >= group[0]:
+                lo, hi, its = groups.pop()
+                group = [min(lo, group[0]), max(hi, group[1]), its + group[2]]
+            groups.append(group)
+        return chain.from_iterable(
+            heapq.merge(*map(self._iteration_rows, its)) if len(its) > 1
+            else self._iteration_rows(its[0]) for _, _, its in groups)
+
+    def _iteration_rows(self, k: int) -> Iterator[tuple]:
+        starts, ends, ids = self.starts[k], self.ends[k], self.task_ids
+        prefix = f"it{k}."  # the same for every row, so sorting on ids[u] is exact
+        for u in sorted(range(len(ids)), key=lambda u: (starts[u], ids[u])):
+            yield starts[u], prefix + ids[u], ends[u], self.operations[u], self.resources[u]
+
+    def value_types(self) -> tuple[type, ...] | None:
+        texts = (*self.task_ids, *self.operations, *self.resources)
+        if all(type(x) is str for x in texts) and \
+                all(all(map(math.isfinite, c)) for c in (*self.starts, *self.ends)):
+            return (float, str, float, str, str)
+        return None
+
+
+@dataclass(frozen=True)
 class SimReport:
+    """One replay's totals and its timeline. The timeline stores columns:
+    the iteration template once and a start and an end column per
+    iteration (see ``Timeline``). ``to_dict()`` hands it to
+    ``jsonio.write_json`` as a row stream, so a report's rows are never all
+    built at once."""
+
     makespan_s: float
     busy_s: dict[str, float]
     utilization: dict[str, float]
     gpu_idle_fraction: float
-    timeline: tuple[TimelineEntry, ...]
+    timeline: Timeline
     samples_per_s: float
     metadata: dict
 
@@ -146,11 +220,7 @@ class SimReport:
             # null when the makespan is 0: JSON has no infinity
             "samples_per_s": self.samples_per_s if math.isfinite(self.samples_per_s) else None,
             "metadata": self.metadata,
-            "timeline": [
-                {"task_id": e.task_id, "operation": e.operation, "resource": e.resource,
-                 "start_s": e.start_s, "end_s": e.end_s}
-                for e in self.timeline
-            ],
+            "timeline": self.timeline,
         }
 
 
@@ -291,19 +361,17 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
                 upd = add(f"optim_store.l{layer}", "optim_store", "ssd_io", io_s, [upd])
             prev_in_pipe = [upd]
 
-    runs: list[tuple[float, list[tuple[float, float]]]] = []  # (start, spans) per iteration
-    timeline = []
+    runs: list[tuple[float, array, array]] = []  # (start, starts, ends) per iteration
     busy: dict[str, float] = {}
     start = 0.0
-    for it in range(iterations):
+    for _ in range(iterations):
         spans = _run_event_loop(tasks, start)
-        runs.append((start, spans))
-        for t, (s, e) in zip(tasks, spans):
-            timeline.append(TimelineEntry(f"it{it}.{t.task_id}", t.operation, t.resource,
-                                          s, e))
+        starts, ends = array("d", [s for s, _ in spans]), array("d", [e for _, e in spans])
+        runs.append((start, starts, ends))
+        for t, s, e in zip(tasks, starts, ends):
             busy[t.resource] = busy.get(t.resource, 0.0) + (e - s)
         # the next iteration starts once every task of this one has finished
-        start = max((e for _, e in spans), default=start)
+        start = max(ends, default=start)
     makespan = start
     _post_hoc_checks(tasks, runs)
 
@@ -316,7 +384,9 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
         busy_s=busy,
         utilization=utilization,
         gpu_idle_fraction=idle,
-        timeline=tuple(sorted(timeline, key=lambda e: (e.start_s, e.task_id))),
+        timeline=Timeline(tuple(t.task_id for t in tasks), tuple(t.operation for t in tasks),
+                          tuple(t.resource for t in tasks), tuple(r[1] for r in runs),
+                          tuple(r[2] for r in runs)),
         samples_per_s=samples / makespan if makespan > 0 else math.inf,
         metadata={
             "iterations": iterations,
@@ -388,14 +458,13 @@ def _run_event_loop(tasks: list[_SimTask], start: float) -> list[tuple[float, fl
     return finish
 
 
-def _post_hoc_checks(tasks: list[_SimTask],
-                     runs: list[tuple[float, list[tuple[float, float]]]]):
+def _post_hoc_checks(tasks: list[_SimTask], runs: list[tuple[float, array, array]]):
     """Causality in every iteration (no task starts before its iteration or a
     dependency), and no overlap per resource across the whole timeline."""
     by_resource: dict[str, list[tuple[float, float]]] = {}
-    for it, (it_start, finish) in enumerate(runs):
-        for t, (start, end) in zip(tasks, finish):
-            if start < it_start - 1e-12 or any(finish[d][1] > start + 1e-12 for d in t.deps):
+    for it, (it_start, starts, ends) in enumerate(runs):
+        for t, start, end in zip(tasks, starts, ends):
+            if start < it_start - 1e-12 or any(ends[d] > start + 1e-12 for d in t.deps):
                 raise SimulationError(
                     f"causality violation: it{it}.{t.task_id} started before "
                     "its iteration or a dependency finished"

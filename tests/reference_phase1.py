@@ -106,7 +106,7 @@ def reference_build_phase1(model: LayerModel, traces, gpu_budget: int,
         return gpu_budget - profile[at]
 
     for i in range(n):
-        for pid in [p for p in wait_stack if model.page_layer[p] == i]:
+        for pid in [p for p in wait_stack if model.layer_of(p) == i]:
             wait_stack.remove(pid)
             tasks.append(Task("move_to_gpu", pid, i, i, i, True))
 
@@ -135,7 +135,7 @@ def reference_build_phase1(model: LayerModel, traces, gpu_budget: int,
 
         while wait_stack and avail(i, exclude=None) > page_bytes:
             pid = wait_stack.pop()
-            layer = model.page_layer[pid]
+            layer = model.layer_of(pid)
             tasks.append(Task("move_to_gpu", pid, i, layer, layer, True))
 
     assert not wait_stack, "wait stack must drain by the end of the forward sweep"

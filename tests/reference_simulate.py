@@ -3,7 +3,8 @@ DAG holding every iteration, chained by a zero-length gate task per
 iteration that depends on every task of the iteration before.
 
 It is kept only so tests can require the one-template simulator to report
-exactly the same numbers.
+exactly the same numbers. Its report's timeline is the globally sorted
+tuple of entries, which tests compare with the rows of a ``Timeline``.
 """
 from __future__ import annotations
 

@@ -244,13 +244,13 @@ class TestScheduleCmd:
         assert "unrecognized arguments: --timing" in capsys.readouterr().err
 
 
-def tiny_schedule_file(tmp_path):
-    """Traces and a phase-2 schedule file of tiny-2layer at 1 GiB, plus the
-    schedule as data."""
+def tiny_schedule_file(tmp_path, *options):
+    """Traces and a phase-2 schedule file of tiny-2layer at 1 GiB, or with
+    other ``hiermem schedule`` options, plus the schedule as data."""
     traces, sched = tmp_path / "traces.json", tmp_path / "sched.json"
     run(["trace", "--preset", "tiny-2layer", "--out", str(traces)])
     run(["schedule", "--preset", "tiny-2layer", "--traces", str(traces),
-         "--gpu-budget", str(2**30), "--out", str(sched)])
+         *(options or ["--gpu-budget", str(2**30)]), "--out", str(sched)])
     return traces, json.loads(sched.read_text())
 
 
@@ -389,6 +389,37 @@ class TestSimulateCmd:
         raw["tasks"][k]["target"] = target
         assert simulate_error(tmp_path, capsys, traces, raw) == (
             EXIT_USAGE, f"error: task {k} 'target': page {target} is not a parameter page\n")
+
+    def test_page_task_layer_is_its_pages(self, tmp_path, capsys):
+        """Relabelled evictions would hang layer 1's optimizer update on
+        layer 0's evictions."""
+        traces, raw = tiny_schedule_file(tmp_path)
+        evicts = [t for t in raw["tasks"] if t["operation"] == "evict_to_cpu"]
+        k, task = next((k, t) for k, t in enumerate(raw["tasks"])
+                       if t["operation"] == "evict_to_cpu" and t["layer"] == 1)
+        for t in evicts:
+            t["layer"] = 0
+        assert simulate_error(tmp_path, capsys, traces, raw) == (
+            EXIT_USAGE, f"error: task {k} 'layer': evict_to_cpu of page {task['target']} "
+                        "names layer 0, but the page is in layer 1\n")
+
+    @pytest.mark.parametrize("layer, slot, to_slot", [(1, 1, 0), (0, 3, 0)],
+                             ids=["other_layers_slot", "below_trigger"])
+    def test_gather_slot_is_one_of_its_layers(self, tmp_path, capsys, layer, slot, to_slot):
+        """Layer 1's forward gathers moved to slot 0 would let compute slot 1
+        run without its pages; a backward gather of layer 0 moved to slot 0
+        would serve a slot before its trigger."""
+        traces, raw = tiny_schedule_file(tmp_path, "--gpu-budget", "8000000",
+                                         "--page-bytes", "65536", "--world-size", "2")
+        gathers = [(k, t) for k, t in enumerate(raw["tasks"]) if t["operation"] == "all_gather"
+                   and (t["layer"], t["slot"]) == (layer, slot)]
+        for _, t in gathers:
+            t["slot"] = to_slot
+        k, task = gathers[0]
+        assert simulate_error(tmp_path, capsys, traces, raw) == (
+            EXIT_USAGE, f"error: task {k} 'slot': all_gather of page {task['target']} "
+                        f"(layer {layer}) at trigger {task['trigger_id']} must serve slot "
+                        f"{layer} or {3 - layer} at or after its trigger, not slot {to_slot}\n")
 
 
 def corrupt(traces, case):

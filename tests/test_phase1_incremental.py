@@ -159,7 +159,7 @@ class TestMaintainedProfile:
     def test_equals_sweep_after_every_update(self, instance, data):
         model, traces, sharding = instance
         n = model.num_layers
-        pages = sorted(model.page_layer)
+        pages = list(range(model.num_pages))
         resident = _Residency(model, sharding, traces)
         tasks: list[Task] = []
         for _ in range(data.draw(st.integers(1, 25))):
@@ -171,7 +171,7 @@ class TestMaintainedProfile:
                 target = data.draw(st.sampled_from(pages if op != "compute"
                                                    else list(range(n))))
                 task = Task(op, target, data.draw(st.integers(0, 2 * n)),
-                            model.page_layer.get(target, 0), 0,
+                            model.layer_of(target) if op != "compute" else target, 0,
                             sharding.owns(target))
                 tasks.append(task)
                 resident.add(task)

@@ -1,4 +1,5 @@
 """Two-phase scheduler: worked examples, residency oracle, feasibility properties."""
+import dataclasses
 import json
 import math
 import random
@@ -162,6 +163,12 @@ class TestLayerModel:
         assert model.num_pages == 2**17
         assert [model.layer_of(pid) for pid in (0, 2**16 - 1, 2**16, 2**17 - 1)] == [0, 0, 1, 1]
 
+    def test_page_count_is_exact_past_2_to_the_53(self):
+        """2**53 + 1 bytes is 2**37 pages of 64 KiB and one byte: a float
+        quotient rounds the byte away."""
+        model = LayerModel(1, 2**16, {0: TensorSpec("L0.param", "param16", 2**53 + 1, 0)})
+        assert model.num_pages == 137438953473
+
 
 class TestWorkedExamples:
     def test_two_layers_generous_budget(self):
@@ -301,6 +308,33 @@ class TestValidate:
         bad = Schedule((Task("compute", 0, 1, 0, 1), Task("compute", 0, 1, 0, 1)),
                        "phase1", 2**30, model, sharding)
         assert any("strictly increasing" in v for v in validate_schedule(bad, traces))
+
+    @staticmethod
+    def relabelled(operation, layer, slot, change):
+        """A two-layer schedule that evicts layer 0 and gathers it again for
+        its backward slot, with the first ``operation`` task of ``layer`` at
+        ``slot`` changed by ``change``; its traces; that task as it was."""
+        model, traces, sharding = make_instance([1, 2])
+        sched = schedule(model, traces, 2 * PAGE, sharding)
+        k, task = next((k, t) for k, t in enumerate(sched.tasks) if t.operation == operation
+                       and (t.layer, t.slot) == (layer, slot))
+        tasks = list(sched.tasks)
+        tasks[k] = dataclasses.replace(task, **change)
+        return dataclasses.replace(sched, tasks=tuple(tasks)), traces, task
+
+    def test_page_task_of_another_layer_flagged(self):
+        bad, traces, evict = self.relabelled("evict_to_cpu", 1, 2, {"layer": 0})
+        assert validate_schedule(bad, traces) == [
+            f"evict_to_cpu of page {evict.target} names layer 0, but the page is in layer 1"]
+
+    @pytest.mark.parametrize("layer, slot, to_slot", [(1, 1, 0), (0, 3, 0)],
+                             ids=["other_layers_slot", "below_trigger"])
+    def test_gather_slot_flagged(self, layer, slot, to_slot):
+        bad, traces, gather = self.relabelled("all_gather", layer, slot, {"slot": to_slot})
+        assert validate_schedule(bad, traces) == [
+            f"all_gather of page {gather.target} (layer {layer}) at trigger "
+            f"{gather.trigger_id} must serve slot {layer} or {3 - layer} at or after its "
+            f"trigger, not slot {to_slot}"]
 
 
 def random_instance(rng):

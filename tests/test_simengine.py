@@ -11,7 +11,7 @@ from hiermem.errors import ConfigError, InfeasibleScheduleError, SimulationError
 from hiermem.lockfree import DelayModel
 from hiermem.presets import HARDWARE_PRESETS, hardware_preset, model_preset
 from hiermem.scheduler import LayerModel, Schedule, ShardingModel, Task, schedule
-from hiermem.simengine import HardwareProfile, LinkSpec, compare, simulate
+from hiermem.simengine import HardwareProfile, LinkSpec, TimelineEntry, compare, simulate
 from hiermem.tracer import (CPU_BYTES_PER_S, GPU_BYTES_PER_S, TensorTrace, TimingModel,
                             backward_id, build_trace)
 
@@ -76,6 +76,12 @@ class TestOneCostModel:
         delays = DelayModel()
         assert delays.pcie_bytes_per_s == links["pcie_h2d"]["bandwidth_bytes_per_s"]
         assert delays.ssd_bytes_per_s == links["ssd_io"]["bandwidth_bytes_per_s"]
+
+
+def plain(report) -> dict:
+    """``report.to_dict()`` with the timeline as the list of rows it stands for."""
+    return {**report.to_dict(),
+            "timeline": [dataclasses.asdict(e) for e in report.timeline]}
 
 
 def single_compute_instance(gpu_time=1e-3):
@@ -294,14 +300,14 @@ class TestMatchesReference:
     @given(sim_cases(), st.data())
     def test_random_schedules(self, case, data):
         sched, traces, prof, kwargs = case
-        expected = reference_simulate(sched, traces, prof, **kwargs).to_dict()
-        assert simulate(sched, traces, prof, **kwargs).to_dict() == expected
+        expected = plain(reference_simulate(sched, traces, prof, **kwargs))
+        assert plain(simulate(sched, traces, prof, **kwargs)) == expected
         groups: dict[int, list[Task]] = {}
         for t in sched.tasks:
             groups.setdefault(t.trigger_id, []).append(t)
         order = data.draw(st.permutations(sorted(groups)), label="trigger order")
         shuffled = dataclasses.replace(sched, tasks=tuple(t for g in order for t in groups[g]))
-        assert simulate(shuffled, traces, prof, **kwargs).to_dict() == expected
+        assert plain(simulate(shuffled, traces, prof, **kwargs)) == expected
 
     def test_gpt3_1_7b_evicting(self):
         cfg = model_preset("gpt3-1.7b")
@@ -315,5 +321,32 @@ class TestMatchesReference:
             assert any(t.operation == "evict_to_cpu" and t.trigger_id < model.num_layers
                        for t in sched.tasks)
             kwargs = {"iterations": 2, "update_mode": "sync", "optimizer_tier": "ssd"}
-            assert simulate(sched, traces, prof, **kwargs).to_dict() == \
-                reference_simulate(sched, traces, prof, **kwargs).to_dict()
+            assert plain(simulate(sched, traces, prof, **kwargs)) == \
+                plain(reference_simulate(sched, traces, prof, **kwargs))
+
+
+class TestTimeline:
+    def test_rows_are_the_global_sort_at_tied_boundaries(self):
+        """Iteration k's zero-duration computes at slots 1 and 2 start when
+        iteration k+1 does, so every boundary is a tie on start time; the
+        streamed rows still come in (start_s, task_id) order, where "it10."
+        sorts before "it9."."""
+        model, traces, sharding = single_compute_instance(1e-3)
+        sched = Schedule(tuple(Task("compute", 0, s, 0, s) for s in range(3)), "phase1",
+                         2**30, model, sharding)
+        report = simulate(sched, traces, profile(), iterations=12)
+        tl = report.timeline
+        rows = [TimelineEntry(f"it{k}.{task_id}", op, res, start, end)
+                for k, (starts, ends) in enumerate(zip(tl.starts, tl.ends))
+                for task_id, op, res, start, end in zip(tl.task_ids, tl.operations,
+                                                         tl.resources, starts, ends)]
+        streamed = list(tl)
+        assert len(tl) == len(rows) == 36
+        assert streamed == sorted(rows, key=lambda e: (e.start_s, e.task_id))
+        for k in range(1, 12):
+            assert tl.ends[k - 1][2] - tl.starts[k - 1][2] == 0.0
+            assert tl.starts[k - 1][2] == tl.starts[k][0]  # the tie at this boundary
+        ids = [e.task_id for e in streamed]
+        assert ids.index("it10.compute.s0.l0") < ids.index("it9.compute.s2.l0")
+        assert plain(report) == plain(reference_simulate(sched, traces, profile(),
+                                                         iterations=12))
