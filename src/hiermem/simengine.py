@@ -14,7 +14,7 @@ The optional synchronous-update mode appends a per-layer optimizer
 pipeline (SSD fetch, CPU update, SSD store over the rank's state shard)
 that starts once that layer's gradient offload finishes.
 
-One iteration's tasks are built once, as a template, and replayed once per
+One iteration's tasks are built once, as a template, and run once per
 iteration. Each iteration starts on an idle system at the previous
 iteration's makespan (0 for the first): its tasks without dependencies
 arrive then. Every task runs on a resource; there are no control tasks.
@@ -23,9 +23,24 @@ The template is built in one pass over the tasks in trigger order, each
 trigger's page tasks in schedule order before its compute; one table gives
 every page operation its resource and duration.
 
-The event loop is single-threaded and deterministic; causality within
-every iteration and resource exclusivity across the whole timeline are
-re-checked after every run.
+The first iteration runs through a single-threaded, deterministic heap
+event loop, which records the order in which it starts tasks. Each later
+iteration is replayed in one pass over that order with the loop's own
+arithmetic: a task arrives at the iteration start or at its latest
+dependency's end, and begins at its arrival or when the task before it on
+its resource ends, whichever is later. Every choice the loop makes
+compares two event times (the iteration start and the task ends) and
+breaks exact ties by task index or start order, so the replay is the
+loop's result bit for bit whenever its event times fall in the recorded
+order with the same ties. That is checked per iteration in one pass over
+the recorded sort order. Shifted start times can round a near-tie the
+other way; an iteration that fails the check runs through the event loop
+instead, and its order becomes the recorded one. A single iteration
+records nothing.
+
+Causality within every iteration and resource exclusivity across the
+whole timeline are re-checked after every run, on the start and end
+columns viewed as (iterations x tasks) arrays.
 
 The report's timeline is stored as columns: the template's task ids,
 operations and resources once, and one start and one end column per
@@ -40,6 +55,8 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import ClassVar, Iterator
+
+import numpy as np
 
 from .errors import REAL, ConfigError, SimulationError, check_fields, check_range
 from .jsonio import RowStream
@@ -362,18 +379,24 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
             prev_in_pipe = [upd]
 
     runs: list[tuple[float, array, array]] = []  # (start, starts, ends) per iteration
-    busy: dict[str, float] = {}
+    plan = None  # the recorded order, while a later iteration is left to replay
     start = 0.0
-    for _ in range(iterations):
-        spans = _run_event_loop(tasks, start)
-        starts, ends = array("d", [s for s, _ in spans]), array("d", [e for _, e in spans])
+    for k in range(iterations):
+        if plan is not None:
+            starts, ends = _replay(plan, start)
+            if not _keeps_order(plan, start, ends):
+                plan = None
+        if plan is None:
+            order = [] if k < iterations - 1 else None
+            starts, ends = _run_event_loop(tasks, start, order)
+            if order is not None:
+                plan = _replay_plan(tasks, order, start, ends)
         runs.append((start, starts, ends))
-        for t, s, e in zip(tasks, starts, ends):
-            busy[t.resource] = busy.get(t.resource, 0.0) + (e - s)
         # the next iteration starts once every task of this one has finished
         start = max(ends, default=start)
     makespan = start
     _post_hoc_checks(tasks, runs)
+    busy = _busy_s(tasks, runs)
 
     utilization = {r: (b / makespan if makespan > 0 else 0.0) for r, b in busy.items()}
     gpu_busy = busy.get("gpu", 0.0)
@@ -400,9 +423,11 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
     )
 
 
-def _run_event_loop(tasks: list[_SimTask], start: float) -> list[tuple[float, float]]:
+def _run_event_loop(tasks: list[_SimTask], start: float,
+                    order: list[int] | None = None) -> tuple[array, array]:
     """FIFO-per-resource event loop on an idle system from ``start``, where
-    tasks without dependencies arrive; returns (start, finish) by uid."""
+    tasks without dependencies arrive; returns the start and the finish
+    column by uid, and appends each uid to ``order``, if given, as it starts."""
     pending = [len(t.deps) for t in tasks]
     dependents: list[list[int]] = [[] for _ in tasks]
     for t in tasks:
@@ -411,7 +436,7 @@ def _run_event_loop(tasks: list[_SimTask], start: float) -> list[tuple[float, fl
 
     queues: dict[str, list] = {}
     running: dict[str, int | None] = {}
-    finish: list = [None] * len(tasks)
+    starts, ends = array("d", bytes(8 * len(tasks))), array("d", bytes(8 * len(tasks)))
     events: list[tuple[float, int, int]] = []  # (time, seq, uid) completions
     seq = 0
 
@@ -430,7 +455,9 @@ def _run_event_loop(tasks: list[_SimTask], start: float) -> list[tuple[float, fl
         begin = max(arrival, now)
         end = begin + tasks[uid].duration
         running[resource] = uid
-        finish[uid] = (begin, end)
+        starts[uid], ends[uid] = begin, end
+        if order is not None:
+            order.append(uid)
         heapq.heappush(events, (end, seq, uid))
         seq += 1
 
@@ -447,7 +474,7 @@ def _run_event_loop(tasks: list[_SimTask], start: float) -> list[tuple[float, fl
         for dep_uid in dependents[uid]:
             pending[dep_uid] -= 1
             if pending[dep_uid] == 0:
-                enqueue(dep_uid, max(finish[d][1] for d in tasks[dep_uid].deps))
+                enqueue(dep_uid, max(ends[d] for d in tasks[dep_uid].deps))
         maybe_start(resource, now)
 
     if done != len(tasks):
@@ -455,23 +482,110 @@ def _run_event_loop(tasks: list[_SimTask], start: float) -> list[tuple[float, fl
             f"simulation stalled: {len(tasks) - done} tasks never ran "
             "(cyclic or unsatisfiable dependencies)"
         )
-    return finish
+    return starts, ends
+
+
+@dataclass(frozen=True)
+class _ReplayPlan:
+    """One event-loop run, as a later iteration replays it: every task in
+    the order the loop started it, with its dependencies, its predecessor on
+    its resource (-1 for none) and its duration; and the order of the run's
+    event times ``[start, *ends]`` as a permutation that sorts them, plus,
+    per neighbouring pair in that order, whether the later one is greater
+    (else the two are equal)."""
+
+    steps: list[tuple[int, list[int], int, float]]
+    perm: np.ndarray
+    rises: np.ndarray
+
+
+def _replay_plan(tasks: list[_SimTask], order: list[int], start: float,
+                 ends: array) -> _ReplayPlan:
+    steps = []
+    last: dict[str, int] = {}  # resource -> uid that started on it last so far
+    for uid in order:
+        t = tasks[uid]
+        steps.append((uid, t.deps, last.get(t.resource, -1), t.duration))
+        last[t.resource] = uid
+    times = _event_times(start, ends)
+    perm = np.argsort(times, kind="stable")
+    ranked = times[perm]
+    return _ReplayPlan(steps, perm, ranked[1:] > ranked[:-1])
+
+
+def _event_times(start: float, ends: array) -> np.ndarray:
+    return np.concatenate(([start], np.frombuffer(ends)))
+
+
+def _replay(plan: _ReplayPlan, start: float) -> tuple[array, array]:
+    """The event loop's arithmetic, in the plan's order: a task arrives at
+    the iteration start or at its latest dependency's end, and begins at
+    its arrival or when its resource predecessor ends, whichever is later.
+    Of equal times the first is kept, as ``max`` does in the loop."""
+    # lists index faster than arrays; the plan has every task once
+    starts, ends = [0.0] * len(plan.steps), [0.0] * len(plan.steps)
+    for uid, deps, pred, duration in plan.steps:
+        begin = ends[deps[0]] if deps else start
+        for d in deps:
+            if ends[d] > begin:
+                begin = ends[d]
+        if pred >= 0 and ends[pred] > begin:
+            begin = ends[pred]
+        starts[uid], ends[uid] = begin, begin + duration
+    return array("d", starts), array("d", ends)
+
+
+def _keeps_order(plan: _ReplayPlan, start: float, ends: array) -> bool:
+    """Whether a replayed iteration's event times fall in the plan's order
+    with the same ties, so that the event loop would make the same choices."""
+    ranked = _event_times(start, ends)[plan.perm]
+    later, earlier = ranked[1:], ranked[:-1]
+    return bool(np.array_equal(later > earlier, plan.rises) and
+                np.array_equal(later == earlier, ~plan.rises))
+
+
+def _columns(runs: list[tuple[float, array, array]]) -> tuple[np.ndarray, ...]:
+    """Iteration starts, and the start and end columns as iterations x uids."""
+    return (np.array([r[0] for r in runs]), np.stack([np.frombuffer(r[1]) for r in runs]),
+            np.stack([np.frombuffer(r[2]) for r in runs]))
+
+
+def _uids_by_resource(tasks: list[_SimTask]) -> dict[str, np.ndarray]:
+    """Each resource's uids, rising, with the resources in order of first use."""
+    codes: dict[str, int] = {}
+    code = np.fromiter((codes.setdefault(t.resource, len(codes)) for t in tasks),
+                       dtype=np.intp, count=len(tasks))
+    return {resource: np.flatnonzero(code == c) for resource, c in codes.items()}
+
+
+def _busy_s(tasks: list[_SimTask], runs: list[tuple[float, array, array]]) -> dict[str, float]:
+    """Per resource, its tasks' durations summed in (iteration, uid) order;
+    ``np.add.accumulate`` adds in sequence, where ``np.sum`` adds pairwise."""
+    _, starts, ends = _columns(runs)
+    spans = ends - starts
+    return {resource: float(np.add.accumulate(spans[:, uids].ravel())[-1])
+            for resource, uids in _uids_by_resource(tasks).items()}
 
 
 def _post_hoc_checks(tasks: list[_SimTask], runs: list[tuple[float, array, array]]):
     """Causality in every iteration (no task starts before its iteration or a
     dependency), and no overlap per resource across the whole timeline."""
-    by_resource: dict[str, list[tuple[float, float]]] = {}
-    for it, (it_start, starts, ends) in enumerate(runs):
-        for t, start, end in zip(tasks, starts, ends):
-            if start < it_start - 1e-12 or any(ends[d] > start + 1e-12 for d in t.deps):
-                raise SimulationError(
-                    f"causality violation: it{it}.{t.task_id} started before "
-                    "its iteration or a dependency finished"
-                )
-            by_resource.setdefault(t.resource, []).append((start, end))
-    for resource, spans in by_resource.items():
-        spans.sort()
-        for (s0, e0), (s1, _) in zip(spans, spans[1:]):
-            if s1 < e0 - 1e-12:
-                raise SimulationError(f"overlap on resource {resource}")
+    it_starts, starts, ends = _columns(runs)
+    # one (dependency, task) edge per dependency
+    dep = np.fromiter(chain.from_iterable(t.deps for t in tasks), dtype=np.intp)
+    task = np.repeat(np.arange(len(tasks)), [len(t.deps) for t in tasks])
+    bad = starts < (it_starts - 1e-12)[:, None]
+    its, edge = np.nonzero(ends[:, dep] > starts[:, task] + 1e-12)
+    bad[its, task[edge]] = True
+    if bad.any():
+        it, u = divmod(int(bad.argmax()), len(tasks))  # the first in (iteration, uid) order
+        raise SimulationError(
+            f"causality violation: it{it}.{tasks[u].task_id} started before "
+            "its iteration or a dependency finished"
+        )
+    for resource, uids in _uids_by_resource(tasks).items():
+        s, e = starts[:, uids].ravel(), ends[:, uids].ravel()
+        by_start = np.lexsort((e, s))  # by (start, end)
+        s, e = s[by_start], e[by_start]
+        if (s[1:] < e[:-1] - 1e-12).any():
+            raise SimulationError(f"overlap on resource {resource}")

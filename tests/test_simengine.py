@@ -1,12 +1,15 @@
 """Discrete-event replay: transfer arithmetic, causality, overlap, update gating."""
 import dataclasses
 import random
+import re
+from array import array
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hiermem import footprint as fp
+from hiermem import simengine
 from hiermem.errors import ConfigError, InfeasibleScheduleError, SimulationError
 from hiermem.lockfree import DelayModel
 from hiermem.presets import HARDWARE_PRESETS, hardware_preset, model_preset
@@ -285,7 +288,7 @@ def sim_cases(draw):
     except InfeasibleScheduleError:
         assume(False)
     prof = profile(latency=draw(st.sampled_from([0.0, 1e-6, 1e-5])), num_gpus=world)
-    kwargs = {"iterations": draw(st.integers(1, 4)),
+    kwargs = {"iterations": draw(st.integers(1, 6)),
               "update_mode": draw(st.sampled_from(["none", "sync"])),
               "optimizer_tier": draw(st.sampled_from(["ssd", "cpu"]))}
     return sched, traces, prof, kwargs
@@ -350,3 +353,104 @@ class TestTimeline:
         assert ids.index("it10.compute.s0.l0") < ids.index("it9.compute.s2.l0")
         assert plain(report) == plain(reference_simulate(sched, traces, profile(),
                                                          iterations=12))
+
+
+def near_tie_instance(pcie):
+    """Two gathers whose arrivals tie in iteration 0 and drift apart later.
+
+    Gather ``gather.p1@0`` waits for the second of two moves, which ends at
+    (start + m) + m; ``gather.p0@1`` waits for compute slot 0, which ends at
+    start + 2m. At start 0 the two are equal; the compute started before the
+    second move, so its end is handled first and ``gather.p0@1`` runs first.
+    At other starts the two sums round apart one way or the other."""
+    model, traces, sharding = make_instance([2], world=2)
+    m = PAGE / pcie  # one move's duration
+    model.tensor_info[99] = fp.TensorSpec("L0.flops", "activation16", MIB, 0)
+    traces = list(traces) + [TensorTrace(99, 0, 0, 0.0, 2 * m)]
+    tasks = (Task("move_to_gpu", 0, 0, 0, 0, True), Task("move_to_gpu", 1, 0, 0, 0, True),
+             Task("all_gather", 1, 0, 0, 1, True), Task("compute", 0, 0, 0, 0),
+             Task("all_gather", 0, 1, 0, 1), Task("compute", 0, 1, 0, 1))
+    return Schedule(tasks, "phase1", 2**30, model, sharding), traces, profile(pcie=pcie,
+                                                                              inter=5e9)
+
+
+class TestReplay:
+    """Iterations after the first replay the first one's order in one pass,
+    and run the event loop again only where that order does not hold."""
+
+    @pytest.mark.parametrize("pcie", [3e9, 2.9e9, 32e9])
+    def test_near_tie_reorders_and_falls_back(self, pcie):
+        sched, traces, prof = near_tie_instance(pcie)
+        report = simulate(sched, traces, prof, iterations=12)
+        tl = report.timeline
+        first, second = tl.task_ids.index("gather.p1@0"), tl.task_ids.index("gather.p0@1")
+        assert tl.starts[0][second] < tl.starts[0][first]
+        # a later iteration serves the two gathers the other way round
+        assert any(starts[first] < starts[second] for starts in tl.starts[1:])
+        assert plain(report) == plain(reference_simulate(sched, traces, prof, iterations=12))
+
+    @pytest.mark.parametrize("phase1_only", [True, False])
+    def test_steady_iterations_run_the_event_loop_once(self, monkeypatch, phase1_only):
+        cfg = model_preset("gpt3-1.7b")
+        prof = hardware_preset("a100-server")
+        inventory = fp.tensor_inventory(cfg)
+        traces = build_trace(inventory, prof.timing_model())
+        model = LayerModel.from_inventory(inventory, 4 * MIB, cfg.batch_size)
+        sched = schedule(model, traces, 16 * 2**30, ShardingModel(8, 3),
+                         phase1_only=phase1_only)
+        starts = []  # the start time of every event-loop run
+        event_loop = simengine._run_event_loop
+
+        def counted(tasks, start, *rest):
+            starts.append(start)
+            return event_loop(tasks, start, *rest)
+
+        monkeypatch.setattr(simengine, "_run_event_loop", counted)
+        report = simulate(sched, traces, prof, iterations=48, update_mode="sync")
+        assert starts == [0.0]
+        assert len(report.timeline.starts) == 48
+
+
+def checked_tasks(*specs):
+    """``_SimTask``s from (task id, resource, deps) triples."""
+    return [simengine._SimTask(u, task_id, "op", resource, 1.0, list(deps))
+            for u, (task_id, resource, deps) in enumerate(specs)]
+
+
+def run(start, starts, ends):
+    return start, array("d", starts), array("d", ends)
+
+
+class TestPostHocChecks:
+    """The checks run after every replay name the first faulty row."""
+
+    def raises(self, message, tasks, runs):
+        with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+            simengine._post_hoc_checks(tasks, runs)
+
+    def test_start_before_its_iteration(self):
+        tasks = checked_tasks(("a", "gpu", ()), ("b", "pcie_h2d", (0,)))
+        self.raises("causality violation: it1.a started before its iteration or a "
+                    "dependency finished",
+                    tasks, [run(0.0, [0, 1], [1, 2]), run(2.0, [1.5, 3], [2.5, 4])])
+
+    def test_start_before_a_dependency_names_the_first_row(self):
+        tasks = checked_tasks(("a", "gpu", ()), ("b", "pcie_h2d", (0,)),
+                              ("c", "pcie_d2h", (0,)), ("d", "cpu", (1, 2)))
+        good = [[0, 1, 1, 2], [1, 2, 2, 3]]
+        runs = [run(0.0, *good), run(3.0, *[[x + 3 for x in c] for c in good]),
+                # it2: b and d start before a and c end; it3: c before a
+                run(6.0, [6, 6.5, 7, 7.5], [7, 7.5, 8, 8.5]),
+                run(9.0, [9, 10, 9.5, 11], [10, 11, 10.5, 12])]
+        self.raises("causality violation: it2.b started before its iteration or a "
+                    "dependency finished", tasks, runs)
+
+    def test_overlap_inside_one_iteration(self):
+        tasks = checked_tasks(("a", "gpu", ()), ("b", "cpu", ()), ("c", "cpu", ()))
+        self.raises("overlap on resource cpu", tasks, [run(0.0, [0, 0, 1], [1, 2, 3])])
+
+    def test_overlap_across_an_iteration_boundary(self):
+        tasks = checked_tasks(("a", "gpu", ()), ("b", "cpu", ()))
+        # it0's b runs past it1's start, where it1's b begins
+        self.raises("overlap on resource cpu", tasks,
+                    [run(0.0, [0, 0], [1, 2]), run(1.5, [1.5, 1.5], [2.5, 3.5])])
