@@ -52,8 +52,9 @@ def open_output(out: str | None):
 class RowStream(ABC):
     """A list of flat dicts that is built row by row as it is read.
     ``keys``, distinct strs, name the values of each tuple ``rows()``
-    yields; json.dumps sees the stream as ``dicts()``, and ``write_json``
-    writes it in chunks with the same bytes."""
+    yields; ``chunks(size)`` gives the same rows as columns, ``size`` rows
+    at a time. json.dumps sees the stream as ``dicts()``, and ``write_json``
+    writes it from ``chunks`` with the same bytes."""
 
     keys: tuple[str, ...]
 
@@ -65,6 +66,13 @@ class RowStream(ABC):
     def value_types(self) -> tuple[type, ...] | None:
         """The exact type of each key's values, in ``keys`` order, when every
         value is a str or a finite float of that type; else None."""
+
+    def chunks(self, size: int) -> Iterator[list[list]]:
+        """The rows in order, ``size`` at a time (fewer in the last chunk):
+        per chunk, one list of values per key, in ``keys`` order."""
+        rows = self.rows()
+        while chunk := list(islice(rows, size)):
+            yield list(map(list, zip(*chunk)))
 
     def dicts(self) -> list[dict]:
         return [dict(zip(self.keys, row)) for row in self.rows()]
@@ -78,7 +86,8 @@ def _stream_dicts(obj):
 
 
 _JSON_OPTS = {"indent": 2, "sort_keys": True, "allow_nan": False, "default": _stream_dicts}
-_CHUNK_ROWS = 1024  # rows of a stream formatted per write
+_CHUNK_ROWS = 1024  # rows formatted per piece
+_PROBE_ROWS = 64  # a str column is memoised when a value repeats among its first this many
 
 # How json encodes each scalar type a rows-path value may have. Exact types
 # only: a subclass (an IntEnum, say) keeps its list on the json.dumps path.
@@ -100,10 +109,10 @@ _ROWS_MARKER = "\x00hiermem-rows-%d\x00"
 _ROWS_MARKER_JSON = re.compile(r'"\\u0000hiermem-rows-(\d+)\\u0000"')
 
 
-def _row_columns(rows) -> tuple[list[str], list[Callable], list[list]] | None:
-    """(sorted keys, their encoders, their values) when ``rows`` is a
-    non-empty list of dicts that share one non-empty set of str keys and hold
-    only finite scalars, else None."""
+def _row_columns(rows) -> tuple[list[str], list[Callable], list[list[list]]] | None:
+    """(sorted keys, their encoders, chunks of their values) when ``rows`` is
+    a non-empty list of dicts that share one non-empty set of str keys and
+    hold only finite scalars, else None."""
     first = rows[0] if type(rows) is list and rows else None
     if type(first) is not dict or not first or \
             not all(type(k) is str for k in first):
@@ -126,7 +135,8 @@ def _row_columns(rows) -> tuple[list[str], list[Callable], list[list]] | None:
                 return None
         encoders.append(_SCALAR_JSON[types.pop()] if len(types) == 1 else _scalar_json)
         columns.append(values)
-    return keys, encoders, [columns]
+    return keys, encoders, [[values[i:i + _CHUNK_ROWS] for values in columns]
+                            for i in range(0, len(rows), _CHUNK_ROWS)]
 
 
 def _stream_columns(stream: RowStream) -> tuple[list[str], list[Callable], Iterable] | None:
@@ -137,14 +147,8 @@ def _stream_columns(stream: RowStream) -> tuple[list[str], list[Callable], Itera
     if not keys or types is None:
         return None
     order = sorted(range(len(keys)), key=keys.__getitem__)
-
-    def chunks():
-        rows = stream.rows()
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
-            columns = list(zip(*chunk))
-            yield [columns[i] for i in order]
-
-    return [keys[i] for i in order], [_SCALAR_JSON[types[i]] for i in order], chunks()
+    chunks = ([columns[i] for i in order] for columns in stream.chunks(_CHUNK_ROWS))
+    return [keys[i] for i in order], [_SCALAR_JSON[types[i]] for i in order], chunks
 
 
 def _swap_rows(obj, found: list):
@@ -177,19 +181,58 @@ def _swap_rows(obj, found: list):
     return obj if swapped is None else swapped
 
 
+def _encoded(encoders: list[Callable], columns: list[list]) -> list[list[str]]:
+    """One chunk's columns, each value encoded. A float that the chunk's
+    first float column holds takes the text formatted there (a timeline's
+    start times are mostly other rows' end times), unless that column holds
+    a zero: -0.0 and 0.0 are one dict key but two texts. A str column whose
+    first values repeat is encoded once per distinct value."""
+    float_texts = None  # the first float column's value -> text
+    encoded = []
+    for encode, values in zip(encoders, columns):
+        if encode is float.__repr__ and float_texts is None:
+            texts = list(map(float.__repr__, values))
+            float_texts = dict(zip(values, texts))
+            if 0.0 in float_texts:
+                float_texts = {}
+        elif encode is float.__repr__:
+            get = float_texts.get
+            texts = [get(v) or float.__repr__(v) for v in values]
+        elif encode is encode_basestring_ascii and \
+                len(set(probe := values[:_PROBE_ROWS])) < len(probe):
+            distinct = dict.fromkeys(values)
+            get = dict(zip(distinct, map(encode_basestring_ascii, distinct))).__getitem__
+            texts = list(map(get, values))
+        else:
+            texts = list(map(encode, values))
+        encoded.append(texts)
+    return encoded
+
+
 def _rows_json(rows, indent: int) -> Iterator[str]:
     """A rows list as json.dumps formats it with its opening line at
     ``indent``, one piece per chunk of rows, given (sorted keys, their
-    encoders, chunks of their values)."""
+    encoders, chunks of their values). A chunk is one join of the fixed
+    text before each value with the values' texts, row after row."""
     keys, encoders, chunks = rows
     pad = " " * (indent + 2)
-    template = pad + "{\n" + ",\n".join(
-        pad + "  " + encode_basestring_ascii(k).replace("%", "%%") + ": %s"
-        for k in keys) + "\n" + pad + "}"
+    # the text before each key's value; before the first, the row's opening
+    # brace, which follows the brace that closes the row before it
+    lead = [",\n" + pad + "  " + encode_basestring_ascii(k) + ": " for k in keys]
+    head = pad + "{\n" + lead[0][2:]
+    close = "\n" + pad + "}"
+    lead[0] = close + ",\n" + head
+    stride = 2 * len(keys)
     sep = "[\n"
     for columns in chunks:
-        encoded = [map(encode, values) for encode, values in zip(encoders, columns)]
-        yield sep + ",\n".join(map(template.__mod__, zip(*encoded)))
+        n = len(columns[0])
+        pieces = [""] * (stride * n)
+        for i, values in enumerate(_encoded(encoders, columns)):
+            pieces[2 * i::stride] = [lead[i]] * n
+            pieces[2 * i + 1::stride] = values
+        pieces[0] = sep + head
+        pieces.append(close)
+        yield "".join(pieces)
         sep = ",\n"
     yield "[]" if sep == "[\n" else "\n" + " " * indent + "]"
 
@@ -216,7 +259,7 @@ def _json_pieces(data) -> list[Iterable[str]]:
         rows = found[int(parts[i])]
         text = _rows_json(rows, len(line) - len(line.lstrip(" ")))
         # a rows list is formatted now, as an int json.dumps refuses raises
-        pieces.append(("".join(text),) if type(rows[2]) is list else text)
+        pieces.append(tuple(text) if type(rows[2]) is list else text)
         pieces.append((parts[i + 1],))
     return pieces
 
@@ -227,18 +270,20 @@ def write_json(data, out: str | None):
     (see ``open_output``).
 
     The pure-Python encoder that ``indent`` selects is slow on large arrays,
-    so a rows list is formatted here, one %-template per row: a non-empty
-    list of dicts that share one non-empty set of str keys and hold only
-    str, int, finite float, bool or None values (exact types). Every other
-    value, and the nesting, key order and indentation around the rows, goes
-    through json.dumps. Whatever json.dumps rejects (NaN, infinities,
-    unsupported types, cycles) raises the same exception type before ``out``
-    is opened.
+    so a rows list is formatted here, column by column: a non-empty list of
+    dicts that share one non-empty set of str keys and hold only str, int,
+    finite float, bool or None values (exact types). Each chunk of rows is
+    one join of the fixed text around the values with the values' texts,
+    and a chunk's repeated floats and strs are formatted once (see
+    ``_encoded``). Every other value, and the nesting, key order and
+    indentation around the rows, goes through json.dumps. Whatever
+    json.dumps rejects (NaN, infinities, unsupported types, cycles) raises
+    the same exception type before ``out`` is opened.
 
     A ``RowStream`` is written as json.dumps writes its ``dicts()``. When it
     has keys and its values are strs and finite floats, it is formatted
-    like a rows list, a chunk of rows at a time, so its text is never held
-    whole; otherwise json.dumps formats its dicts.
+    like a rows list from its ``chunks()``, so its text is never held whole;
+    otherwise json.dumps formats its dicts.
     """
     pieces = _json_pieces(data)
     with open_output(out) as fh:

@@ -45,7 +45,9 @@ columns viewed as (iterations x tasks) arrays.
 The report's timeline is stored as columns: the template's task ids,
 operations and resources once, and one start and one end column per
 iteration. Its rows, ordered by start time and then task id, are built as
-they are read: each iteration sorted on its own, then merged.
+they are read, a chunk of columns at a time: iterations whose start times
+overlap are sorted together, with one stable ``np.argsort`` on the start
+times, and only runs of equal starts are then sorted by task id.
 """
 from __future__ import annotations
 
@@ -59,7 +61,7 @@ from typing import ClassVar, Iterator
 import numpy as np
 
 from .errors import REAL, ConfigError, SimulationError, check_fields, check_range
-from .jsonio import RowStream
+from .jsonio import _CHUNK_ROWS, RowStream
 from .scheduler import Schedule
 from .tracer import CPU_BYTES_PER_S, GPU_BYTES_PER_S, TensorTrace, TimingModel
 
@@ -153,6 +155,17 @@ class TimelineEntry:
     end_s: float
 
 
+def _equal_runs(ranked: np.ndarray) -> Iterator[tuple[int, int]]:
+    """(first, past last) of each run of two or more equal neighbours in ``ranked``."""
+    tied = np.flatnonzero(ranked[1:] == ranked[:-1])  # i where i and i + 1 are equal
+    if not tied.size:
+        return iter(())
+    breaks = np.flatnonzero(tied[1:] != tied[:-1] + 1)  # a run ends at tied[b] + 1
+    firsts = np.concatenate(([tied[0]], tied[breaks + 1]))
+    pasts = np.concatenate((tied[breaks], [tied[-1]])) + 2
+    return zip(firsts.tolist(), pasts.tolist())
+
+
 @dataclass(frozen=True)
 class Timeline(RowStream):
     """The rows of a simulated timeline, built as they are read.
@@ -160,10 +173,15 @@ class Timeline(RowStream):
     It holds the iteration template once, each task's id, operation and
     resource by uid, and per iteration one start and one end column by uid.
     Row k.u is task u of iteration k, with task id ``it{k}.<template id>``.
-    Rows come in report order, by (start_s, task_id): each iteration sorted
-    on its own, then merged. Task ids are unique, so the merge is the
-    global sort, ties at iteration boundaries included. Iterating gives
-    ``TimelineEntry`` values; ``rows()`` gives what ``jsonio`` writes.
+    Rows come in report order, by (start_s, task_id), ties at iteration
+    boundaries included ("it10." before "it9."). Iterations whose start-time
+    ranges overlap form a group; the groups follow one another. A group's
+    rows are sorted with one stable ``np.argsort`` on their start times,
+    then each run of equal starts by task id. ``chunks()`` takes its
+    columns from that order, a slice at a time, with ``tolist()`` and list
+    indexing; ``rows()`` and iterating, which gives ``TimelineEntry``
+    values, read the same chunks. No chunk, and so no iteration's text or
+    row tuples, is built whole.
     """
 
     task_ids: tuple[str, ...]
@@ -182,32 +200,75 @@ class Timeline(RowStream):
             yield TimelineEntry(task_id, operation, resource, start, end)
 
     def rows(self) -> Iterator[tuple]:
-        # Groups of iterations whose start times overlap, as [lowest start,
-        # highest start, iterations]: rising and disjoint, so their rows
-        # follow one another, and only a group of two or more needs a merge.
-        groups: list[list] = []
+        return chain.from_iterable(zip(*columns) for columns in self.chunks(_CHUNK_ROWS))
+
+    def chunks(self, size: int) -> Iterator[list[list]]:
+        chunk = None  # a chunk's slices so far, joined
+        for columns in self._sorted_slices(size):
+            if chunk is None:
+                chunk = columns
+            else:
+                for values, more in zip(chunk, columns):
+                    values += more
+            if len(chunk[0]) == size:
+                yield chunk
+                chunk = None
+        if chunk is not None:
+            yield chunk
+
+    def _sorted_slices(self, size: int) -> Iterator[list[list]]:
+        """The rows as columns, in report order, in slices of one group's
+        sort order that end where a chunk of ``size`` rows does."""
+        ids, operations, resources = self.task_ids, self.operations, self.resources
+        n = len(ids)
+        done = 0  # rows given so far
+        for its in self._groups():
+            prefixes = [f"it{k}." for k in its]
+            if len(its) == 1:
+                starts, ends = np.frombuffer(self.starts[its[0]]), np.frombuffer(self.ends[its[0]])
+            else:
+                starts = np.concatenate([np.frombuffer(self.starts[k]) for k in its])
+                ends = np.concatenate([np.frombuffer(self.ends[k]) for k in its])
+            # row i*n + u is task u of the group's i-th iteration
+            order = np.argsort(starts, kind="stable")
+            for lo, hi in _equal_runs(starts[order]):
+                order[lo:hi] = sorted(order[lo:hi].tolist(),
+                                      key=lambda row: prefixes[row // n] + ids[row % n])
+            lo = 0
+            while lo < len(order):
+                hi = lo + size - done % size  # where the current chunk ends
+                index = order[lo:hi]
+                if len(its) == 1:
+                    uids = index.tolist()
+                    task_ids = [prefixes[0] + ids[u] for u in uids]
+                else:
+                    group_its, uids = np.divmod(index, n)
+                    uids = uids.tolist()
+                    task_ids = [prefixes[i] + ids[u] for i, u in zip(group_its.tolist(), uids)]
+                yield [starts[index].tolist(), task_ids, ends[index].tolist(),
+                       [operations[u] for u in uids], [resources[u] for u in uids]]
+                done += len(index)
+                lo = hi
+
+    def _groups(self) -> list[list[int]]:
+        """The iterations in groups whose start-time ranges overlap: rising
+        and disjoint, so that each group's rows follow the last group's."""
+        groups: list[list] = []  # [lowest start, highest start, iterations]
+        if not self.task_ids:
+            return []
         for k, starts in enumerate(self.starts):
-            if not starts:
-                continue
-            group = [min(starts), max(starts), [k]]
+            starts = np.frombuffer(starts)
+            group = [starts.min(), starts.max(), [k]]
             while groups and groups[-1][1] >= group[0]:
                 lo, hi, its = groups.pop()
                 group = [min(lo, group[0]), max(hi, group[1]), its + group[2]]
             groups.append(group)
-        return chain.from_iterable(
-            heapq.merge(*map(self._iteration_rows, its)) if len(its) > 1
-            else self._iteration_rows(its[0]) for _, _, its in groups)
-
-    def _iteration_rows(self, k: int) -> Iterator[tuple]:
-        starts, ends, ids = self.starts[k], self.ends[k], self.task_ids
-        prefix = f"it{k}."  # the same for every row, so sorting on ids[u] is exact
-        for u in sorted(range(len(ids)), key=lambda u: (starts[u], ids[u])):
-            yield starts[u], prefix + ids[u], ends[u], self.operations[u], self.resources[u]
+        return [its for _, _, its in groups]
 
     def value_types(self) -> tuple[type, ...] | None:
-        texts = (*self.task_ids, *self.operations, *self.resources)
+        texts = chain(self.task_ids, self.operations, self.resources)
         if all(type(x) is str for x in texts) and \
-                all(all(map(math.isfinite, c)) for c in (*self.starts, *self.ends)):
+                all(np.isfinite(np.frombuffer(c)).all() for c in (*self.starts, *self.ends)):
             return (float, str, float, str, str)
         return None
 

@@ -5,9 +5,10 @@ import math
 import os
 import tracemalloc
 from array import array
+from itertools import chain
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hiermem import cli, jsonio
@@ -86,15 +87,18 @@ def row_lists(draw):
 @st.composite
 def timelines(draw):
     """Timelines with str ids, whose other texts are sometimes not strs and
-    whose columns sometimes hold a NaN or an infinity."""
+    whose columns sometimes hold a NaN or an infinity. Sometimes the times
+    come from a few values, 0.0 and -0.0 among them, so that iterations'
+    start times overlap and tie and one chunk holds both zeros."""
     n = draw(st.integers(0, 4))
     ids = draw(st.lists(texts, min_size=n, max_size=n, unique=True))
     label = (texts | st.sampled_from([None, 1, 1.5])) if draw(st.booleans()) else texts
     labels = st.lists(label, min_size=n, max_size=n)
-    time = (finite | st.sampled_from([math.nan, math.inf, -math.inf])) \
-        if draw(st.integers(0, 3)) == 0 else finite
+    time = draw(st.sampled_from([
+        finite | st.sampled_from([math.nan, math.inf, -math.inf]), finite, finite,
+        st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0])]))
     columns = [[array("d", draw(st.lists(time, min_size=n, max_size=n))) for _ in range(2)]
-               for _ in range(draw(st.integers(0, 3)))]
+               for _ in range(draw(st.integers(0, 4)))]
     return Timeline(tuple(ids), tuple(draw(labels)), tuple(draw(labels)),
                     tuple(c[0] for c in columns), tuple(c[1] for c in columns))
 
@@ -116,6 +120,10 @@ def out_path(tmp_path_factory):
 @given(data=json_like | st.lists(json_like | unsupported, max_size=3))
 @example(data={"rows": [{"k": 1.0}], "text": jsonio._ROWS_MARKER % 0})
 @example(data=[[{"k": 1}], [{"k": 2}], 'x"' + jsonio._ROWS_MARKER % 1])
+@example(data={"timeline": Timeline(
+    ("a", "b"), ("op", "op"), ("gpu", "gpu"),
+    (array("d", [0.0, -0.0]), array("d", [-0.0, 1.0])),
+    (array("d", [-0.0, 0.0]), array("d", [1.0, 0.0])))})
 def test_writer_matches_json_dumps(out_path, data):
     def write(data):
         out_path.unlink(missing_ok=True)
@@ -127,6 +135,31 @@ def test_writer_matches_json_dumps(out_path, data):
         return out_path.read_bytes()
 
     assert outcome(write, data) == outcome(oracle, data)
+
+
+def sorted_rows(timeline: Timeline) -> list[tuple]:
+    """A timeline's rows built from its columns and sorted whole, by (start_s, task_id)."""
+    rows = [(start, f"it{k}.{task_id}", end, op, res)
+            for k, (starts, ends) in enumerate(zip(timeline.starts, timeline.ends))
+            for task_id, op, res, start, end in zip(timeline.task_ids, timeline.operations,
+                                                     timeline.resources, starts, ends)]
+    return sorted(rows, key=lambda row: row[:2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(timeline=timelines(), size=st.integers(1, 5))
+def test_timeline_chunks_are_the_sorted_rows(timeline, size):
+    """Chunks of ``size`` rows, the last one shorter at most, hold the rows in
+    (start_s, task_id) order, zeros keeping their signs, across groups of
+    overlapping iterations and whatever chunk boundaries fall in them."""
+    assume(all(map(math.isfinite, chain(*timeline.starts, *timeline.ends))))
+    chunks = list(timeline.chunks(size))
+    expected = [tuple(map(repr, row)) for row in sorted_rows(timeline)]
+    assert [set(map(len, chunk)) for chunk in chunks] == \
+        [{min(size, len(expected) - i)} for i in range(0, len(expected), size)]
+    assert [tuple(map(repr, row)) for chunk in chunks for row in zip(*chunk)] == expected
+    assert [tuple(map(repr, row)) for row in timeline.rows()] == expected
+    assert list(jsonio.RowStream.chunks(timeline, size)) == chunks  # the default, from rows()
 
 
 def test_rows_path_takes_flat_rows_only():
@@ -238,6 +271,31 @@ def test_timeline_is_written_without_holding_its_text(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(report.timeline) > 20 * jsonio._CHUNK_ROWS
+    assert peak < os.path.getsize(out) / 4
+    assert out.read_bytes() == oracle(report.to_dict())
+
+
+def test_one_large_iteration_is_written_in_chunks(tmp_path):
+    """write_json of a one-iteration simulate report with over 20 chunks of
+    rows peaks below a quarter of the bytes it writes, so that one
+    iteration's rows are never formatted at once, and writes the bytes
+    json.dumps gives for it."""
+    cfg = dataclasses.replace(model_preset("gpt3-1.7b"), num_layers=8, seq_len=128)
+    prof = hardware_preset("a100-server")
+    inventory = tensor_inventory(cfg)
+    traces = build_trace(inventory, prof.timing_model())
+    model = LayerModel.from_inventory(inventory, 65536, cfg.batch_size)
+    sched = schedule(model, traces, 2**30, ShardingModel(2, 0))
+    report = simulate(sched, traces, prof)
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        jsonio.write_json(report.to_dict(), str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.timeline.starts) == 1
     assert len(report.timeline) > 20 * jsonio._CHUNK_ROWS
     assert peak < os.path.getsize(out) / 4
     assert out.read_bytes() == oracle(report.to_dict())

@@ -70,7 +70,8 @@ def brute_force_resident(sched: Schedule, traces, x: int) -> int:
     model, sharding = sched.model, sched.sharding
     n = model.num_layers
     total = 0
-    for pid, layer in model.page_layer.items():
+    for pid in range(model.num_pages):
+        layer = model.layer_of(pid)
         owned = sharding.owns(pid)
         acq_op = "move_to_gpu" if owned else "all_gather"
         acquires = sorted(t.trigger_id for t in sched.tasks
