@@ -216,10 +216,8 @@ def cmd_schedule(args) -> int:
     sharding = ShardingModel(args.world_size, args.rank)
     sched = schedule(model, traces, args.gpu_budget, sharding,
                      phase1_only=args.phase1_only)
-    out = sched.to_dict()
-    out["schema_version"] = SCHEMA_VERSION
-    out["peak_bytes"] = peak_memory(sched, traces)
-    write_json(out, args.out)
+    write_json({**sched.to_dict(), "schema_version": SCHEMA_VERSION,
+                "peak_bytes": peak_memory(sched, traces)}, args.out)
     return EXIT_OK
 
 
@@ -233,9 +231,7 @@ def cmd_simulate(args) -> int:
     )
     report = simulate(sched, traces, profile, iterations=args.iterations,
                       update_mode=args.update_mode, optimizer_tier=args.optimizer_tier)
-    data = report.to_dict()
-    data["schema_version"] = SCHEMA_VERSION
-    write_json(data, args.out)
+    write_json({**report.to_dict(), "schema_version": SCHEMA_VERSION}, args.out)
     return EXIT_OK
 
 
@@ -244,22 +240,22 @@ def cmd_simulate(args) -> int:
 def _delays_from_arg(arg: str) -> lf.DelayModel:
     if arg.startswith("preset:"):
         return lf.DelayModel.preset(arg.removeprefix("preset:"))
-    return lf.DelayModel.from_dict(load_json(arg))
+    return lf.DelayModel.from_profile(presets.resolve_hardware(load_json(arg)), "ssd")
 
 
 def cmd_lockfree(args) -> int:
     cfg = lf.ToyTrainConfig.from_dict(load_json(args.toy_config) if args.toy_config else {})
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    if args.mode == "sync" and args.max_inflight is not None:
+        raise ConfigError("--max-inflight applies only to --mode lockfree")
     delays = _delays_from_arg(args.delays)
     if args.mode == "sync":
         report = lf.run_sync(cfg, delays, args.iters)
     else:
         report = lf.run_lockfree(cfg, delays, args.iters,
                                  max_inflight=args.max_inflight)
-    data = report.to_dict()
-    data["schema_version"] = SCHEMA_VERSION
-    write_json(data, args.out)
+    write_json({**report.to_dict(), "schema_version": SCHEMA_VERSION}, args.out)
     return EXIT_OK
 
 
@@ -397,7 +393,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lockfree", help="toy trainer with the lock-free protocol")
     p.add_argument("--toy-config")
-    p.add_argument("--delays", default="preset:ssd")
+    p.add_argument("--delays", default="preset:ssd",
+                   help="preset:ssd, preset:cpu, preset:zero, or FILE: a hardware profile")
     p.add_argument("--mode", choices=["sync", "lockfree"], default="lockfree")
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--seed", type=int, default=None)  # None: the toy config's seed

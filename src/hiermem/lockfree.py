@@ -23,7 +23,10 @@ are torn-read-free: each publish installs a brand-new immutable
 (version, array) record behind a single reference swap.
 
 Runs execute on a deterministic virtual clock: the actors are coroutines
-driven by a discrete-event loop.
+driven by a discrete-event loop. The clock is charged at a hardware
+profile's rates as ``simulate`` charges them (:class:`DelayModel`): PCIe at
+the rank's share, state I/O at ``ssd_io``, Adam at ``cpu_bytes_per_s``, and
+no link latency, as the toy runs each transfer in line with its compute.
 """
 from __future__ import annotations
 
@@ -31,14 +34,16 @@ import heapq
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields
+from itertools import count
 
 import numpy as np
 
 from .errors import REAL, ConfigError, ProtocolError, check_fields, check_range
-from .presets import HARDWARE_PRESETS
+from .presets import hardware_preset
+from .simengine import HardwareProfile
 
-# raw link bandwidths of the built-in preset (not one overridden from a directory)
-_A100_LINKS = HARDWARE_PRESETS["a100-server"]["links"]
+# The toy's GPU rate: a hardware profile gives byte rates, not FLOP rates.
+GPU_FLOPS_PER_S = 1e11
 
 
 @dataclass(frozen=True)
@@ -103,54 +108,61 @@ class ToyTrainConfig:
 
 @dataclass(frozen=True)
 class DelayModel:
-    """Simulated transfer/compute costs, charged on the virtual clock."""
+    """Simulated transfer/compute costs, charged on the virtual clock.
 
-    pcie_bytes_per_s: float = _A100_LINKS["pcie_h2d"]["bandwidth_bytes_per_s"]
-    # None: master states live in CPU RAM
-    ssd_bytes_per_s: float | None = _A100_LINKS["ssd_io"]["bandwidth_bytes_per_s"]
-    cpu_mem_bytes_per_s: float = 100e9
-    gpu_flops_per_s: float = 1e11
+    ``from_profile`` charges what ``simulate`` charges: fetches at the rank's
+    share of ``pcie_h2d``, offloads at its share of ``pcie_d2h``, state fetch
+    and store at ``ssd_io`` (none for CPU-resident states) and the Adam update
+    at ``cpu_bytes_per_s`` over the FP32 state. No link latency: the toy runs
+    each transfer back to back with its compute, which ``simulate`` overlaps.
+    """
+
+    fetch_bytes_per_s: float
+    offload_bytes_per_s: float
+    state_io_bytes_per_s: float  # infinite: states in CPU RAM
+    cpu_bytes_per_s: float
+    gpu_flops_per_s: float
 
     def __post_init__(self):
         # infinite rates are free transfers (the ``zero`` preset)
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not (value is None and f.name == "ssd_bytes_per_s"):
-                check_range(f"delay model {f.name!r}", value, 0, above=True, finite=False)
+            check_range(f"delay model {f.name!r}", getattr(self, f.name), 0, above=True,
+                        finite=False)
 
     def fetch_s(self, nbytes: int) -> float:
-        return nbytes / self.pcie_bytes_per_s
+        return nbytes / self.fetch_bytes_per_s
 
     def offload_s(self, nbytes: int) -> float:
-        return nbytes / self.pcie_bytes_per_s
+        return nbytes / self.offload_bytes_per_s
 
     def state_fetch_s(self, nbytes: int) -> float:
-        rate = self.ssd_bytes_per_s or self.cpu_mem_bytes_per_s
-        return nbytes / rate
+        return nbytes / self.state_io_bytes_per_s
 
     state_store_s = state_fetch_s
 
-    def update_compute_s(self, nbytes_touched: int) -> float:
-        return nbytes_touched / self.cpu_mem_bytes_per_s
+    def update_compute_s(self, nbytes: int) -> float:
+        return nbytes / self.cpu_bytes_per_s
 
     def compute_s(self, flops: float) -> float:
         return flops / self.gpu_flops_per_s
 
     @classmethod
-    def preset(cls, name: str) -> "DelayModel":
-        if name == "ssd":
-            return cls()
-        if name == "cpu":
-            return cls(ssd_bytes_per_s=None)
-        if name == "zero":
-            return cls(pcie_bytes_per_s=math.inf, ssd_bytes_per_s=math.inf,
-                       cpu_mem_bytes_per_s=math.inf, gpu_flops_per_s=math.inf)
-        raise ConfigError(f"unknown delay preset {name!r}")
+    def from_profile(cls, profile: HardwareProfile, optimizer_tier: str) -> "DelayModel":
+        """One rank's charges, its optimizer states on ``optimizer_tier`` (ssd, cpu)."""
+        state_io = {"ssd": profile.links["ssd_io"].bandwidth_bytes_per_s, "cpu": math.inf}
+        return cls(fetch_bytes_per_s=profile.pcie_effective_bw("pcie_h2d"),
+                   offload_bytes_per_s=profile.pcie_effective_bw("pcie_d2h"),
+                   state_io_bytes_per_s=state_io[optimizer_tier],
+                   cpu_bytes_per_s=profile.cpu_bytes_per_s,
+                   gpu_flops_per_s=GPU_FLOPS_PER_S)
 
     @classmethod
-    def from_dict(cls, raw) -> "DelayModel":
-        types = {f.name: REAL for f in fields(cls)} | {"ssd_bytes_per_s": (*REAL, type(None))}
-        return cls(**check_fields("delay model", raw, types))
+    def preset(cls, name: str) -> "DelayModel":
+        if name in ("ssd", "cpu"):
+            return cls.from_profile(hardware_preset("a100-server"), name)
+        if name == "zero":
+            return cls(*[math.inf] * len(fields(cls)))
+        raise ConfigError(f"unknown delay preset {name!r}")
 
 
 @dataclass(frozen=True)
@@ -188,15 +200,11 @@ class MasterState:
         self.steps = [0] * len(params)
 
     def update_layer(self, layer: int, grad: np.ndarray, hyper: AdamHyper) -> bool:
-        self.steps[layer] += 1
-        p, m, v, applied = apply_update(
-            self.p32[layer], self.m32[layer], self.v32[layer], grad, hyper,
-            self.steps[layer],
-        )
+        p, m, v, applied = apply_update(self.p32[layer], self.m32[layer], self.v32[layer],
+                                        grad, hyper, self.steps[layer] + 1)
         if applied:
             self.p32[layer], self.m32[layer], self.v32[layer] = p, m, v
-        else:
-            self.steps[layer] -= 1
+            self.steps[layer] += 1
         return applied
 
 
@@ -439,12 +447,8 @@ class VirtualRuntime:
         self.clocks = [0.0] * n
         resume: list = [None] * n
         finished = [False] * n
-        seq = 0
-        ready: list[tuple[float, int, int]] = []
-        for i in range(n):
-            ready.append((0.0, seq, i))
-            seq += 1
-        heapq.heapify(ready)
+        seq = count(n)  # ties in time resume actors in the order they were queued
+        ready = [(0.0, i, i) for i in range(n)]
 
         while ready:
             clock, _, i = heapq.heappop(ready)
@@ -458,8 +462,7 @@ class VirtualRuntime:
             kind = effect[0]
             if kind == "sleep":
                 self.clocks[i] += effect[1]
-                heapq.heappush(ready, (self.clocks[i], seq, i))
-                seq += 1
+                heapq.heappush(ready, (self.clocks[i], next(seq), i))
             elif kind == "send":
                 box, payload = effect[1], effect[2]
                 box.queue.append((self.clocks[i], payload))
@@ -468,18 +471,15 @@ class VirtualRuntime:
                     ts, msg = box.queue.popleft()
                     self.clocks[j] = max(self.clocks[j], ts)
                     resume[j] = msg
-                    heapq.heappush(ready, (self.clocks[j], seq, j))
-                    seq += 1
-                heapq.heappush(ready, (self.clocks[i], seq, i))
-                seq += 1
+                    heapq.heappush(ready, (self.clocks[j], next(seq), j))
+                heapq.heappush(ready, (self.clocks[i], next(seq), i))
             elif kind == "recv":
                 box = effect[1]
                 if box.queue:
                     ts, msg = box.queue.popleft()
                     self.clocks[i] = max(self.clocks[i], ts)
                     resume[i] = msg
-                    heapq.heappush(ready, (self.clocks[i], seq, i))
-                    seq += 1
+                    heapq.heappush(ready, (self.clocks[i], next(seq), i))
                 else:
                     if box.waiter is not None:
                         raise ProtocolError("two actors blocked on one mailbox")
@@ -546,7 +546,7 @@ def _update_layer(cfg, delays, buffer, masters, layer, snapshot, rec, box):
                                rejected=not applied)
     if not applied:
         rec.rejected_updates += 1
-    yield ("sleep", delays.update_compute_s(cfg.state_bytes32 * 2))
+    yield ("sleep", delays.update_compute_s(cfg.state_bytes32))
     yield ("send", box, ("publish", layer, masters.p32[layer].copy(), newest_iter))
     yield ("sleep", delays.state_store_s(cfg.state_bytes32))
 
@@ -650,8 +650,8 @@ class TrainReport:
 
 
 def _make_report(mode, cfg, iterations, rec, buffer, readout, val, makespan) -> TrainReport:
-    x_val, y_val = val
-    vloss = validation_loss(buffer, readout, x_val, y_val)
+    if not math.isfinite(makespan):
+        raise ConfigError(f"{mode} makespan is {makespan}: a delay rate is too small")
     busy = rec.gpu_busy_s
     return TrainReport(
         mode=mode,
@@ -659,7 +659,7 @@ def _make_report(mode, cfg, iterations, rec, buffer, readout, val, makespan) -> 
         batch_size=cfg.batch_size,
         loss_curve=tuple(rec.loss_curve),
         final_train_loss=rec.loss_curve[-1] if rec.loss_curve else math.nan,
-        val_loss=vloss,
+        val_loss=validation_loss(buffer, readout, *val),
         makespan_s=makespan,
         samples_per_s=iterations * cfg.batch_size / makespan if makespan > 0 else math.inf,
         gpu_busy_s=busy,

@@ -245,7 +245,7 @@ def _page_task_fault(task: Task, model: LayerModel) -> tuple[str, str] | None:
     if task.layer != layer:
         return "layer", (f"{task.operation} of page {task.target} names layer {task.layer}, "
                          f"but the page is in layer {layer}")
-    slots = (layer, 2 * model.num_layers - 1 - layer)
+    slots = (layer, backward_id(layer, model.num_layers))
     if task.operation == "all_gather" and (task.slot not in slots or
                                            task.slot < task.trigger_id):
         return "slot", (f"all_gather of page {task.target} (layer {layer}) at trigger "
@@ -518,7 +518,7 @@ def _build_phase1(model: LayerModel, traces: list[TensorTrace], gpu_budget: int,
     assert not any(parked.values()), "wait stack must drain by the end of the forward sweep"
 
     for slot in range(n, 2 * n):
-        i = 2 * n - 1 - slot
+        i = backward_id(slot, n)
         if i < evicted:
             for pid in own_pages[i]:
                 add(Task("move_to_gpu", pid, slot, i, slot, True))
@@ -589,7 +589,7 @@ def schedule(model_layers: LayerModel, traces: list[TensorTrace], gpu_budget: in
     if peak > gpu_budget:
         slot = profile.index(peak)
         n = model_layers.num_layers
-        layer = slot if slot < n else 2 * n - 1 - slot
+        layer = slot if slot < n else backward_id(slot, n)
         raise InfeasibleScheduleError(layer, peak, gpu_budget)
     if phase1_only:
         return phase1

@@ -63,7 +63,7 @@ import numpy as np
 from .errors import REAL, ConfigError, SimulationError, check_fields, check_range
 from .jsonio import _CHUNK_ROWS, RowStream
 from .scheduler import Schedule
-from .tracer import CPU_BYTES_PER_S, GPU_BYTES_PER_S, TensorTrace, TimingModel
+from .tracer import CPU_BYTES_PER_S, GPU_BYTES_PER_S, TensorTrace, TimingModel, backward_id
 
 LINKS = ("pcie_h2d", "pcie_d2h", "gpu_interconnect", "ssd_io")
 DEFAULT_LATENCY_S = 10e-6
@@ -426,7 +426,7 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
         for layer in reversed(range(n)):
             deps = evict_uids_by_layer.get(layer)
             if deps is None:
-                comp = compute_uid.get(2 * n - 1 - layer, prev_comp)
+                comp = compute_uid.get(backward_id(layer, n), prev_comp)
                 deps = [] if comp is None else [comp]
             deps = deps + prev_in_pipe
             # with SSD-resident states the rank's shard is fetched and stored
@@ -456,6 +456,8 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
         # the next iteration starts once every task of this one has finished
         start = max(ends, default=start)
     makespan = start
+    if not math.isfinite(makespan):
+        raise ConfigError(f"simulated makespan is {makespan}: a hardware rate is too small")
     _post_hoc_checks(tasks, runs)
     busy = _busy_s(tasks, runs)
 

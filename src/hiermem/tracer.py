@@ -20,9 +20,9 @@ from .errors import REAL, ConfigError, check_fields, check_range
 from .footprint import TensorSpec
 
 # A100 compute rates, defined here once: TimingModel and HardwareProfile
-# default to them and the a100-server preset names them. Activation and
-# gradient production is charged at an HBM-stream proxy, optimizer math at
-# a DDR-stream proxy.
+# default to them, the a100-server preset names them, and the models derived
+# from a profile (TimingModel, DelayModel) read them there. Activations and
+# gradients are charged at an HBM-stream proxy, optimizer math at DDR's.
 GPU_BYTES_PER_S = 600e9
 CPU_BYTES_PER_S = 80e9
 
@@ -32,6 +32,7 @@ def forward_id(layer: int) -> int:
 
 
 def backward_id(layer: int, num_layers: int) -> int:
+    """Its own inverse: also the layer of backward slot ``layer``."""
     return 2 * num_layers - 1 - layer
 
 

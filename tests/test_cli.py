@@ -519,23 +519,54 @@ class TestLockfreeCmd:
         assert message in capsys.readouterr().err
 
     def test_delays_file(self, tmp_path, capsys):
-        good = write(tmp_path, "delays.json", {"pcie_bytes_per_s": 16e9,
-                                               "ssd_bytes_per_s": None})
+        hardware = hardware_preset("a100-server").to_dict()
         toy = write(tmp_path, "toy.json", {"num_layers": 2, "dim": 8, "batch_size": 8})
+        reports = []
+        for delays in ("preset:ssd", write(tmp_path, "a100.json", hardware)):
+            out = tmp_path / f"r{len(reports)}.json"
+            assert run(["lockfree", "--toy-config", toy, "--delays", delays, "--iters", "2",
+                        "--out", str(out)]) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]  # the file charges SSD-resident states
+        hardware["links"]["pcie_h2d"]["bandwidth_bytes_per_s"] = 16e9
+        good = write(tmp_path, "hardware.json", hardware)
         assert run(["lockfree", "--toy-config", toy, "--delays", good, "--iters", "2",
                     "--out", str(tmp_path / "r.json")]) == EXIT_OK
-        bad = write(tmp_path, "bad.json", {"pcie_bytes_per_s": 16e9, "nvme_bytes_per_s": 1})
+        assert json.loads((tmp_path / "r.json").read_text())["makespan_s"] > \
+            json.loads(reports[0])["makespan_s"]
+        bad = write(tmp_path, "bad.json", {**hardware, "nvme_bytes_per_s": 1})
         assert run(["lockfree", "--toy-config", toy, "--delays", bad,
                     "--iters", "2"]) == EXIT_USAGE
-        assert "unknown delay model keys: ['nvme_bytes_per_s']" in capsys.readouterr().err
+        assert "unknown hardware keys: ['nvme_bytes_per_s']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rate", [0, -1e9, float("nan")], ids=["zero", "negative", "nan"])
     def test_delay_rate_out_of_range_is_usage_error(self, tmp_path, capsys, rate):
-        delays = write(tmp_path, "delays.json", {"pcie_bytes_per_s": rate})
+        hardware = hardware_preset("a100-server").to_dict()
+        hardware["links"]["pcie_h2d"]["bandwidth_bytes_per_s"] = rate
+        delays = write(tmp_path, "hardware.json", hardware)
         assert run(["lockfree", "--delays", delays, "--iters", "2",
                     "--out", str(tmp_path / "r.json")]) == EXIT_USAGE
-        assert "delay model 'pcie_bytes_per_s' must be > 0" in capsys.readouterr().err
+        assert "'links.pcie_h2d': 'bandwidth_bytes_per_s' must be finite and > 0" \
+            in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("mode", ["sync", "lockfree"])
+    def test_overflowing_makespan_is_usage_error(self, tmp_path, capsys, mode):
+        hardware = hardware_preset("a100-server").to_dict()
+        hardware["links"]["ssd_io"]["bandwidth_bytes_per_s"] = 1e-320
+        delays = write(tmp_path, "hardware.json", hardware)
+        out = tmp_path / "r.json"
+        assert run(["lockfree", "--delays", delays, "--mode", mode, "--iters", "2",
+                    "--out", str(out)]) == EXIT_USAGE
+        assert f"{mode} makespan is inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_max_inflight_in_sync_mode_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(["lockfree", "--mode", "sync", "--max-inflight", "1", "--iters", "2",
+                    "--out", str(out)]) == EXIT_USAGE
+        assert "--max-inflight" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("max_inflight", ["0", "-1"])
     def test_max_inflight_below_one_is_usage_error(self, capsys, max_inflight):
@@ -680,6 +711,19 @@ class TestPipelineCmd:
                                               "hardware": hardware})
         assert run(["pipeline", "--config", config]) == EXIT_USAGE
         assert field in capsys.readouterr().err
+
+    def test_overflowing_makespan_is_usage_error(self, tmp_path, capsys):
+        hardware = hardware_preset("a100-server").to_dict()
+        hardware["links"]["ssd_io"]["bandwidth_bytes_per_s"] = 1e-320
+        config = write(tmp_path, "exp.json", {"model": "preset:tiny-2layer",
+                                              "gpu_budget_bytes": 2**30,
+                                              "update_mode": "sync",
+                                              "hardware": hardware})
+        out = tmp_path / "report.json"
+        assert run(["pipeline", "--config", config, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "simulated makespan is inf" in err and "internal" not in err
+        assert not out.exists()
 
     def test_phase_selection(self, tmp_path):
         out = tmp_path / "report.json"

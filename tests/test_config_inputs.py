@@ -7,17 +7,17 @@ from hypothesis import strategies as st
 
 from hiermem.errors import ConfigError
 from hiermem.footprint import TransformerConfig
-from hiermem.lockfree import AdamHyper, DelayModel, ToyTrainConfig
+from hiermem.lockfree import AdamHyper, ToyTrainConfig
 from hiermem.simengine import LINKS, HardwareProfile, LinkSpec
 from hiermem.tracer import TimingModel
 
 READERS = (TransformerConfig.from_dict, TimingModel.from_dict, HardwareProfile.from_dict,
-           ToyTrainConfig.from_dict, DelayModel.from_dict)
+           ToyTrainConfig.from_dict)
 
 # Keys are mostly real field names, at every depth, so that values reach the
 # type and range checks and not only the unknown-key one.
 FIELD_NAMES = sorted({f.name for cls in (TransformerConfig, TimingModel, HardwareProfile,
-                                         LinkSpec, ToyTrainConfig, AdamHyper, DelayModel)
+                                         LinkSpec, ToyTrainConfig, AdamHyper)
                       for f in fields(cls)} | set(LINKS))
 KEYS = st.sampled_from(FIELD_NAMES) | st.text(max_size=4)
 SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)

@@ -1,4 +1,6 @@
 """Lock-free protocol: Adam updates, buffers, conservation, staleness, throughput."""
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from hiermem.lockfree import (
     run_lockfree,
     run_sync,
 )
+from hiermem.presets import PRESET_DIR_ENV, hardware_preset
 from reference_train import reference_train
 
 SSD = DelayModel.preset("ssd")
@@ -174,13 +177,26 @@ class TestSyncTiming:
             delays.fetch_s(cfg.param_bytes16) + delays.compute_s(cfg.flops_per_layer)
             + delays.compute_s(2 * cfg.flops_per_layer) + delays.offload_s(cfg.param_bytes16)
             + delays.state_fetch_s(cfg.state_bytes32)
-            + delays.update_compute_s(2 * cfg.state_bytes32)
+            + delays.update_compute_s(cfg.state_bytes32)
             + delays.state_store_s(cfg.state_bytes32)
         )
         report = run_sync(cfg, delays, iters)
         assert report.makespan_s == pytest.approx(iters * cfg.num_layers * per_layer,
                                                   rel=1e-12)
         assert report.publishes == iters * cfg.num_layers
+
+    def test_preset_dir_half_ssd_rate_adds_the_state_io(self, tmp_path, monkeypatch):
+        cfg, iters = small_cfg(), 30
+        hardware = hardware_preset("a100-server").to_dict()
+        hardware["links"]["ssd_io"]["bandwidth_bytes_per_s"] /= 2
+        (tmp_path / "a100-server.json").write_text(json.dumps({"kind": "hardware",
+                                                               **hardware}))
+        monkeypatch.setenv(PRESET_DIR_ENV, str(tmp_path))
+        slow = run_sync(cfg, DelayModel.preset("ssd"), iters).makespan_s
+        # half the bandwidth doubles each state fetch and store
+        state_io = SSD.state_fetch_s(cfg.state_bytes32) + SSD.state_store_s(cfg.state_bytes32)
+        assert slow - run_sync(cfg, SSD, iters).makespan_s == \
+            pytest.approx(iters * cfg.num_layers * state_io, rel=1e-9)
 
 
 class TestDeterminism:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hiermem import footprint as fp
 from hiermem import simengine
 from hiermem.errors import ConfigError, InfeasibleScheduleError, SimulationError
-from hiermem.lockfree import DelayModel
+from hiermem.lockfree import GPU_FLOPS_PER_S, DelayModel, ToyTrainConfig
 from hiermem.presets import HARDWARE_PRESETS, hardware_preset, model_preset
 from hiermem.scheduler import LayerModel, Schedule, ShardingModel, Task, schedule
 from hiermem.simengine import HardwareProfile, LinkSpec, TimelineEntry, compare, simulate
@@ -74,11 +74,27 @@ class TestOneCostModel:
         with pytest.raises(ConfigError, match=r"'links\.ssd_io' keys: \['latency'\]"):
             HardwareProfile.from_dict({**raw, "links": links})
 
-    def test_delay_model_uses_the_preset_link_bandwidths(self):
-        links = HARDWARE_PRESETS["a100-server"]["links"]
-        delays = DelayModel()
-        assert delays.pcie_bytes_per_s == links["pcie_h2d"]["bandwidth_bytes_per_s"]
-        assert delays.ssd_bytes_per_s == links["ssd_io"]["bandwidth_bytes_per_s"]
+    def test_delay_presets_charge_the_profile_rates(self):
+        a100, cfg, nbytes = hardware_preset("a100-server"), ToyTrainConfig(), 3 * MIB
+        # distinct rates, so that each charge matches only its own
+        odd = HardwareProfile({name: LinkSpec(rate) for name, rate in
+                               zip(simengine.LINKS, (8e9, 4e9, 2e9, 1e9))},
+                              cpu_bytes_per_s=5e9, num_gpus=2, pcie_lanes=1)
+        for tier in ("ssd", "cpu"):
+            assert DelayModel.preset(tier) == DelayModel.from_profile(a100, tier)
+            for prof in (a100, odd):
+                delays = DelayModel.from_profile(prof, tier)
+                assert delays.fetch_s(nbytes) == nbytes / prof.pcie_effective_bw("pcie_h2d")
+                assert delays.offload_s(nbytes) == nbytes / prof.pcie_effective_bw("pcie_d2h")
+                # simulate has no optimizer I/O tasks for CPU-resident states
+                state_io_s = nbytes / prof.links["ssd_io"].bandwidth_bytes_per_s \
+                    if tier == "ssd" else 0.0
+                assert delays.state_fetch_s(nbytes) == delays.state_store_s(nbytes) \
+                    == state_io_s
+                # simulate's rule: an update streams 6 x the param16 bytes
+                assert delays.update_compute_s(cfg.state_bytes32) == \
+                    6 * cfg.param_bytes16 / prof.cpu_bytes_per_s
+                assert delays.compute_s(1e9) == 1e9 / GPU_FLOPS_PER_S
 
 
 def plain(report) -> dict:
