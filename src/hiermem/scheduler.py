@@ -19,27 +19,30 @@ resident. Each acquire (the move trigger of a page this rank owns, the
 gather trigger of any other page) holds the page until the next later
 eviction of that page or until one slot past its layer's backward op,
 whichever comes first; that release never lies past the 2n-slot horizon.
-Activations and parameter gradients are resident over their trace
-lifetimes. trigger_id t means the task becomes eligible when compute slot
-t is reached (t=0 at iteration start).
+A page that two acquires hold at once is resident once. Activations and
+parameter gradients are resident over their trace lifetimes. trigger_id t
+means the task becomes eligible when compute slot t is reached (t=0 at
+iteration start).
 
 `_Residency` keeps the resident bytes as one difference array over the
 slots for the total plus one per layer, so leaving a layer out is a
 subtraction, and each page's acquire and eviction triggers, sorted. One
 `schedule()` builds one. Phase 1 reads each layer's working set off it
 (the layer's pages plus its larger share at its two compute slots) and
-keeps it up to date as it adds and withdraws tasks: an update re-derives
-the task's page only, O(intervals of that page), and a query is a prefix
-sum, O(slots). After every decision it equals `_resident_profile`, the
-one sweep over a whole task list. Phase 2 bisects each gather's lower
-bound out of its page's triggers and updates phase 1's profile in place.
+keeps it up to date as it adds and withdraws tasks. An acquire adds or
+subtracts only the slots over which it alone holds its page, found with
+one bisect into the page's evictions; an eviction re-derives only its own
+page's intervals; a query is a prefix sum, O(slots). After every decision
+it equals `_resident_profile`, the one sweep over a whole task list. Phase
+2 bisects each gather's lower bound out of its page's triggers and updates
+phase 1's profile in place.
 
 Scheduling is a pure function; a Schedule is an immutable value.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -226,6 +229,7 @@ class Schedule:
         model = LayerModel.from_dict(raw["model"])
         sharding = ShardingModel(raw.get("world_size", 1), raw.get("rank", 0))
         tasks = tuple(_task_from_dict(k, t, model, sharding) for k, t in enumerate(raw["tasks"]))
+        _check_task_set(tasks)
         return cls(tasks, raw["phase"], raw["gpu_budget"], model, sharding)
 
 
@@ -283,6 +287,27 @@ def _task_from_dict(k: int, raw, model: LayerModel, sharding: ShardingModel) -> 
     return task
 
 
+def _check_task_set(tasks: tuple[Task, ...]) -> None:
+    """ConfigError naming the first task that the others make unrunnable: a
+    compute at another compute's trigger, or an all_gather of an owned page
+    with no move_to_gpu of that page at or before its trigger."""
+    first_move: dict[int, int] = {}  # page -> its earliest move trigger
+    for t in tasks:
+        if t.operation == "move_to_gpu":
+            first_move[t.target] = min(t.trigger_id, first_move.get(t.target, t.trigger_id))
+    computes: dict[int, int] = {}  # trigger -> index of its compute
+    for k, t in enumerate(tasks):
+        if t.operation == "compute":
+            j = computes.setdefault(t.trigger_id, k)
+            if j != k:
+                raise ConfigError(f"task {k} 'trigger_id': compute at trigger {t.trigger_id} "
+                                  f"shares it with task {j}")
+        elif (t.operation == "all_gather" and t.owned
+              and first_move.get(t.target, math.inf) > t.trigger_id):
+            raise ConfigError(f"task {k} 'trigger_id': all_gather of owned page {t.target} "
+                              f"at trigger {t.trigger_id} has no move_to_gpu at or before it")
+
+
 # -- residency ---------------------------------------------------------------
 
 _RESIDENT_KINDS = ("activation16", "grad16")
@@ -292,13 +317,17 @@ def _page_intervals(acquires, evicts, release: int) -> list[tuple[int, int]]:
     """Slot intervals [start, end) over which one page is resident.
 
     Each acquire holds the page until the next later eviction or
-    ``release``, whichever comes first; empty intervals are dropped. Both
-    trigger lists are sorted. ``release`` is one past the layer's backward
-    slot, so it never exceeds the 2n-slot horizon and neither end needs
-    clamping.
+    ``release``, whichever comes first; empty intervals are dropped. A page
+    is resident once however many acquires hold it, so an acquire inside an
+    earlier one's interval, which ends at the same eviction, adds nothing.
+    Both trigger lists are sorted. ``release`` is one past the layer's
+    backward slot, so it never exceeds the 2n-slot horizon and neither end
+    needs clamping.
     """
     intervals = []
     for a in acquires:
+        if intervals and a < intervals[-1][1]:
+            continue
         k = bisect_right(evicts, a)
         r = evicts[k] if k < len(evicts) and evicts[k] < release else release
         if r > a:
@@ -317,8 +346,12 @@ class _Residency:
 
     One difference array over the slots holds the total and one per layer
     holds that layer's share. ``acquires`` and ``evicts`` hold each page's
-    triggers, sorted. ``add`` and ``remove`` re-derive only the task's
-    page; ``resident`` and ``profile`` take prefix sums.
+    triggers, sorted. An update touches only what it changes: ``add`` or
+    ``remove`` of an acquire adds or subtracts the slots over which that
+    acquire alone holds its page, found by bisecting the page's triggers;
+    of an eviction, it re-derives that page's intervals. Either costs
+    O(triggers of that page). ``resident`` and ``profile`` take prefix
+    sums, O(slots).
     """
 
     def __init__(self, model: LayerModel, sharding: ShardingModel,
@@ -327,88 +360,110 @@ class _Residency:
         self.sharding = sharding
         self.horizon = 2 * model.num_layers
         self.total = [0] * (self.horizon + 1)
-        self.by_layer: dict[int, list[int]] = {}
+        self.by_layer = [[0] * (self.horizon + 1) for _ in range(model.num_layers)]
         self.acquires: dict[int, list[int]] = {}
         self.evicts: dict[int, list[int]] = {}
-        self.intervals: dict[int, list[tuple[int, int]]] = {}
         for tr in traces:
             spec = model.tensor_info.get(tr.tensor_id)
             if spec is None or spec.kind not in _RESIDENT_KINDS:
                 continue
             start, end = min(tr.first_id, self.horizon), min(tr.end_id + 1, self.horizon)
-            for delta in (self.total, self._layer_delta(spec.layer_index)):
+            for delta in (self.total, self.by_layer[spec.layer_index]):
                 delta[start] += spec.bytes
                 delta[end] -= spec.bytes
         for task in tasks:
-            triggers = self._triggers(task)
-            if triggers is not None:
-                triggers.append(task.trigger_id)
+            evicting = self._evicting(task)
+            if evicting is not None:
+                by_page = self.evicts if evicting else self.acquires
+                by_page.setdefault(task.target, []).append(task.trigger_id)
         for triggers in (*self.acquires.values(), *self.evicts.values()):
             triggers.sort()
-        for pid in self.acquires.keys() | self.evicts.keys():
-            self._refresh(pid)
+        # only acquired pages are ever resident: one sweep adds their intervals
+        for pid, acquires in self.acquires.items():
+            layer = model.layer_of(pid)
+            self._shift(layer, _page_intervals(acquires, self.evicts.get(pid, ()),
+                                               backward_id(layer, model.num_layers) + 1),
+                        model.page_bytes)
 
-    def _triggers(self, task: Task) -> list[int] | None:
-        """The task's place in its page's acquires or evictions; None if the
-        task does not change residency."""
-        if task.operation == "evict_to_cpu":
-            by_page = self.evicts
-        elif task.operation == ("move_to_gpu" if self.sharding.owns(task.target)
-                                else "all_gather"):
-            by_page = self.acquires
-        else:
-            return None
+    def _evicting(self, task: Task) -> bool | None:
+        """True for an eviction, False for an acquire, None for a task that
+        does not change residency."""
         if not 0 <= task.target < self.model.num_pages:
             return None
-        return by_page.setdefault(task.target, [])
+        if task.operation == "evict_to_cpu":
+            return True
+        if task.operation == ("move_to_gpu" if self.sharding.owns(task.target)
+                              else "all_gather"):
+            return False
+        return None
 
-    def _layer_delta(self, layer: int) -> list[int]:
-        per_layer = self.by_layer.get(layer)
-        if per_layer is None:
-            per_layer = self.by_layer[layer] = [0] * (self.horizon + 1)
-        return per_layer
+    def _shift(self, layer: int, intervals, nbytes: int) -> None:
+        """Add ``nbytes`` over each of ``intervals`` [start, end) of a page of ``layer``."""
+        total, per_layer = self.total, self.by_layer[layer]
+        for a, r in intervals:
+            total[a] += nbytes
+            total[r] -= nbytes
+            per_layer[a] += nbytes
+            per_layer[r] -= nbytes
 
-    def _refresh(self, pid: int) -> None:
-        layer = self.model.layer_of(pid)
-        old = self.intervals.get(pid, [])
-        new = _page_intervals(self.acquires.get(pid, ()), self.evicts.get(pid, ()),
-                              backward_id(layer, self.model.num_layers) + 1)
-        if new == old:
+    def _update(self, task: Task, sign: int) -> None:
+        """Insert (sign 1) or withdraw (sign -1) the task's trigger and the
+        bytes it changes."""
+        evicting = self._evicting(task)
+        if evicting is None:
             return
-        total, per_layer = self.total, self._layer_delta(layer)
+        pid, t = task.target, task.trigger_id
+        layer = self.model.layer_of(pid)
+        release = backward_id(layer, self.model.num_layers) + 1
         page_bytes = self.model.page_bytes
-        for intervals, nbytes in ((old, -page_bytes), (new, page_bytes)):
-            for a, r in intervals:
-                total[a] += nbytes
-                total[r] -= nbytes
-                per_layer[a] += nbytes
-                per_layer[r] -= nbytes
-        self.intervals[pid] = new
+        acquires = self.acquires.setdefault(pid, [])
+        evicts = self.evicts.setdefault(pid, [])
+        if evicting:
+            old = _page_intervals(acquires, evicts, release)
+            if sign > 0:
+                insort(evicts, t)
+            else:
+                evicts.remove(t)
+            new = _page_intervals(acquires, evicts, release)
+            if new != old:
+                self._shift(layer, old, -page_bytes)
+                self._shift(layer, new, page_bytes)
+            return
+        if sign > 0:
+            pos = bisect_right(acquires, t)
+            acquires.insert(pos, t)
+            later = pos + 1  # the next acquire
+        else:
+            acquires.remove(t)
+            pos = later = bisect_left(acquires, t)
+        k = bisect_right(evicts, t)
+        # an earlier acquire since the last eviction at or before t holds the page already
+        if pos and (not k or acquires[pos - 1] >= evicts[k - 1]):
+            return
+        end = evicts[k] if k < len(evicts) and evicts[k] < release else release
+        if later < len(acquires) and acquires[later] < end:
+            end = acquires[later]  # from there on, the next acquire holds it
+        if end > t:
+            self._shift(layer, ((t, end),), sign * page_bytes)
 
     def add(self, task: Task) -> None:
-        triggers = self._triggers(task)
-        if triggers is not None:
-            insort(triggers, task.trigger_id)
-            self._refresh(task.target)
+        self._update(task, 1)
 
     def remove(self, task: Task) -> None:
-        triggers = self._triggers(task)
-        if triggers is not None:
-            triggers.remove(task.trigger_id)
-            self._refresh(task.target)
+        self._update(task, -1)
 
     def resident(self, slot: int, exclude_layer: int | None = None) -> int:
         """Bytes resident at one slot, leaving out ``exclude_layer``'s share."""
         total = sum(self.total[:slot + 1])
-        per_layer = self.by_layer.get(exclude_layer)
-        return total - sum(per_layer[:slot + 1]) if per_layer else total
+        if exclude_layer is None:
+            return total
+        return total - sum(self.by_layer[exclude_layer][:slot + 1])
 
     def profile(self, exclude_layer: int | None = None) -> list[int]:
         """Bytes resident at every slot, leaving out ``exclude_layer``'s share."""
         delta = self.total[:self.horizon]
-        per_layer = self.by_layer.get(exclude_layer)
-        if per_layer:
-            delta = [t - x for t, x in zip(delta, per_layer)]
+        if exclude_layer is not None:
+            delta = [t - x for t, x in zip(delta, self.by_layer[exclude_layer])]
         return list(accumulate(delta))
 
 

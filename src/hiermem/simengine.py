@@ -19,9 +19,16 @@ iteration. Each iteration starts on an idle system at the previous
 iteration's makespan (0 for the first): its tasks without dependencies
 arrive then. Every task runs on a resource; there are no control tasks.
 
-The template is built in one pass over the tasks in trigger order, each
-trigger's page tasks in schedule order before its compute; one table gives
-every page operation its resource and duration.
+The template is a set of parallel columns indexed by task uid: the task
+id, operation and resource, an integer code per resource, the duration and
+the list of dependencies. It is filled in one pass over the tasks in
+trigger order, each trigger's page tasks in schedule order before its
+compute; one table gives every page operation its resource and duration.
+An owned page's gather depends on the page's latest move at or before its
+trigger, wherever the schedule lists that move within the trigger. The
+event loop keeps one heap per resource code and reads the columns by
+index; each resource's uids are found once per call, for the busy sums and
+the checks.
 
 The first iteration runs through a single-threaded, deterministic heap
 event loop, which records the order in which it starts tasks. Each later
@@ -54,7 +61,8 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from itertools import chain
 from typing import ClassVar, Iterator
 
@@ -314,14 +322,35 @@ def compare(report_a: SimReport, report_b: SimReport) -> dict:
     }
 
 
-@dataclass
-class _SimTask:
-    uid: int
-    task_id: str  # timeline ids prefix it with the iteration: it{k}.<task_id>
-    operation: str
-    resource: str
-    duration: float
-    deps: list[int] = field(default_factory=list)
+class _Template:
+    """One iteration's tasks as parallel columns by uid: the task id,
+    operation and resource; the resource's code, numbered in order of first
+    use; the duration; and the uids the task depends on."""
+
+    def __init__(self):
+        self.task_ids: list[str] = []  # timeline ids prefix them with the iteration: it{k}.
+        self.operations: list[str] = []
+        self.resources: list[str] = []
+        self.codes: list[int] = []
+        self.durations: list[float] = []
+        self.deps: list[list[int]] = []
+        self.resource_codes: dict[str, int] = {}
+
+    def add(self, task_id: str, operation: str, resource: str, duration: float,
+            deps: list[int]) -> int:
+        """Append one task; returns its uid."""
+        self.task_ids.append(task_id)
+        self.operations.append(operation)
+        self.resources.append(resource)
+        self.codes.append(self.resource_codes.setdefault(resource, len(self.resource_codes)))
+        self.durations.append(duration)
+        self.deps.append(deps)
+        return len(self.codes) - 1
+
+    def uids_by_resource(self) -> dict[str, np.ndarray]:
+        """Each resource's uids, rising, with the resources in order of first use."""
+        code = np.array(self.codes, dtype=np.intp)
+        return {resource: np.flatnonzero(code == c) for resource, c in self.resource_codes.items()}
 
 
 def _slot_durations(schedule: Schedule, traces: list[TensorTrace]) -> list[float]:
@@ -380,22 +409,25 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
                          page_bytes / profile.pcie_effective_bw("pcie_d2h")),
     }
 
-    tasks: list[_SimTask] = []  # one iteration, replayed per iteration
-
-    def add(task_id, operation, resource, duration, deps):
-        tasks.append(_SimTask(len(tasks), task_id, operation, resource, duration, deps))
-        return tasks[-1].uid
-
+    tpl = _Template()  # one iteration, replayed per iteration
+    add = tpl.add
     prev_comp: int | None = None  # latest compute instantiated so far
     compute_uid: dict[int, int] = {}
-    last_move: dict[int, int] = {}  # page -> uid of its latest move so far
     gather_uids_by_slot: dict[int, list[int]] = {}
     evict_uids_by_layer: dict[int, list[int]] = {}
 
     # Trigger order, each trigger's page tasks in schedule order before its
     # compute. Trigger t tasks become eligible when slot t is reached, i.e.
     # at the finish of the latest compute before slot t (or iteration start).
-    for t in sorted(schedule.tasks, key=lambda t: (t.trigger_id, t.operation == "compute")):
+    # Every task adds one template task, so task u of this order gets uid u.
+    ordered = sorted(schedule.tasks, key=lambda t: (t.trigger_id, t.operation == "compute"))
+    # page -> (trigger, uid) of its moves, rising: an owned gather waits for
+    # the latest at or before its trigger, whether listed before it or not
+    moves: dict[int, list[tuple[int, int]]] = {}
+    for uid, t in enumerate(ordered):
+        if t.operation == "move_to_gpu":
+            moves.setdefault(t.target, []).append((t.trigger_id, uid))
+    for t in ordered:
         elig = [] if prev_comp is None else [prev_comp]
         if t.operation == "compute":
             slot = t.trigger_id
@@ -409,16 +441,17 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
         if t.operation not in page_ops:
             raise SimulationError(f"unknown operation {t.operation!r}")
         if t.operation == "all_gather" and t.owned:
-            if t.target not in last_move:
-                raise SimulationError(f"all_gather of owned page {t.target} has no earlier move")
-            elig.append(last_move[t.target])
+            page_moves = moves.get(t.target, [])
+            k = bisect_right(page_moves, (t.trigger_id, math.inf))
+            if not k:
+                raise SimulationError(f"all_gather of owned page {t.target} has no move "
+                                      f"at or before its trigger {t.trigger_id}")
+            elig.append(page_moves[k - 1][1])
         prefix, resource, dur = page_ops[t.operation]
         uid = add(f"{prefix}.p{t.target}@{t.trigger_id}", t.operation, resource, dur, elig)
-        if t.operation == "move_to_gpu":
-            last_move[t.target] = uid
-        elif t.operation == "all_gather":
+        if t.operation == "all_gather":
             gather_uids_by_slot.setdefault(t.slot, []).append(uid)
-        else:
+        elif t.operation == "evict_to_cpu":
             evict_uids_by_layer.setdefault(t.layer, []).append(uid)
 
     if update_mode == "sync":
@@ -449,17 +482,18 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
                 plan = None
         if plan is None:
             order = [] if k < iterations - 1 else None
-            starts, ends = _run_event_loop(tasks, start, order)
+            starts, ends = _run_event_loop(tpl, start, order)
             if order is not None:
-                plan = _replay_plan(tasks, order, start, ends)
+                plan = _replay_plan(tpl, order, start, ends)
         runs.append((start, starts, ends))
         # the next iteration starts once every task of this one has finished
         start = max(ends, default=start)
     makespan = start
     if not math.isfinite(makespan):
         raise ConfigError(f"simulated makespan is {makespan}: a hardware rate is too small")
-    _post_hoc_checks(tasks, runs)
-    busy = _busy_s(tasks, runs)
+    by_resource = tpl.uids_by_resource()
+    _post_hoc_checks(tpl, runs, by_resource)
+    busy = _busy_s(by_resource, runs)
 
     utilization = {r: (b / makespan if makespan > 0 else 0.0) for r, b in busy.items()}
     gpu_busy = busy.get("gpu", 0.0)
@@ -470,9 +504,8 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
         busy_s=busy,
         utilization=utilization,
         gpu_idle_fraction=idle,
-        timeline=Timeline(tuple(t.task_id for t in tasks), tuple(t.operation for t in tasks),
-                          tuple(t.resource for t in tasks), tuple(r[1] for r in runs),
-                          tuple(r[2] for r in runs)),
+        timeline=Timeline(tuple(tpl.task_ids), tuple(tpl.operations), tuple(tpl.resources),
+                          tuple(r[1] for r in runs), tuple(r[2] for r in runs)),
         samples_per_s=samples / makespan if makespan > 0 else math.inf,
         metadata={
             "iterations": iterations,
@@ -486,63 +519,66 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
     )
 
 
-def _run_event_loop(tasks: list[_SimTask], start: float,
+def _run_event_loop(tpl: _Template, start: float,
                     order: list[int] | None = None) -> tuple[array, array]:
     """FIFO-per-resource event loop on an idle system from ``start``, where
     tasks without dependencies arrive; returns the start and the finish
     column by uid, and appends each uid to ``order``, if given, as it starts."""
-    pending = [len(t.deps) for t in tasks]
-    dependents: list[list[int]] = [[] for _ in tasks]
-    for t in tasks:
-        for d in t.deps:
-            dependents[d].append(t.uid)
+    codes, durations, deps = tpl.codes, tpl.durations, tpl.deps
+    n = len(codes)
+    pending = list(map(len, deps))
+    dependents: list[list[int]] = [[] for _ in range(n)]
+    for uid, task_deps in enumerate(deps):
+        for d in task_deps:
+            dependents[d].append(uid)
 
-    queues: dict[str, list] = {}
-    running: dict[str, int | None] = {}
-    starts, ends = array("d", bytes(8 * len(tasks))), array("d", bytes(8 * len(tasks)))
+    queues: list[list] = [[] for _ in tpl.resource_codes]  # (arrival, uid) heap per code
+    running = [False] * len(queues)
+    starts, ends = array("d", bytes(8 * n)), array("d", bytes(8 * n))
     events: list[tuple[float, int, int]] = []  # (time, seq, uid) completions
     seq = 0
+    push, pop = heapq.heappush, heapq.heappop
 
-    def enqueue(uid: int, arrival: float):
-        resource = tasks[uid].resource
-        queues.setdefault(resource, [])
-        running.setdefault(resource, None)
-        heapq.heappush(queues[resource], (arrival, uid))
-        maybe_start(resource, arrival)
-
-    def maybe_start(resource: str, now: float):
+    def serve(code: int, now: float):
+        """Start the head of ``code``'s queue, which must be idle and non-empty."""
         nonlocal seq
-        if running[resource] is not None or not queues[resource]:
-            return
-        arrival, uid = heapq.heappop(queues[resource])
-        begin = max(arrival, now)
-        end = begin + tasks[uid].duration
-        running[resource] = uid
+        arrival, uid = pop(queues[code])
+        begin = now if now > arrival else arrival
+        end = begin + durations[uid]
+        running[code] = True
         starts[uid], ends[uid] = begin, end
         if order is not None:
             order.append(uid)
-        heapq.heappush(events, (end, seq, uid))
+        push(events, (end, seq, uid))
         seq += 1
 
-    for t in tasks:
-        if not t.deps:
-            enqueue(t.uid, start)
+    for uid, task_deps in enumerate(deps):
+        if not task_deps:
+            code = codes[uid]
+            push(queues[code], (start, uid))
+            if not running[code]:
+                serve(code, start)
 
     done = 0
     while events:
-        now, _, uid = heapq.heappop(events)
-        resource = tasks[uid].resource
-        running[resource] = None
+        now, _, uid = pop(events)
+        code = codes[uid]
+        running[code] = False
         done += 1
         for dep_uid in dependents[uid]:
             pending[dep_uid] -= 1
-            if pending[dep_uid] == 0:
-                enqueue(dep_uid, max(ends[d] for d in tasks[dep_uid].deps))
-        maybe_start(resource, now)
+            if not pending[dep_uid]:
+                arrival = max(map(ends.__getitem__, deps[dep_uid]))
+                dep_code = codes[dep_uid]
+                push(queues[dep_code], (arrival, dep_uid))
+                if not running[dep_code]:
+                    serve(dep_code, arrival)
+        if not running[code] and queues[code]:
+            serve(code, now)
 
-    if done != len(tasks):
+    if done != n:
         raise SimulationError(
-            f"simulation stalled: {len(tasks) - done} tasks never ran "
+            f"simulation stalled: {n - done} tasks never ran "
             "(cyclic or unsatisfiable dependencies)"
         )
     return starts, ends
@@ -562,14 +598,15 @@ class _ReplayPlan:
     rises: np.ndarray
 
 
-def _replay_plan(tasks: list[_SimTask], order: list[int], start: float,
+def _replay_plan(tpl: _Template, order: list[int], start: float,
                  ends: array) -> _ReplayPlan:
+    codes, deps, durations = tpl.codes, tpl.deps, tpl.durations
     steps = []
-    last: dict[str, int] = {}  # resource -> uid that started on it last so far
+    last = [-1] * len(tpl.resource_codes)  # per code, the uid that started on it last so far
     for uid in order:
-        t = tasks[uid]
-        steps.append((uid, t.deps, last.get(t.resource, -1), t.duration))
-        last[t.resource] = uid
+        code = codes[uid]
+        steps.append((uid, deps[uid], last[code], durations[uid]))
+        last[code] = uid
     times = _event_times(start, ends)
     perm = np.argsort(times, kind="stable")
     ranked = times[perm]
@@ -613,40 +650,36 @@ def _columns(runs: list[tuple[float, array, array]]) -> tuple[np.ndarray, ...]:
             np.stack([np.frombuffer(r[2]) for r in runs]))
 
 
-def _uids_by_resource(tasks: list[_SimTask]) -> dict[str, np.ndarray]:
-    """Each resource's uids, rising, with the resources in order of first use."""
-    codes: dict[str, int] = {}
-    code = np.fromiter((codes.setdefault(t.resource, len(codes)) for t in tasks),
-                       dtype=np.intp, count=len(tasks))
-    return {resource: np.flatnonzero(code == c) for resource, c in codes.items()}
-
-
-def _busy_s(tasks: list[_SimTask], runs: list[tuple[float, array, array]]) -> dict[str, float]:
+def _busy_s(by_resource: dict[str, np.ndarray],
+            runs: list[tuple[float, array, array]]) -> dict[str, float]:
     """Per resource, its tasks' durations summed in (iteration, uid) order;
     ``np.add.accumulate`` adds in sequence, where ``np.sum`` adds pairwise."""
     _, starts, ends = _columns(runs)
     spans = ends - starts
     return {resource: float(np.add.accumulate(spans[:, uids].ravel())[-1])
-            for resource, uids in _uids_by_resource(tasks).items()}
+            for resource, uids in by_resource.items()}
 
 
-def _post_hoc_checks(tasks: list[_SimTask], runs: list[tuple[float, array, array]]):
+def _post_hoc_checks(tpl: _Template, runs: list[tuple[float, array, array]],
+                     by_resource: dict[str, np.ndarray]):
     """Causality in every iteration (no task starts before its iteration or a
-    dependency), and no overlap per resource across the whole timeline."""
+    dependency), and no overlap per resource across the whole timeline;
+    ``by_resource`` is ``tpl.uids_by_resource()``."""
     it_starts, starts, ends = _columns(runs)
+    deps = tpl.deps
     # one (dependency, task) edge per dependency
-    dep = np.fromiter(chain.from_iterable(t.deps for t in tasks), dtype=np.intp)
-    task = np.repeat(np.arange(len(tasks)), [len(t.deps) for t in tasks])
+    dep = np.fromiter(chain.from_iterable(deps), dtype=np.intp)
+    task = np.repeat(np.arange(len(deps)), np.fromiter(map(len, deps), np.intp, len(deps)))
     bad = starts < (it_starts - 1e-12)[:, None]
     its, edge = np.nonzero(ends[:, dep] > starts[:, task] + 1e-12)
     bad[its, task[edge]] = True
     if bad.any():
-        it, u = divmod(int(bad.argmax()), len(tasks))  # the first in (iteration, uid) order
+        it, u = divmod(int(bad.argmax()), len(deps))  # the first in (iteration, uid) order
         raise SimulationError(
-            f"causality violation: it{it}.{tasks[u].task_id} started before "
+            f"causality violation: it{it}.{tpl.task_ids[u]} started before "
             "its iteration or a dependency finished"
         )
-    for resource, uids in _uids_by_resource(tasks).items():
+    for resource, uids in by_resource.items():
         s, e = starts[:, uids].ravel(), ends[:, uids].ravel()
         by_start = np.lexsort((e, s))  # by (start, end)
         s, e = s[by_start], e[by_start]

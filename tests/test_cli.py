@@ -421,6 +421,53 @@ class TestSimulateCmd:
                         f"(layer {layer}) at trigger {task['trigger_id']} must serve slot "
                         f"{layer} or {3 - layer} at or after its trigger, not slot {to_slot}\n")
 
+    @pytest.mark.parametrize("case", ["shared_compute_trigger", "gather_without_move",
+                                      "move_after_gather"])
+    def test_unrunnable_task_set_is_usage_error(self, tmp_path, capsys, case):
+        """Tasks that are each well formed but cannot run together."""
+        traces, raw = tiny_schedule_file(tmp_path, "--gpu-budget", str(2**30),
+                                         "--world-size", "2")
+        tasks = raw["tasks"]
+        move = next(k for k, t in enumerate(tasks) if t["operation"] == "move_to_gpu")
+        k, gather = next((k, t) for k, t in enumerate(tasks) if t["operation"] == "all_gather"
+                         and t["owned"] and t["target"] == tasks[move]["target"])
+        if case == "shared_compute_trigger":
+            (j, first), (k, second) = [(k, t) for k, t in enumerate(tasks)
+                                       if t["operation"] == "compute"][:2]
+            second["trigger_id"] = first["trigger_id"]
+            message = (f"task {k} 'trigger_id': compute at trigger {first['trigger_id']} "
+                       f"shares it with task {j}")
+        else:
+            if case == "gather_without_move":
+                del tasks[move]
+                if move < k:
+                    k -= 1
+            else:
+                tasks[move]["trigger_id"] = gather["trigger_id"] + 1
+            message = (f"task {k} 'trigger_id': all_gather of owned page {gather['target']} "
+                       f"at trigger {gather['trigger_id']} has no move_to_gpu at or before it")
+        assert simulate_error(tmp_path, capsys, traces, raw) == (EXIT_USAGE,
+                                                                 f"error: {message}\n")
+
+    def test_owned_gather_listed_before_its_move(self, tmp_path, capsys):
+        """Within one trigger, an owned gather waits for its page's move
+        wherever the schedule lists it."""
+        traces, raw = tiny_schedule_file(tmp_path, "--gpu-budget", str(2**30),
+                                         "--world-size", "2")
+        tasks = raw["tasks"]
+        k = next(k for k, t in enumerate(tasks) if t["operation"] == "all_gather" and t["owned"])
+        gather = tasks.pop(k)
+        move = next(j for j, t in enumerate(tasks) if t["operation"] == "move_to_gpu"
+                    and t["target"] == gather["target"])
+        assert tasks[move]["trigger_id"] == gather["trigger_id"] and move < k
+        tasks.insert(move, gather)
+        out = tmp_path / "report.json"
+        assert run(["simulate", "--schedule", write(tmp_path, "swapped.json", raw),
+                    "--traces", str(traces), "--out", str(out)]) == EXIT_OK
+        rows = {row["task_id"]: row for row in json.loads(out.read_text())["timeline"]}
+        at = f"p{gather['target']}@{gather['trigger_id']}"
+        assert rows[f"it0.gather.{at}"]["start_s"] >= rows[f"it0.move.{at}"]["end_s"]
+
 
 def corrupt(traces, case):
     """Break a valid trace list in one way that validate_trace names."""

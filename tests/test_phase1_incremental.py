@@ -14,6 +14,7 @@ from hiermem import scheduler
 from hiermem.errors import InfeasibleScheduleError
 from hiermem.scheduler import (
     LayerModel,
+    Schedule,
     ShardingModel,
     Task,
     _build_phase1,
@@ -24,7 +25,7 @@ from hiermem.scheduler import (
 )
 from hiermem.tracer import TimingModel, build_trace
 from reference_phase1 import reference_schedule
-from test_scheduler import MIB, PAGE, make_instance
+from test_scheduler import MIB, PAGE, brute_force_resident, make_instance
 
 GIB = 2**30
 
@@ -176,7 +177,44 @@ class TestMaintainedProfile:
                 tasks.append(task)
                 resident.add(task)
             assert resident.profile() == _resident_profile(tasks, model, sharding, traces)
+            sched = Schedule(tuple(tasks), "phase1", 0, model, sharding)
+            assert resident.profile() == [brute_force_resident(sched, traces, x)
+                                          for x in range(2 * n)]
         assert_profile_is_sweep(resident, tasks, model, sharding, traces)
+
+    def test_each_kind_of_update_matches_the_oracle(self):
+        """Page 0 of a two-layer model (slots 0-3, released at 4) through
+        every kind of update: acquires inside another's interval, evictions
+        that split and rejoin intervals, and withdrawals of each, checked
+        against the brute-force oracle after every step."""
+        model, traces, sharding = make_instance([1, 1])
+        resident = _Residency(model, sharding, traces)
+        tasks: list[Task] = []
+        steps = [  # (action, operation, trigger, pages resident per slot after it)
+            ("add", "move_to_gpu", 2, [0, 0, 1, 1]),
+            ("add", "move_to_gpu", 0, [1, 1, 1, 1]),
+            ("add", "evict_to_cpu", 1, [1, 0, 1, 1]),
+            ("add", "move_to_gpu", 1, [1, 1, 1, 1]),
+            ("add", "move_to_gpu", 3, [1, 1, 1, 1]),
+            ("remove", "move_to_gpu", 1, [1, 0, 1, 1]),
+            ("remove", "evict_to_cpu", 1, [1, 1, 1, 1]),
+            ("remove", "move_to_gpu", 0, [0, 0, 1, 1]),
+            ("add", "evict_to_cpu", 3, [0, 0, 1, 1]),
+            ("remove", "move_to_gpu", 3, [0, 0, 1, 0]),
+            ("remove", "evict_to_cpu", 3, [0, 0, 1, 1]),
+            ("remove", "move_to_gpu", 2, [0, 0, 0, 0]),
+        ]
+        for action, op, trigger, pages in steps:
+            task = Task(op, 0, trigger, 0, 0, True)
+            if action == "add":
+                tasks.append(task)
+                resident.add(task)
+            else:
+                tasks.remove(task)
+                resident.remove(task)
+            sched = Schedule(tuple(tasks), "phase1", 0, model, sharding)
+            assert resident.profile() == [brute_force_resident(sched, traces, x)
+                                          for x in range(4)] == [p * PAGE for p in pages]
 
 
 def test_whole_profile_builds_do_not_grow_with_decisions(monkeypatch):

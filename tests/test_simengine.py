@@ -19,6 +19,7 @@ from hiermem.tracer import (CPU_BYTES_PER_S, GPU_BYTES_PER_S, TensorTrace, Timin
                             backward_id, build_trace)
 
 from reference_simulate import reference_simulate
+from test_phase1_incremental import GIB, decisions, paper_shaped
 from test_scheduler import make_instance, MIB, PAGE
 
 
@@ -343,6 +344,19 @@ class TestMatchesReference:
             assert plain(simulate(sched, traces, prof, **kwargs)) == \
                 plain(reference_simulate(sched, traces, prof, **kwargs))
 
+    def test_paper_shape_deferring_and_evicting(self):
+        """The GPT-3 175B layer shape cut to 3 layers at 64 MiB pages and
+        10 GiB, rank 0 of 8: phase 1 both defers moves and evicts layers."""
+        model, traces = paper_shaped(3, 64 * MIB)
+        prof = hardware_preset("a100-server")
+        phase1 = schedule(model, traces, 10 * GIB, ShardingModel(8, 0), phase1_only=True)
+        deferred, evicted = decisions(phase1)
+        assert deferred > 0 and evicted > 0
+        for sched in (phase1, schedule(model, traces, 10 * GIB, ShardingModel(8, 0))):
+            for kwargs in ({}, {"iterations": 3, "update_mode": "sync"}):
+                assert plain(simulate(sched, traces, prof, **kwargs)) == \
+                    plain(reference_simulate(sched, traces, prof, **kwargs))
+
 
 class TestTimeline:
     def test_rows_are_the_global_sort_at_tied_boundaries(self):
@@ -428,9 +442,11 @@ class TestReplay:
 
 
 def checked_tasks(*specs):
-    """``_SimTask``s from (task id, resource, deps) triples."""
-    return [simengine._SimTask(u, task_id, "op", resource, 1.0, list(deps))
-            for u, (task_id, resource, deps) in enumerate(specs)]
+    """An iteration template from (task id, resource, deps) triples."""
+    tpl = simengine._Template()
+    for task_id, resource, deps in specs:
+        tpl.add(task_id, "op", resource, 1.0, list(deps))
+    return tpl
 
 
 def run(start, starts, ends):
@@ -442,7 +458,7 @@ class TestPostHocChecks:
 
     def raises(self, message, tasks, runs):
         with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
-            simengine._post_hoc_checks(tasks, runs)
+            simengine._post_hoc_checks(tasks, runs, tasks.uids_by_resource())
 
     def test_start_before_its_iteration(self):
         tasks = checked_tasks(("a", "gpu", ()), ("b", "pcie_h2d", (0,)))
