@@ -37,11 +37,22 @@ it equals `_resident_profile`, the one sweep over a whole task list. Phase
 2 bisects each gather's lower bound out of its page's triggers and updates
 phase 1's profile in place.
 
+Runnable schedules: ``_faults`` states, for ``Schedule.from_dict`` and
+``validate_schedule`` alike, when the simulator can run a task list. (1) A
+page task names its page's layer, and an all_gather serves one of that
+layer's two compute slots at or after its trigger. (2) A page task is
+``owned`` exactly when the rank owns its page; a compute never is. (3) A
+compute's slot is its trigger, and its target and layer are that slot's
+layer. (4) Compute triggers rise strictly in list order. (5) An owned
+page's all_gather has a move_to_gpu of the page at or before its trigger.
+(6) Each page of a compute's layer has an all_gather, and an owned page a
+move_to_gpu too, between the page's last eviction at or before the
+compute's trigger (or 0) and that trigger.
+
 Scheduling is a pure function; a Schedule is an immutable value.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -220,7 +231,8 @@ class Schedule:
     @classmethod
     def from_dict(cls, raw) -> "Schedule":
         """A schedule file as ``hiermem schedule`` writes it; ConfigError names
-        the field of anything the simulator cannot run."""
+        the field of a malformed value or the first fault of "Runnable
+        schedules" in the module docstring."""
         raw = check_fields("schedule", raw, _SCHEDULE_FIELDS,
                            required=("phase", "gpu_budget", "model", "tasks"))
         if raw["phase"] not in ("phase1", "phase2"):
@@ -228,8 +240,9 @@ class Schedule:
         check_range("schedule 'gpu_budget'", raw["gpu_budget"], 0, finite=False)
         model = LayerModel.from_dict(raw["model"])
         sharding = ShardingModel(raw.get("world_size", 1), raw.get("rank", 0))
-        tasks = tuple(_task_from_dict(k, t, model, sharding) for k, t in enumerate(raw["tasks"]))
-        _check_task_set(tasks)
+        tasks = tuple(_task_from_dict(k, t, model) for k, t in enumerate(raw["tasks"]))
+        for k, name, message in _faults(tasks, model, sharding):
+            raise ConfigError(f"task {k} {name!r}: {message}")
         return cls(tasks, raw["phase"], raw["gpu_budget"], model, sharding)
 
 
@@ -241,28 +254,70 @@ _TASK_FIELDS = {"operation": (str,), "target": (int,), "trigger_id": (int,),
                 "layer": (int,), "slot": (int,), "owned": (bool,)}
 
 
-def _page_task_fault(task: Task, model: LayerModel) -> tuple[str, str] | None:
-    """(field, what is wrong) when page task ``task`` names a layer other
-    than its page's, or is an all_gather whose slot is not one of its
-    layer's two compute slots at or after its trigger; else None."""
-    layer = model.layer_of(task.target)
-    if task.layer != layer:
-        return "layer", (f"{task.operation} of page {task.target} names layer {task.layer}, "
-                         f"but the page is in layer {layer}")
-    slots = (layer, backward_id(layer, model.num_layers))
-    if task.operation == "all_gather" and (task.slot not in slots or
-                                           task.slot < task.trigger_id):
-        return "slot", (f"all_gather of page {task.target} (layer {layer}) at trigger "
-                        f"{task.trigger_id} must serve slot {slots[0]} or {slots[1]} at or "
-                        f"after its trigger, not slot {task.slot}")
-    return None
+def _faults(tasks, model: LayerModel, sharding: ShardingModel):
+    """(task index, field, message) of each fault that makes a task
+    unrunnable, in task order: the rules of "Runnable schedules" in the
+    module docstring."""
+    n = model.num_layers
+    by_page: dict[tuple[str, int], list[int]] = {}  # (operation, page) -> triggers, sorted
+    for t in tasks:
+        if t.operation != "compute":
+            by_page.setdefault((t.operation, t.target), []).append(t.trigger_id)
+    for triggers in by_page.values():
+        triggers.sort()
+
+    def latest(operation: str, pid: int, trigger: int) -> int:
+        return _last_at_or_before(by_page.get((operation, pid), ()), trigger, -1)
+
+    top = None  # (trigger, index) of the compute with the highest trigger so far
+    for k, t in enumerate(tasks):
+        at = t.trigger_id
+        owned = t.operation != "compute" and sharding.owns(t.target)
+        if t.owned != owned:
+            yield k, "owned", (f"'owned' must be {str(owned).lower()} for {t.operation} of "
+                               f"{t.target} on rank {sharding.rank} of {sharding.world_size}")
+        if t.operation != "compute":
+            layer = model.layer_of(t.target)
+            slots = (layer, backward_id(layer, n))
+            if t.layer != layer:
+                yield k, "layer", (f"{t.operation} of page {t.target} names layer {t.layer}, "
+                                   f"but the page is in layer {layer}")
+            elif t.operation == "all_gather" and (t.slot not in slots or t.slot < at):
+                yield k, "slot", (f"all_gather of page {t.target} (layer {layer}) at trigger "
+                                  f"{at} must serve slot {slots[0]} or {slots[1]} at or after "
+                                  f"its trigger, not slot {t.slot}")
+            if t.operation == "all_gather" and owned and latest("move_to_gpu", t.target, at) < 0:
+                yield k, "trigger_id", (f"all_gather of owned page {t.target} at trigger {at} "
+                                        f"has no move_to_gpu at or before it")
+            continue
+        if top is None or at > top[0]:
+            top = (at, k)
+        elif at == top[0]:
+            yield k, "trigger_id", f"compute at trigger {at} shares it with task {top[1]}"
+        else:
+            yield k, "trigger_id", (f"compute at trigger {at} follows task {top[1]}'s at "
+                                    f"{top[0]}: compute triggers not strictly increasing")
+        layer = t.slot if t.slot < n else backward_id(t.slot, n)
+        if t.slot != at:
+            yield k, "slot", f"compute at trigger {at} must serve slot {at}, not slot {t.slot}"
+        for name in ("target", "layer"):
+            if getattr(t, name) != layer:
+                yield k, name, (f"compute of slot {t.slot} must name its layer {layer}, "
+                                f"not {getattr(t, name)}")
+        for pid in model.layer_pages[layer]:
+            evicted = latest("evict_to_cpu", pid, at)
+            since = (f"between the page's eviction at trigger {evicted} and it" if evicted >= 0
+                     else "at or before it")
+            needed = ("all_gather", "move_to_gpu") if sharding.owns(pid) else ("all_gather",)
+            for operation in needed:
+                if latest(operation, pid, at) < max(evicted, 0):
+                    yield k, "trigger_id", (f"compute of layer {layer} at trigger {at} has no "
+                                            f"{operation} of page {pid} {since}")
 
 
-def _task_from_dict(k: int, raw, model: LayerModel, sharding: ShardingModel) -> Task:
+def _task_from_dict(k: int, raw, model: LayerModel) -> Task:
     """Task ``k`` of a schedule file; ConfigError names the task and field
-    of anything the model cannot run. A page task names its page's layer,
-    and an all_gather one of that layer's compute slots; a page task is
-    owned exactly when the rank owns its page; a compute task never is."""
+    of a value of the wrong type or out of range."""
     task = Task(**check_fields(f"task {k}", raw, _TASK_FIELDS,
                                required=_TASK_FIELDS.keys() - {"owned"}))
     if task.operation not in OPERATIONS:
@@ -277,35 +332,7 @@ def _task_from_dict(k: int, raw, model: LayerModel, sharding: ShardingModel) -> 
         raise ConfigError(f"task {k} 'target': compute target {task.target} is not a layer")
     if task.operation != "compute" and not 0 <= task.target < model.num_pages:
         raise ConfigError(f"task {k} 'target': page {task.target} is not a parameter page")
-    fault = task.operation != "compute" and _page_task_fault(task, model)
-    if fault:
-        raise ConfigError(f"task {k} {fault[0]!r}: {fault[1]}")
-    owned = task.operation != "compute" and sharding.owns(task.target)
-    if task.owned != owned:
-        raise ConfigError(f"task {k} 'owned' must be {str(owned).lower()} for {task.operation} "
-                          f"of {task.target} on rank {sharding.rank} of {sharding.world_size}")
     return task
-
-
-def _check_task_set(tasks: tuple[Task, ...]) -> None:
-    """ConfigError naming the first task that the others make unrunnable: a
-    compute at another compute's trigger, or an all_gather of an owned page
-    with no move_to_gpu of that page at or before its trigger."""
-    first_move: dict[int, int] = {}  # page -> its earliest move trigger
-    for t in tasks:
-        if t.operation == "move_to_gpu":
-            first_move[t.target] = min(t.trigger_id, first_move.get(t.target, t.trigger_id))
-    computes: dict[int, int] = {}  # trigger -> index of its compute
-    for k, t in enumerate(tasks):
-        if t.operation == "compute":
-            j = computes.setdefault(t.trigger_id, k)
-            if j != k:
-                raise ConfigError(f"task {k} 'trigger_id': compute at trigger {t.trigger_id} "
-                                  f"shares it with task {j}")
-        elif (t.operation == "all_gather" and t.owned
-              and first_move.get(t.target, math.inf) > t.trigger_id):
-            raise ConfigError(f"task {k} 'trigger_id': all_gather of owned page {t.target} "
-                              f"at trigger {t.trigger_id} has no move_to_gpu at or before it")
 
 
 # -- residency ---------------------------------------------------------------
@@ -655,43 +682,11 @@ def schedule(model_layers: LayerModel, traces: list[TensorTrace], gpu_budget: in
 
 def validate_schedule(schedule: Schedule, traces: list[TensorTrace],
                       budget: int | None = None) -> list[str]:
-    """Empty list iff the schedule fits the budget, respects dependencies and
-    labels every page task as ``Schedule.from_dict`` requires: with its
-    page's layer, and an all_gather with one of that layer's compute slots
-    at or after its trigger."""
+    """Empty list iff the schedule fits the budget and is runnable (see
+    "Runnable schedules" in the module docstring); else the peak over the
+    budget, then the message of every fault in task order."""
     budget = schedule.gpu_budget if budget is None else budget
-    violations: list[str] = []
-
     peak = peak_memory(schedule, traces)
-    if peak > budget:
-        violations.append(f"peak memory {peak} exceeds budget {budget}")
-
-    first: dict[tuple[str, int], int] = {}  # (operation, target) -> earliest trigger
-    for t in schedule.tasks:
-        key = (t.operation, t.target)
-        first[key] = min(t.trigger_id, first.get(key, t.trigger_id))
-
-    last = -1
-    for t in schedule.tasks:
-        fault = t.operation != "compute" and _page_task_fault(t, schedule.model)
-        if fault:
-            violations.append(fault[1])
-        if (t.operation == "all_gather" and schedule.sharding.owns(t.target)
-                and first.get(("move_to_gpu", t.target), math.inf) > t.trigger_id):
-            violations.append(
-                f"all_gather of owned page {t.target} at trigger {t.trigger_id} "
-                f"precedes its move_to_gpu"
-            )
-        if t.operation != "compute":
-            continue
-        for pid in schedule.model.layer_pages[t.target]:
-            if first.get(("all_gather", pid), math.inf) > t.trigger_id:
-                violations.append(
-                    f"compute(layer {t.target}, slot {t.slot}) lacks a preceding "
-                    f"all_gather for page {pid}"
-                )
-        if t.trigger_id <= last:
-            violations.append(f"compute triggers not strictly increasing at slot {t.slot}")
-        last = t.trigger_id
-
-    return violations
+    violations = [f"peak memory {peak} exceeds budget {budget}"] if peak > budget else []
+    return violations + [message for _, _, message in
+                         _faults(schedule.tasks, schedule.model, schedule.sharding)]

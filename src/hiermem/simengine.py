@@ -26,9 +26,11 @@ trigger order, each trigger's page tasks in schedule order before its
 compute; one table gives every page operation its resource and duration.
 An owned page's gather depends on the page's latest move at or before its
 trigger, wherever the schedule lists that move within the trigger. The
-event loop keeps one heap per resource code and reads the columns by
-index; each resource's uids are found once per call, for the busy sums and
-the checks.
+pass raises SimulationError on two computes at one trigger, an unknown
+operation or an owned gather with no such move: it cannot build their
+dependencies, and a Schedule built in code meets no other check. The event
+loop keeps one heap per resource code and reads the columns by index; each
+resource's uids are found once per call, for the busy sums and the checks.
 
 The first iteration runs through a single-threaded, deterministic heap
 event loop, which records the order in which it starts tasks. Each later

@@ -449,6 +449,39 @@ class TestSimulateCmd:
         assert simulate_error(tmp_path, capsys, traces, raw) == (EXIT_USAGE,
                                                                  f"error: {message}\n")
 
+    def test_dropped_backward_reacquisition_is_usage_error(self, tmp_path, capsys):
+        """Layer 0 is evicted in the forward sweep; without the moves and
+        gathers of its backward slot its backward compute has no pages."""
+        traces, raw = tiny_schedule_file(tmp_path, "--gpu-budget", "8000000",
+                                         "--page-bytes", "65536", "--world-size", "2")
+        tasks = raw["tasks"]
+        page = next(t["target"] for t in tasks if t["operation"] == "evict_to_cpu"
+                    and t["layer"] == 0 and t["trigger_id"] < 2)
+        evicted = next(t["trigger_id"] for t in tasks
+                       if t["operation"] == "evict_to_cpu" and t["target"] == page)
+        raw["tasks"] = [t for t in tasks if not (t["operation"] in ("move_to_gpu", "all_gather")
+                                                 and (t["layer"], t["slot"]) == (0, 3))]
+        k = next(k for k, t in enumerate(raw["tasks"])
+                 if t["operation"] == "compute" and t["trigger_id"] == 3)
+        assert simulate_error(tmp_path, capsys, traces, raw) == (
+            EXIT_USAGE, f"error: task {k} 'trigger_id': compute of layer 0 at trigger 3 has no "
+                        f"all_gather of page {page} between the page's eviction at trigger "
+                        f"{evicted} and it\n")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("target", 1, "compute of slot 0 must name its layer 0, not 1"),
+        ("layer", 1, "compute of slot 0 must name its layer 0, not 1"),
+        ("slot", 3, "compute at trigger 0 must serve slot 0, not slot 3"),
+    ], ids=["target", "layer", "slot"])
+    def test_mislabelled_compute_is_usage_error(self, tmp_path, capsys, field, value, message):
+        traces, raw = tiny_schedule_file(tmp_path, "--gpu-budget", str(2**30),
+                                         "--world-size", "2")
+        k = next(k for k, t in enumerate(raw["tasks"])
+                 if t["operation"] == "compute" and t["trigger_id"] == 0)
+        raw["tasks"][k][field] = value
+        assert simulate_error(tmp_path, capsys, traces, raw) == (
+            EXIT_USAGE, f"error: task {k} {field!r}: {message}\n")
+
     def test_owned_gather_listed_before_its_move(self, tmp_path, capsys):
         """Within one trigger, an owned gather waits for its page's move
         wherever the schedule lists it."""

@@ -6,7 +6,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hiermem.errors import ConfigError, InfeasibleScheduleError
@@ -308,7 +308,37 @@ class TestValidate:
         model, traces, sharding = make_instance([1])
         bad = Schedule((Task("compute", 0, 1, 0, 1), Task("compute", 0, 1, 0, 1)),
                        "phase1", 2**30, model, sharding)
-        assert any("strictly increasing" in v for v in validate_schedule(bad, traces))
+        assert any("shares it with task 0" in v for v in validate_schedule(bad, traces))
+
+    def test_descending_compute_triggers_flagged(self):
+        model, traces, sharding = make_instance([1])
+        bad = Schedule((Task("compute", 0, 1, 0, 1), Task("compute", 0, 0, 0, 0)),
+                       "phase1", 2**30, model, sharding)
+        assert any("not strictly increasing" in v for v in validate_schedule(bad, traces))
+
+    def test_dropped_backward_reacquisition_flagged(self):
+        """Layer 0 of the paper shape is evicted in the forward sweep; with
+        the moves and gathers of its backward slot dropped, its backward
+        compute would run on pages that left the GPU."""
+        from test_phase1_incremental import GIB, paper_shaped
+        model, traces = paper_shaped(3, 64 * MIB)
+        sched = schedule(model, traces, 10 * GIB, ShardingModel(8, 0))
+        slot = backward_id(0, 3)
+        kept = tuple(t for t in sched.tasks if not (
+            t.operation in ("move_to_gpu", "all_gather") and (t.layer, t.slot) == (0, slot)))
+        assert len(sched.tasks) - len(kept) == 62
+        bad = dataclasses.replace(sched, tasks=kept)
+        evicted = next(t.trigger_id for t in kept
+                       if t.operation == "evict_to_cpu" and t.target == 0)
+        violations = validate_schedule(bad, traces)
+        assert len(violations) == 62  # one per dropped task
+        assert violations[0] == (f"compute of layer 0 at trigger {slot} has no all_gather of "
+                                 f"page 0 between the page's eviction at trigger {evicted} "
+                                 f"and it")
+        k = next(k for k, t in enumerate(kept) if t.operation == "compute" and t.slot == slot)
+        with pytest.raises(ConfigError) as err:
+            Schedule.from_dict(bad.to_dict())
+        assert str(err.value) == f"task {k} 'trigger_id': {violations[0]}"
 
     @staticmethod
     def relabelled(operation, layer, slot, change):
@@ -348,6 +378,43 @@ def random_instance(rng):
 
 
 class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from([6 * PAGE, 10 * PAGE, 2**30]),
+           st.booleans(), st.data())
+    def test_one_rule_for_both_callers(self, seed, budget, phase1_only, data):
+        """After one mutation of a schedule() output, from_dict rejects it
+        exactly when validate_schedule lists a fault, with the first one."""
+        model, traces, sharding = random_instance(random.Random(seed))
+        try:
+            sched = schedule(model, traces, budget, sharding, phase1_only=phase1_only)
+        except InfeasibleScheduleError:
+            return
+        n = model.num_layers
+        tasks = list(sched.tasks)
+        k = data.draw(st.integers(0, len(tasks) - 1))
+        task = tasks[k]
+        mutation = data.draw(st.sampled_from(["delete", "shift", "owned", "relabel"]))
+        if mutation == "delete":
+            del tasks[k]
+        elif mutation == "shift":
+            trigger = task.trigger_id + data.draw(st.sampled_from([-1, 1]))
+            assume(0 <= trigger <= 2 * n)  # from_dict range-checks before the rule
+            tasks[k] = dataclasses.replace(task, trigger_id=trigger)
+        elif mutation == "owned":
+            tasks[k] = dataclasses.replace(task, owned=not task.owned)
+        else:
+            name = data.draw(st.sampled_from(["slot", "layer"]))
+            value = data.draw(st.integers(0, (2 * n if name == "slot" else n) - 1))
+            tasks[k] = dataclasses.replace(task, **{name: value})
+        bad = dataclasses.replace(sched, tasks=tuple(tasks))
+        faults = validate_schedule(bad, traces, budget=2**62)
+        try:
+            Schedule.from_dict(bad.to_dict())
+        except ConfigError as err:
+            assert faults and str(err).endswith(faults[0])
+        else:
+            assert faults == []
+
     def test_feasible_instances_validate_clean(self):
         rng = random.Random(1234)
         checked = 0
