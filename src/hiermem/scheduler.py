@@ -24,18 +24,17 @@ parameter gradients are resident over their trace lifetimes. trigger_id t
 means the task becomes eligible when compute slot t is reached (t=0 at
 iteration start).
 
-`_Residency` keeps the resident bytes as one difference array over the
-slots for the total plus one per layer, so leaving a layer out is a
-subtraction, and each page's acquire and eviction triggers, sorted. One
-`schedule()` builds one. Phase 1 reads each layer's working set off it
-(the layer's pages plus its larger share at its two compute slots) and
-keeps it up to date as it adds and withdraws tasks. An acquire adds or
-subtracts only the slots over which it alone holds its page, found with
-one bisect into the page's evictions; an eviction re-derives only its own
-page's intervals; a query is a prefix sum, O(slots). After every decision
-it equals `_resident_profile`, the one sweep over a whole task list. Phase
-2 bisects each gather's lower bound out of its page's triggers and updates
-phase 1's profile in place.
+Phase 1 plans with one running count: the bytes of the pages resident at
+the forward slot being planned. Each move and each gather of a page this
+rank does not own adds a page; each withdrawn move and each evicted victim
+page takes one away, and the traced bytes at the slot are read off one
+profile of the traces. Every query is at that slot, so nothing else is
+needed: a layer's own share there is its owned pages and its traced bytes.
+`_residency` is the one sweep over a whole task list, shared by
+`schedule()`, `peak_memory`, `available_memory` and `validate_schedule`:
+resident bytes per slot, plus each page's acquire and eviction triggers,
+sorted, which phase 2 bisects for each gather's lower bound while it adds
+the bytes of each gather it moves earlier to the profile in place.
 
 Runnable schedules: ``_faults`` states, for ``Schedule.from_dict`` and
 ``validate_schedule`` alike, when the simulator can run a task list. (1) A
@@ -43,17 +42,17 @@ page task names its page's layer, and an all_gather serves one of that
 layer's two compute slots at or after its trigger. (2) A page task is
 ``owned`` exactly when the rank owns its page; a compute never is. (3) A
 compute's slot is its trigger, and its target and layer are that slot's
-layer. (4) Compute triggers rise strictly in list order. (5) An owned
-page's all_gather has a move_to_gpu of the page at or before its trigger.
-(6) Each page of a compute's layer has an all_gather, and an owned page a
-move_to_gpu too, between the page's last eviction at or before the
-compute's trigger (or 0) and that trigger.
+layer. (4) The compute triggers are 0, 1, ..., 2n-1 in list order, one
+compute per slot. (5) An owned page's all_gather has a move_to_gpu of the
+page at or before its trigger. (6) Each page of a compute's layer has an
+all_gather, and an owned page a move_to_gpu too, between the page's last
+eviction at or before the compute's trigger (or 0) and that trigger.
 
 Scheduling is a pure function; a Schedule is an immutable value.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -242,7 +241,8 @@ class Schedule:
         sharding = ShardingModel(raw.get("world_size", 1), raw.get("rank", 0))
         tasks = tuple(_task_from_dict(k, t, model) for k, t in enumerate(raw["tasks"]))
         for k, name, message in _faults(tasks, model, sharding):
-            raise ConfigError(f"task {k} {name!r}: {message}")
+            where = f"task {k} {name!r}" if k < len(tasks) else f"schedule {name!r}"
+            raise ConfigError(f"{where}: {message}")
         return cls(tasks, raw["phase"], raw["gpu_budget"], model, sharding)
 
 
@@ -257,7 +257,8 @@ _TASK_FIELDS = {"operation": (str,), "target": (int,), "trigger_id": (int,),
 def _faults(tasks, model: LayerModel, sharding: ShardingModel):
     """(task index, field, message) of each fault that makes a task
     unrunnable, in task order: the rules of "Runnable schedules" in the
-    module docstring."""
+    module docstring. Slots left without a compute after the last one come
+    last, as index len(tasks) and field "tasks"."""
     n = model.num_layers
     by_page: dict[tuple[str, int], list[int]] = {}  # (operation, page) -> triggers, sorted
     for t in tasks:
@@ -269,7 +270,8 @@ def _faults(tasks, model: LayerModel, sharding: ShardingModel):
     def latest(operation: str, pid: int, trigger: int) -> int:
         return _last_at_or_before(by_page.get((operation, pid), ()), trigger, -1)
 
-    top = None  # (trigger, index) of the compute with the highest trigger so far
+    due = 0  # one past the highest compute trigger so far
+    last = None  # the index of that compute
     for k, t in enumerate(tasks):
         at = t.trigger_id
         owned = t.operation != "compute" and sharding.owns(t.target)
@@ -290,13 +292,15 @@ def _faults(tasks, model: LayerModel, sharding: ShardingModel):
                 yield k, "trigger_id", (f"all_gather of owned page {t.target} at trigger {at} "
                                         f"has no move_to_gpu at or before it")
             continue
-        if top is None or at > top[0]:
-            top = (at, k)
-        elif at == top[0]:
-            yield k, "trigger_id", f"compute at trigger {at} shares it with task {top[1]}"
+        if at >= due:
+            if at > due:
+                yield k, "trigger_id", f"slot {due} has no compute before this one at trigger {at}"
+            due, last = at + 1, k
+        elif at == due - 1:
+            yield k, "trigger_id", f"compute at trigger {at} shares it with task {last}"
         else:
-            yield k, "trigger_id", (f"compute at trigger {at} follows task {top[1]}'s at "
-                                    f"{top[0]}: compute triggers not strictly increasing")
+            yield k, "trigger_id", (f"compute at trigger {at} follows task {last}'s at "
+                                    f"{due - 1}: compute triggers not strictly increasing")
         layer = t.slot if t.slot < n else backward_id(t.slot, n)
         if t.slot != at:
             yield k, "slot", f"compute at trigger {at} must serve slot {at}, not slot {t.slot}"
@@ -313,6 +317,8 @@ def _faults(tasks, model: LayerModel, sharding: ShardingModel):
                 if latest(operation, pid, at) < max(evicted, 0):
                     yield k, "trigger_id", (f"compute of layer {layer} at trigger {at} has no "
                                             f"{operation} of page {pid} {since}")
+    if due < 2 * n:
+        yield len(tasks), "tasks", f"slot {due} has no compute"
 
 
 def _task_from_dict(k: int, raw, model: LayerModel) -> Task:
@@ -368,136 +374,50 @@ def _last_at_or_before(triggers: list[int], t: int, default: int) -> int:
     return triggers[k - 1] if k else default
 
 
-class _Residency:
-    """Resident GPU bytes per compute slot under a set of tasks.
+def _traced_lifetimes(model: LayerModel, traces: list[TensorTrace]):
+    """(spec, start, end) of each traced tensor that is resident, over the
+    slots [start, end) it is live in, clamped to the 2n-slot horizon."""
+    horizon = 2 * model.num_layers
+    for tr in traces:
+        spec = model.tensor_info.get(tr.tensor_id)
+        if spec is not None and spec.kind in _RESIDENT_KINDS:
+            yield spec, min(tr.first_id, horizon), min(tr.end_id + 1, horizon)
 
-    One difference array over the slots holds the total and one per layer
-    holds that layer's share. ``acquires`` and ``evicts`` hold each page's
-    triggers, sorted. An update touches only what it changes: ``add`` or
-    ``remove`` of an acquire adds or subtracts the slots over which that
-    acquire alone holds its page, found by bisecting the page's triggers;
-    of an eviction, it re-derives that page's intervals. Either costs
-    O(triggers of that page). ``resident`` and ``profile`` take prefix
-    sums, O(slots).
-    """
 
-    def __init__(self, model: LayerModel, sharding: ShardingModel,
-                 traces: list[TensorTrace], tasks=()):
-        self.model = model
-        self.sharding = sharding
-        self.horizon = 2 * model.num_layers
-        self.total = [0] * (self.horizon + 1)
-        self.by_layer = [[0] * (self.horizon + 1) for _ in range(model.num_layers)]
-        self.acquires: dict[int, list[int]] = {}
-        self.evicts: dict[int, list[int]] = {}
-        for tr in traces:
-            spec = model.tensor_info.get(tr.tensor_id)
-            if spec is None or spec.kind not in _RESIDENT_KINDS:
-                continue
-            start, end = min(tr.first_id, self.horizon), min(tr.end_id + 1, self.horizon)
-            for delta in (self.total, self.by_layer[spec.layer_index]):
-                delta[start] += spec.bytes
-                delta[end] -= spec.bytes
-        for task in tasks:
-            evicting = self._evicting(task)
-            if evicting is not None:
-                by_page = self.evicts if evicting else self.acquires
-                by_page.setdefault(task.target, []).append(task.trigger_id)
-        for triggers in (*self.acquires.values(), *self.evicts.values()):
-            triggers.sort()
-        # only acquired pages are ever resident: one sweep adds their intervals
-        for pid, acquires in self.acquires.items():
-            layer = model.layer_of(pid)
-            self._shift(layer, _page_intervals(acquires, self.evicts.get(pid, ()),
-                                               backward_id(layer, model.num_layers) + 1),
-                        model.page_bytes)
-
-    def _evicting(self, task: Task) -> bool | None:
-        """True for an eviction, False for an acquire, None for a task that
-        does not change residency."""
-        if not 0 <= task.target < self.model.num_pages:
-            return None
+def _residency(tasks, model: LayerModel, sharding: ShardingModel,
+               traces: list[TensorTrace]):
+    """One sweep over a task list: (resident GPU bytes per compute slot,
+    page -> acquire triggers, page -> eviction triggers), triggers sorted."""
+    horizon = 2 * model.num_layers
+    delta = [0] * (horizon + 1)
+    for spec, start, end in _traced_lifetimes(model, traces):
+        delta[start] += spec.bytes
+        delta[end] -= spec.bytes
+    acquires: dict[int, list[int]] = {}
+    evicts: dict[int, list[int]] = {}
+    for task in tasks:
+        pid = task.target
+        if task.operation == "compute" or not 0 <= pid < model.num_pages:
+            continue
         if task.operation == "evict_to_cpu":
-            return True
-        if task.operation == ("move_to_gpu" if self.sharding.owns(task.target)
-                              else "all_gather"):
-            return False
-        return None
-
-    def _shift(self, layer: int, intervals, nbytes: int) -> None:
-        """Add ``nbytes`` over each of ``intervals`` [start, end) of a page of ``layer``."""
-        total, per_layer = self.total, self.by_layer[layer]
-        for a, r in intervals:
-            total[a] += nbytes
-            total[r] -= nbytes
-            per_layer[a] += nbytes
-            per_layer[r] -= nbytes
-
-    def _update(self, task: Task, sign: int) -> None:
-        """Insert (sign 1) or withdraw (sign -1) the task's trigger and the
-        bytes it changes."""
-        evicting = self._evicting(task)
-        if evicting is None:
-            return
-        pid, t = task.target, task.trigger_id
-        layer = self.model.layer_of(pid)
-        release = backward_id(layer, self.model.num_layers) + 1
-        page_bytes = self.model.page_bytes
-        acquires = self.acquires.setdefault(pid, [])
-        evicts = self.evicts.setdefault(pid, [])
-        if evicting:
-            old = _page_intervals(acquires, evicts, release)
-            if sign > 0:
-                insort(evicts, t)
-            else:
-                evicts.remove(t)
-            new = _page_intervals(acquires, evicts, release)
-            if new != old:
-                self._shift(layer, old, -page_bytes)
-                self._shift(layer, new, page_bytes)
-            return
-        if sign > 0:
-            pos = bisect_right(acquires, t)
-            acquires.insert(pos, t)
-            later = pos + 1  # the next acquire
-        else:
-            acquires.remove(t)
-            pos = later = bisect_left(acquires, t)
-        k = bisect_right(evicts, t)
-        # an earlier acquire since the last eviction at or before t holds the page already
-        if pos and (not k or acquires[pos - 1] >= evicts[k - 1]):
-            return
-        end = evicts[k] if k < len(evicts) and evicts[k] < release else release
-        if later < len(acquires) and acquires[later] < end:
-            end = acquires[later]  # from there on, the next acquire holds it
-        if end > t:
-            self._shift(layer, ((t, end),), sign * page_bytes)
-
-    def add(self, task: Task) -> None:
-        self._update(task, 1)
-
-    def remove(self, task: Task) -> None:
-        self._update(task, -1)
-
-    def resident(self, slot: int, exclude_layer: int | None = None) -> int:
-        """Bytes resident at one slot, leaving out ``exclude_layer``'s share."""
-        total = sum(self.total[:slot + 1])
-        if exclude_layer is None:
-            return total
-        return total - sum(self.by_layer[exclude_layer][:slot + 1])
-
-    def profile(self, exclude_layer: int | None = None) -> list[int]:
-        """Bytes resident at every slot, leaving out ``exclude_layer``'s share."""
-        delta = self.total[:self.horizon]
-        if exclude_layer is not None:
-            delta = [t - x for t, x in zip(delta, self.by_layer[exclude_layer])]
-        return list(accumulate(delta))
+            evicts.setdefault(pid, []).append(task.trigger_id)
+        elif task.operation == ("move_to_gpu" if sharding.owns(pid) else "all_gather"):
+            acquires.setdefault(pid, []).append(task.trigger_id)
+    for triggers in (*acquires.values(), *evicts.values()):
+        triggers.sort()
+    # only acquired pages are ever resident
+    for pid, triggers in acquires.items():
+        release = backward_id(model.layer_of(pid), model.num_layers) + 1
+        for a, r in _page_intervals(triggers, evicts.get(pid, ()), release):
+            delta[a] += model.page_bytes
+            delta[r] -= model.page_bytes
+    return list(accumulate(delta[:horizon])), acquires, evicts
 
 
 def _resident_profile(tasks, model: LayerModel, sharding: ShardingModel,
-                      traces: list[TensorTrace], exclude_layer: int | None = None) -> list[int]:
+                      traces: list[TensorTrace]) -> list[int]:
     """Resident GPU bytes per compute slot, in one sweep over a task list."""
-    return _Residency(model, sharding, traces, tasks).profile(exclude_layer)
+    return _residency(tasks, model, sharding, traces)[0]
 
 
 def available_memory(schedule: Schedule, traces: list[TensorTrace], at_id: int) -> int:
@@ -519,46 +439,56 @@ def peak_memory(schedule: Schedule, traces: list[TensorTrace]) -> int:
 # -- phase 1 -----------------------------------------------------------------
 
 def _build_phase1(model: LayerModel, traces: list[TensorTrace], gpu_budget: int,
-                  sharding: ShardingModel) -> tuple[list[Task], _Residency]:
+                  sharding: ShardingModel) -> list[Task]:
     n = model.num_layers
     page_bytes = model.page_bytes
     layer_of = model.layer_of
     own_pages = [[p for p in pages if sharding.owns(p)] for pages in model.layer_pages]
 
-    resident = _Residency(model, sharding, traces)
+    # traced bytes at each slot, and each layer's own at its forward and backward slots
+    delta = [0] * (2 * n + 1)
+    own_traced = [[0, 0] for _ in range(n)]
+    for spec, start, end in _traced_lifetimes(model, traces):
+        delta[start] += spec.bytes
+        delta[end] -= spec.bytes
+        i = spec.layer_index
+        for k, s in enumerate((i, backward_id(i, n))):
+            if start <= s < end:
+                own_traced[i][k] += spec.bytes
+    traced = list(accumulate(delta))
     # a layer's working set: its pages plus its traced bytes at the fuller of its slots
-    sizes = [len(model.layer_pages[i]) * page_bytes
-             + max(resident.resident(s) - resident.resident(s, exclude_layer=i)
-                   for s in (i, backward_id(i, n)))
-             for i in range(n)]
+    sizes = [len(pages) * page_bytes + max(own)
+             for pages, own in zip(model.layer_pages, own_traced)]
     for i, size in enumerate(sizes):
         if size > gpu_budget:
             raise InfeasibleScheduleError(i, size, gpu_budget)
 
     tasks: list[Task | None] = []  # None: a move a deferral withdrew
     moves: list[int] = []  # indices into tasks of the moves, ascending
+    paged = 0  # bytes of the pages resident at the forward slot being planned
 
-    def add(task: Task) -> None:
-        if task.operation == "move_to_gpu":
-            moves.append(len(tasks))
-        tasks.append(task)
-        resident.add(task)
+    def move(pid: int, trigger: int, layer: int, slot: int) -> None:
+        nonlocal paged
+        moves.append(len(tasks))
+        tasks.append(Task("move_to_gpu", pid, trigger, layer, slot, True))
+        paged += page_bytes
 
     def withdraw_latest_move(i: int) -> Task | None:
         """Withdraw the latest move of a layer after i, if there is one."""
+        nonlocal paged
         while moves:
             idx = moves.pop()
             task = tasks[idx]
             # a move of layer <= i is passed over here and by every later deferral
             if task.layer > i:
                 tasks[idx] = None
-                resident.remove(task)
+                paged -= page_bytes
                 return task
         return None
 
     for i in range(n):
         for pid in own_pages[i]:
-            add(Task("move_to_gpu", pid, 0, i, i, True))
+            move(pid, 0, i, i)
 
     wait_stack: list[int] = []  # deferred pages, latest on top; pages of drained layers linger
     parked: dict[int, list[int]] = {}  # layer -> its pages still waiting, in stack order
@@ -567,9 +497,11 @@ def _build_phase1(model: LayerModel, traces: list[TensorTrace], gpu_budget: int,
     for i in range(n):
         # pages of this layer parked earlier must move now (the gather needs them)
         for pid in parked.pop(i, ()):
-            add(Task("move_to_gpu", pid, i, i, i, True))
+            move(pid, i, i, i)
 
-        while gpu_budget - resident.resident(i, exclude_layer=i) < sizes[i]:
+        # layer i's own bytes at slot i: all its owned pages moved, none gathered yet
+        own = len(own_pages[i]) * page_bytes + own_traced[i][0]
+        while gpu_budget - (traced[i] + paged - own) < sizes[i]:
             task = withdraw_latest_move(i)
             if task is not None:
                 wait_stack.append(task.target)
@@ -578,47 +510,50 @@ def _build_phase1(model: LayerModel, traces: list[TensorTrace], gpu_budget: int,
             victim = evicted
             if victim >= i:
                 raise InfeasibleScheduleError(
-                    i, sizes[i], gpu_budget - resident.resident(i, exclude_layer=i))
+                    i, sizes[i], gpu_budget - (traced[i] + paged - own))
             for pid in model.layer_pages[victim]:
-                add(Task("evict_to_cpu", pid, i, victim, i, sharding.owns(pid)))
+                tasks.append(Task("evict_to_cpu", pid, i, victim, i, sharding.owns(pid)))
+            paged -= len(model.layer_pages[victim]) * page_bytes
             evicted += 1
 
         for pid in model.layer_pages[i]:
-            add(Task("all_gather", pid, i, i, i, sharding.owns(pid)))
-        add(Task("compute", i, i, i, i))
+            tasks.append(Task("all_gather", pid, i, i, i, sharding.owns(pid)))
+        paged += (len(model.layer_pages[i]) - len(own_pages[i])) * page_bytes
+        tasks.append(Task("compute", i, i, i, i))
 
         while True:
             while wait_stack and layer_of(wait_stack[-1]) <= i:
                 wait_stack.pop()  # moved when its layer was drained
-            if not wait_stack or gpu_budget - resident.resident(i) <= page_bytes:
+            if not wait_stack or gpu_budget - (traced[i] + paged) <= page_bytes:
                 break
             pid = wait_stack.pop()
             layer = layer_of(pid)
             parked[layer].pop()  # the top of the stack is its layer's latest entry
-            add(Task("move_to_gpu", pid, i, layer, layer, True))
+            move(pid, i, layer, layer)
 
     assert not any(parked.values()), "wait stack must drain by the end of the forward sweep"
 
+    # the backward sweep makes no query: its residency is checked on the whole list
     for slot in range(n, 2 * n):
         i = backward_id(slot, n)
         if i < evicted:
             for pid in own_pages[i]:
-                add(Task("move_to_gpu", pid, slot, i, slot, True))
+                tasks.append(Task("move_to_gpu", pid, slot, i, slot, True))
             for pid in model.layer_pages[i]:
-                add(Task("all_gather", pid, slot, i, slot, sharding.owns(pid)))
-        add(Task("compute", i, slot, i, slot))
+                tasks.append(Task("all_gather", pid, slot, i, slot, sharding.owns(pid)))
+        tasks.append(Task("compute", i, slot, i, slot))
         for pid in own_pages[i]:
-            add(Task("evict_to_cpu", pid, slot + 1, i, slot, True))
+            tasks.append(Task("evict_to_cpu", pid, slot + 1, i, slot, True))
 
-    return [t for t in tasks if t is not None], resident
+    return [t for t in tasks if t is not None]
 
 
 # -- phase 2 -----------------------------------------------------------------
 
-def _advance_gathers(phase1: Schedule, resident: _Residency,
-                     profile: list[int]) -> Schedule:
-    """Phase 2 on phase 1's residency; ``profile``, ``resident.profile()``
-    on entry, gains the bytes of each gather moved earlier, in place."""
+def _advance_gathers(phase1: Schedule, profile: list[int], acquires: dict[int, list[int]],
+                     evicts: dict[int, list[int]]) -> Schedule:
+    """Phase 2 on the sweep of phase 1's tasks (see ``_residency``);
+    ``profile`` gains the bytes of each gather moved earlier, in place."""
     page_bytes = phase1.model.page_bytes
     budget = phase1.gpu_budget
     tasks = []
@@ -626,11 +561,10 @@ def _advance_gathers(phase1: Schedule, resident: _Residency,
         if task.operation == "all_gather":
             old = task.trigger_id
             # a re-gather may not precede the eviction it recovers from
-            lb = _last_at_or_before(resident.evicts.get(task.target, ()), old, 0)
+            lb = _last_at_or_before(evicts.get(task.target, ()), old, 0)
             if task.owned:
                 # owned-page gathers reuse the resident shard: no memory cost
-                new = max(lb, _last_at_or_before(resident.acquires.get(task.target, ()),
-                                                 old, old))
+                new = max(lb, _last_at_or_before(acquires.get(task.target, ()), old, old))
             else:
                 new = old
                 while new > lb and profile[new - 1] + page_bytes <= budget:
@@ -652,11 +586,11 @@ def advance_gathers(schedule: Schedule, traces: list[TensorTrace]) -> Schedule:
     precede that page's move; a non-owned gather stops at the first slot
     whose residency would overflow the budget, and none precedes its page's
     last eviction at or before its trigger. Only gather triggers change,
-    and none increases. ``schedule()`` runs the same pass on the residency
-    phase 1 built; this builds one for ``schedule``.
+    and none increases. ``schedule()`` runs the same pass on the sweep it
+    checks phase 1's peak with.
     """
-    resident = _Residency(schedule.model, schedule.sharding, traces, schedule.tasks)
-    return _advance_gathers(schedule, resident, resident.profile())
+    return _advance_gathers(schedule, *_residency(schedule.tasks, schedule.model,
+                                                  schedule.sharding, traces))
 
 
 def schedule(model_layers: LayerModel, traces: list[TensorTrace], gpu_budget: int,
@@ -664,9 +598,9 @@ def schedule(model_layers: LayerModel, traces: list[TensorTrace], gpu_budget: in
     """Emit the page-level task schedule for one rank under a GPU budget."""
     check_range("gpu budget", gpu_budget, 0, finite=False)
     sharding = sharding or ShardingModel()
-    tasks, resident = _build_phase1(model_layers, traces, gpu_budget, sharding)
+    tasks = _build_phase1(model_layers, traces, gpu_budget, sharding)
     phase1 = Schedule(tuple(tasks), "phase1", gpu_budget, model_layers, sharding)
-    profile = resident.profile()
+    profile, acquires, evicts = _residency(phase1.tasks, model_layers, sharding, traces)
     peak = max(profile)
     if peak > gpu_budget:
         slot = profile.index(peak)
@@ -675,17 +609,16 @@ def schedule(model_layers: LayerModel, traces: list[TensorTrace], gpu_budget: in
         raise InfeasibleScheduleError(layer, peak, gpu_budget)
     if phase1_only:
         return phase1
-    return _advance_gathers(phase1, resident, profile)
+    return _advance_gathers(phase1, profile, acquires, evicts)
 
 
 # -- validation --------------------------------------------------------------
 
-def validate_schedule(schedule: Schedule, traces: list[TensorTrace],
-                      budget: int | None = None) -> list[str]:
-    """Empty list iff the schedule fits the budget and is runnable (see
+def validate_schedule(schedule: Schedule, traces: list[TensorTrace]) -> list[str]:
+    """Empty list iff the schedule fits its budget and is runnable (see
     "Runnable schedules" in the module docstring); else the peak over the
     budget, then the message of every fault in task order."""
-    budget = schedule.gpu_budget if budget is None else budget
+    budget = schedule.gpu_budget
     peak = peak_memory(schedule, traces)
     violations = [f"peak memory {peak} exceeds budget {budget}"] if peak > budget else []
     return violations + [message for _, _, message in

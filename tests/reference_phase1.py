@@ -102,7 +102,14 @@ def reference_build_phase1(model: LayerModel, traces, gpu_budget: int,
     evicted_fwd: dict[int, int] = {}
 
     def avail(at: int, exclude: int | None) -> int:
-        profile = _resident_profile(tasks, model, sharding, traces, exclude_layer=exclude)
+        """Budget left at slot ``at`` by everything but layer ``exclude``'s
+        page tasks and traced tensors."""
+        kept = [t for t in tasks if exclude is None or t.operation == "compute"
+                or model.layer_of(t.target) != exclude]
+        kept_traces = [tr for tr in traces if exclude is None
+                       or tr.tensor_id not in model.tensor_info
+                       or model.tensor_info[tr.tensor_id].layer_index != exclude]
+        profile = _resident_profile(kept, model, sharding, kept_traces)
         return gpu_budget - profile[at]
 
     for i in range(n):

@@ -1,6 +1,7 @@
-"""Both scheduler phases on one maintained residency: same output as the
-frozen reference, profile invariant, valid and deterministic schedules, and
-a guard on how many residencies one schedule() builds from scratch."""
+"""Phase 1's running count and the one residency sweep: same output as the
+frozen reference, the sweep against the brute-force oracle, valid and
+deterministic schedules, and a guard on how many sweeps one schedule()
+makes."""
 import json
 import random
 
@@ -18,7 +19,6 @@ from hiermem.scheduler import (
     ShardingModel,
     Task,
     _build_phase1,
-    _Residency,
     _resident_profile,
     schedule,
     validate_schedule,
@@ -136,24 +136,25 @@ class TestProperties:
         assert [s.to_dict() for s in runs[0]] == [s.to_dict() for s in runs[1]]
 
 
-def assert_profile_is_sweep(resident, tasks, model, sharding, traces):
-    for exclude in [None, *range(model.num_layers)]:
-        assert resident.profile(exclude) == \
-            _resident_profile(tasks, model, sharding, traces, exclude_layer=exclude)
-        assert [resident.resident(x, exclude) for x in range(2 * model.num_layers)] == \
-            resident.profile(exclude)
+def assert_sweep_is_oracle(tasks, model, sharding, traces):
+    sched = Schedule(tuple(tasks), "phase1", 0, model, sharding)
+    assert _resident_profile(tasks, model, sharding, traces) == \
+        [brute_force_resident(sched, traces, x) for x in range(2 * model.num_layers)]
 
 
 class TestMaintainedProfile:
+    """The profile the one sweep builds, checked against the brute-force
+    oracle on phase 1's tasks and after every change to a task list."""
+
     @settings(max_examples=150, deadline=None)
     @given(instances(), st.integers(2, 16))
     def test_equals_sweep_after_phase1(self, instance, budget_pages):
         model, traces, sharding = instance
         try:
-            tasks, resident = _build_phase1(model, traces, budget_pages * PAGE, sharding)
+            tasks = _build_phase1(model, traces, budget_pages * PAGE, sharding)
         except InfeasibleScheduleError:
             return
-        assert_profile_is_sweep(resident, tasks, model, sharding, traces)
+        assert_sweep_is_oracle(tasks, model, sharding, traces)
 
     @settings(max_examples=150, deadline=None)
     @given(instances(), st.data())
@@ -161,34 +162,25 @@ class TestMaintainedProfile:
         model, traces, sharding = instance
         n = model.num_layers
         pages = list(range(model.num_pages))
-        resident = _Residency(model, sharding, traces)
         tasks: list[Task] = []
         for _ in range(data.draw(st.integers(1, 25))):
             if tasks and data.draw(st.booleans()):
-                task = tasks.pop(data.draw(st.integers(0, len(tasks) - 1)))
-                resident.remove(task)
+                tasks.pop(data.draw(st.integers(0, len(tasks) - 1)))
             else:
                 op = data.draw(st.sampled_from(scheduler.OPERATIONS))
                 target = data.draw(st.sampled_from(pages if op != "compute"
                                                    else list(range(n))))
-                task = Task(op, target, data.draw(st.integers(0, 2 * n)),
-                            model.layer_of(target) if op != "compute" else target, 0,
-                            sharding.owns(target))
-                tasks.append(task)
-                resident.add(task)
-            assert resident.profile() == _resident_profile(tasks, model, sharding, traces)
-            sched = Schedule(tuple(tasks), "phase1", 0, model, sharding)
-            assert resident.profile() == [brute_force_resident(sched, traces, x)
-                                          for x in range(2 * n)]
-        assert_profile_is_sweep(resident, tasks, model, sharding, traces)
+                tasks.append(Task(op, target, data.draw(st.integers(0, 2 * n)),
+                                  model.layer_of(target) if op != "compute" else target, 0,
+                                  sharding.owns(target)))
+            assert_sweep_is_oracle(tasks, model, sharding, traces)
 
     def test_each_kind_of_update_matches_the_oracle(self):
         """Page 0 of a two-layer model (slots 0-3, released at 4) through
-        every kind of update: acquires inside another's interval, evictions
-        that split and rejoin intervals, and withdrawals of each, checked
-        against the brute-force oracle after every step."""
+        every kind of change: acquires inside another's interval, evictions
+        that split and rejoin intervals, and withdrawals of each, swept and
+        checked against the brute-force oracle after every step."""
         model, traces, sharding = make_instance([1, 1])
-        resident = _Residency(model, sharding, traces)
         tasks: list[Task] = []
         steps = [  # (action, operation, trigger, pages resident per slot after it)
             ("add", "move_to_gpu", 2, [0, 0, 1, 1]),
@@ -208,26 +200,25 @@ class TestMaintainedProfile:
             task = Task(op, 0, trigger, 0, 0, True)
             if action == "add":
                 tasks.append(task)
-                resident.add(task)
             else:
                 tasks.remove(task)
-                resident.remove(task)
             sched = Schedule(tuple(tasks), "phase1", 0, model, sharding)
-            assert resident.profile() == [brute_force_resident(sched, traces, x)
-                                          for x in range(4)] == [p * PAGE for p in pages]
+            assert _resident_profile(tasks, model, sharding, traces) == \
+                [brute_force_resident(sched, traces, x) for x in range(4)] == \
+                [p * PAGE for p in pages]
 
 
 def test_whole_profile_builds_do_not_grow_with_decisions(monkeypatch):
-    """One schedule() builds one residency from scratch however many
-    deferrals and evictions phase 1 makes."""
+    """One schedule() sweeps its task list once however many deferrals and
+    evictions phase 1 makes."""
     builds = []
+    sweep = scheduler._residency
 
-    class Counting(_Residency):
-        def __init__(self, *args, **kwargs):
-            builds.append(1)
-            super().__init__(*args, **kwargs)
+    def counting(*args):
+        builds.append(1)
+        return sweep(*args)
 
-    monkeypatch.setattr(scheduler, "_Residency", Counting)
+    monkeypatch.setattr(scheduler, "_residency", counting)
     counts, seen = [], []
     for num_layers, budget in ((3, 10 * GIB), (4, 8 * GIB)):
         model, traces = paper_shaped(num_layers, 64 * MIB)
@@ -239,5 +230,5 @@ def test_whole_profile_builds_do_not_grow_with_decisions(monkeypatch):
                                        phase1_only=True)))
     (d0, e0), (d1, e1) = seen
     assert d0 > 0 and e0 > 0 and d0 != d1 and e0 != e1
-    # phase 1 builds and maintains it; the working sets and phase 2 read it
+    # phase 1 keeps a running count; the peak check and phase 2 read the one sweep of its tasks
     assert counts == [1, 1]

@@ -301,7 +301,7 @@ class TestValidate:
     def test_budget_below_peak_flagged(self):
         model, traces, sharding = make_instance([2])
         sched = schedule(model, traces, 2**30, sharding)
-        violations = validate_schedule(sched, traces, budget=PAGE)
+        violations = validate_schedule(dataclasses.replace(sched, gpu_budget=PAGE), traces)
         assert any("peak" in v for v in violations)
 
     def test_nonincreasing_compute_triggers_flagged(self):
@@ -315,6 +315,28 @@ class TestValidate:
         bad = Schedule((Task("compute", 0, 1, 0, 1), Task("compute", 0, 0, 0, 0)),
                        "phase1", 2**30, model, sharding)
         assert any("not strictly increasing" in v for v in validate_schedule(bad, traces))
+
+    @pytest.mark.parametrize("slot", [0, 1, 3])
+    def test_deleted_compute_flagged(self, slot):
+        """Each slot has one compute: the first slot left without one is
+        named at the next compute, or after the last task when no compute
+        follows it."""
+        model, traces, sharding = make_instance([1, 1])
+        sched = schedule(model, traces, 2**30, sharding)
+        k = next(k for k, t in enumerate(sched.tasks)
+                 if t.operation == "compute" and t.slot == slot)
+        bad = dataclasses.replace(sched, tasks=sched.tasks[:k] + sched.tasks[k + 1:])
+        if slot < 3:
+            j = next(j for j, t in enumerate(bad.tasks)
+                     if t.operation == "compute" and t.slot == slot + 1)
+            message = f"slot {slot} has no compute before this one at trigger {slot + 1}"
+            where = f"task {j} 'trigger_id'"
+        else:
+            message, where = "slot 3 has no compute", "schedule 'tasks'"
+        assert validate_schedule(bad, traces) == [message]
+        with pytest.raises(ConfigError) as err:
+            Schedule.from_dict(bad.to_dict())
+        assert str(err.value) == f"{where}: {message}"
 
     def test_dropped_backward_reacquisition_flagged(self):
         """Layer 0 of the paper shape is evicted in the forward sweep; with
@@ -383,7 +405,8 @@ class TestProperties:
            st.booleans(), st.data())
     def test_one_rule_for_both_callers(self, seed, budget, phase1_only, data):
         """After one mutation of a schedule() output, from_dict rejects it
-        exactly when validate_schedule lists a fault, with the first one."""
+        exactly when validate_schedule lists a fault, with the first one; a
+        deleted compute is always a fault that names its slot."""
         model, traces, sharding = random_instance(random.Random(seed))
         try:
             sched = schedule(model, traces, budget, sharding, phase1_only=phase1_only)
@@ -407,7 +430,9 @@ class TestProperties:
             value = data.draw(st.integers(0, (2 * n if name == "slot" else n) - 1))
             tasks[k] = dataclasses.replace(task, **{name: value})
         bad = dataclasses.replace(sched, tasks=tuple(tasks))
-        faults = validate_schedule(bad, traces, budget=2**62)
+        faults = validate_schedule(dataclasses.replace(bad, gpu_budget=2**62), traces)
+        if mutation == "delete" and task.operation == "compute":
+            assert any(f.startswith(f"slot {task.slot} has no compute") for f in faults)
         try:
             Schedule.from_dict(bad.to_dict())
         except ConfigError as err:
