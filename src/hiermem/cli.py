@@ -193,15 +193,26 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _traces_from_file(path: str, num_layers: int) -> list[TensorTrace]:
-    """Traces read from a file, checked against an n-layer timeline."""
+def _traces_from_file(path: str, model: LayerModel) -> list[TensorTrace]:
+    """Traces read from a file, checked against the model's n-layer timeline
+    and tensor table: one trace for each of its param16, grad16 and
+    activation16 tensors, and no other."""
     try:
         traces = [TensorTrace(**t) for t in load_json(path)]
-        violations = validate_trace(traces, num_layers)
+        violations = validate_trace(traces, model.num_layers)
     except TypeError as exc:  # not a list of objects with the trace fields
         raise ConfigError(f"bad trace in {path}: {exc}") from None
     if violations:
         raise ConfigError(f"invalid traces in {path}: " + "; ".join(violations))
+    traced = {tid for tid, spec in model.tensor_info.items() if spec.kind != "optim32"}
+    for tr in traces:
+        if tr.tensor_id not in traced:
+            raise ConfigError(f"trace in {path} names tensor {tr.tensor_id}, which is not "
+                              f"a param16, grad16 or activation16 tensor of the model")
+    untraced = sorted(traced - {tr.tensor_id for tr in traces})
+    if untraced:
+        raise ConfigError(f"{path} has no trace of tensor {untraced[0]} "
+                          f"({model.tensor_info[untraced[0]].name})")
     return traces
 
 
@@ -210,9 +221,8 @@ def _traces_from_file(path: str, num_layers: int) -> list[TensorTrace]:
 def cmd_schedule(args) -> int:
     cfg = _resolve_config(args)
     inventory = fp.tensor_inventory(cfg, args.granularity)
-    traces = _traces_from_file(args.traces, cfg.num_layers) if args.traces else \
-        build_trace(inventory)
     model = LayerModel.from_inventory(inventory, args.page_bytes, cfg.batch_size)
+    traces = _traces_from_file(args.traces, model) if args.traces else build_trace(inventory)
     sharding = ShardingModel(args.world_size, args.rank)
     sched = schedule(model, traces, args.gpu_budget, sharding,
                      phase1_only=args.phase1_only)
@@ -225,7 +235,7 @@ def cmd_schedule(args) -> int:
 
 def cmd_simulate(args) -> int:
     sched = Schedule.from_dict(load_json(args.schedule))
-    traces = _traces_from_file(args.traces, sched.model.num_layers)
+    traces = _traces_from_file(args.traces, sched.model)
     profile = presets.resolve_hardware(
         args.profile if args.profile.startswith("preset:") else load_json(args.profile)
     )

@@ -56,6 +56,10 @@ class AdamHyper:
     def __post_init__(self):
         for f in fields(self):
             check_range(f"toy config 'hyper' {f.name!r}", getattr(self, f.name))
+        for name in ("beta1", "beta2"):  # beta 1 zeroes Adam's bias correction
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"toy config 'hyper' {name!r} must be in [0, 1), "
+                                  f"not {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -652,6 +656,10 @@ class TrainReport:
 def _make_report(mode, cfg, iterations, rec, buffer, readout, val, makespan) -> TrainReport:
     if not math.isfinite(makespan):
         raise ConfigError(f"{mode} makespan is {makespan}: a delay rate is too small")
+    val_loss = validation_loss(buffer, readout, *val)
+    diverged = [loss for loss in (*rec.loss_curve, val_loss) if not math.isfinite(loss)]
+    if diverged:
+        raise ConfigError(f"{mode} loss is {diverged[0]}: training diverged under the toy config")
     busy = rec.gpu_busy_s
     return TrainReport(
         mode=mode,
@@ -659,7 +667,7 @@ def _make_report(mode, cfg, iterations, rec, buffer, readout, val, makespan) -> 
         batch_size=cfg.batch_size,
         loss_curve=tuple(rec.loss_curve),
         final_train_loss=rec.loss_curve[-1] if rec.loss_curve else math.nan,
-        val_loss=validation_loss(buffer, readout, *val),
+        val_loss=val_loss,
         makespan_s=makespan,
         samples_per_s=iterations * cfg.batch_size / makespan if makespan > 0 else math.inf,
         gpu_busy_s=busy,

@@ -1,14 +1,15 @@
 """Two-phase lifetime-based page scheduling for one data-parallel rank.
 
-Phase 1 prefetches every owned parameter page at trigger 0, then walks the
-forward layers: when the projected residency at a layer's compute slot
-exceeds the GPU budget it first defers the most recent prefetch of a
-not-yet-needed layer onto a wait stack, and failing that evicts the
-oldest already-used layer replica (which is then re-acquired for its
-backward op). Gather and compute tasks are appended per layer, and parked
-pages are re-scheduled as soon as headroom allows. The backward half
-mirrors the forward sweep: re-acquisition for evicted layers, a backward
-compute per layer, and post-backward eviction of owned pages.
+Phase 1 prefetches every owned parameter page at trigger 0, in (layer, page)
+order, then walks the forward layers: when the projected residency at a
+layer's compute slot exceeds the GPU budget it first defers the prefetch of
+the highest owned page of a not-yet-needed layer, and failing that evicts
+the oldest already-used layer replica (which is then re-acquired for its
+backward op). A layer's deferred pages move at its own slot, ahead of its
+gather and compute tasks; after each compute, deferred pages move back,
+lowest first, while headroom allows. The backward half mirrors the forward
+sweep: re-acquisition for evicted layers, a backward compute per layer,
+and post-backward eviction of owned pages.
 
 Phase 2 re-triggers each all_gather at the earliest point that keeps peak
 residency within budget (owned-page gathers never add memory and move to
@@ -24,12 +25,17 @@ parameter gradients are resident over their trace lifetimes. trigger_id t
 means the task becomes eligible when compute slot t is reached (t=0 at
 iteration start).
 
-Phase 1 plans with one running count: the bytes of the pages resident at
-the forward slot being planned. Each move and each gather of a page this
-rank does not own adds a page; each withdrawn move and each evicted victim
-page takes one away, and the traced bytes at the slot are read off one
-profile of the traces. Every query is at that slot, so nothing else is
-needed: a layer's own share there is its owned pages and its traced bytes.
+Phase 1's state is three numbers. A deferral withdraws the highest moved
+page and a move back takes the lowest deferred one, so the moved owned
+pages are always a prefix of the owned pages in (layer, page) order: one
+index, ``moved``, marks where the deferred ones start. ``evicted`` counts
+the layers evicted in the forward sweep, oldest first. The third is the
+bytes of the pages resident at the forward slot being planned: each move
+and each gather of a page this rank does not own adds a page; each
+withdrawn move and each evicted victim page takes one away, and the traced
+bytes at the slot are read off one profile of the traces. Every query is at
+that slot, so nothing else is needed: a layer's own share there is its
+owned pages and its traced bytes.
 `_residency` is the one sweep over a whole task list, shared by
 `schedule()`, `peak_memory`, `available_memory` and `validate_schedule`:
 resident bytes per slot, plus each page's acquire and eviction triggers,
@@ -444,6 +450,8 @@ def _build_phase1(model: LayerModel, traces: list[TensorTrace], gpu_budget: int,
     page_bytes = model.page_bytes
     layer_of = model.layer_of
     own_pages = [[p for p in pages if sharding.owns(p)] for pages in model.layer_pages]
+    own = [p for pages in own_pages for p in pages]  # in (layer, page) order
+    ends = list(accumulate(map(len, own_pages)))  # one past each layer's last page in own
 
     # traced bytes at each slot, and each layer's own at its forward and backward slots
     delta = [0] * (2 * n + 1)
@@ -457,60 +465,46 @@ def _build_phase1(model: LayerModel, traces: list[TensorTrace], gpu_budget: int,
                 own_traced[i][k] += spec.bytes
     traced = list(accumulate(delta))
     # a layer's working set: its pages plus its traced bytes at the fuller of its slots
-    sizes = [len(pages) * page_bytes + max(own)
-             for pages, own in zip(model.layer_pages, own_traced)]
+    sizes = [len(pages) * page_bytes + max(at_slots)
+             for pages, at_slots in zip(model.layer_pages, own_traced)]
     for i, size in enumerate(sizes):
         if size > gpu_budget:
             raise InfeasibleScheduleError(i, size, gpu_budget)
 
     tasks: list[Task | None] = []  # None: a move a deferral withdrew
-    moves: list[int] = []  # indices into tasks of the moves, ascending
+    move_at = [0] * len(own)  # index into tasks of own[k]'s live move
     paged = 0  # bytes of the pages resident at the forward slot being planned
 
-    def move(pid: int, trigger: int, layer: int, slot: int) -> None:
+    def move(k: int, trigger: int) -> None:
         nonlocal paged
-        moves.append(len(tasks))
-        tasks.append(Task("move_to_gpu", pid, trigger, layer, slot, True))
+        layer = layer_of(own[k])
+        move_at[k] = len(tasks)
+        tasks.append(Task("move_to_gpu", own[k], trigger, layer, layer, True))
         paged += page_bytes
 
-    def withdraw_latest_move(i: int) -> Task | None:
-        """Withdraw the latest move of a layer after i, if there is one."""
-        nonlocal paged
-        while moves:
-            idx = moves.pop()
-            task = tasks[idx]
-            # a move of layer <= i is passed over here and by every later deferral
-            if task.layer > i:
-                tasks[idx] = None
-                paged -= page_bytes
-                return task
-        return None
-
-    for i in range(n):
-        for pid in own_pages[i]:
-            move(pid, 0, i, i)
-
-    wait_stack: list[int] = []  # deferred pages, latest on top; pages of drained layers linger
-    parked: dict[int, list[int]] = {}  # layer -> its pages still waiting, in stack order
+    for k in range(len(own)):
+        move(k, 0)
+    moved = len(own)  # own[:moved] are moved; the rest are deferred
     evicted = 0  # layers 0..evicted-1 were evicted in the forward sweep, oldest first
 
     for i in range(n):
-        # pages of this layer parked earlier must move now (the gather needs them)
-        for pid in parked.pop(i, ()):
-            move(pid, i, i, i)
+        # this layer's deferred pages must move now (the gather needs them), highest first
+        for k in reversed(range(moved, ends[i])):
+            move(k, i)
+        moved = max(moved, ends[i])
 
         # layer i's own bytes at slot i: all its owned pages moved, none gathered yet
-        own = len(own_pages[i]) * page_bytes + own_traced[i][0]
-        while gpu_budget - (traced[i] + paged - own) < sizes[i]:
-            task = withdraw_latest_move(i)
-            if task is not None:
-                wait_stack.append(task.target)
-                parked.setdefault(task.layer, []).append(task.target)
+        mine = len(own_pages[i]) * page_bytes + own_traced[i][0]
+        while gpu_budget - (traced[i] + paged - mine) < sizes[i]:
+            if moved > ends[i]:  # withdraw the highest page's move: its layer is after i
+                moved -= 1
+                tasks[move_at[moved]] = None
+                paged -= page_bytes
                 continue
             victim = evicted
             if victim >= i:
                 raise InfeasibleScheduleError(
-                    i, sizes[i], gpu_budget - (traced[i] + paged - own))
+                    i, sizes[i], gpu_budget - (traced[i] + paged - mine))
             for pid in model.layer_pages[victim]:
                 tasks.append(Task("evict_to_cpu", pid, i, victim, i, sharding.owns(pid)))
             paged -= len(model.layer_pages[victim]) * page_bytes
@@ -521,17 +515,12 @@ def _build_phase1(model: LayerModel, traces: list[TensorTrace], gpu_budget: int,
         paged += (len(model.layer_pages[i]) - len(own_pages[i])) * page_bytes
         tasks.append(Task("compute", i, i, i, i))
 
-        while True:
-            while wait_stack and layer_of(wait_stack[-1]) <= i:
-                wait_stack.pop()  # moved when its layer was drained
-            if not wait_stack or gpu_budget - (traced[i] + paged) <= page_bytes:
-                break
-            pid = wait_stack.pop()
-            layer = layer_of(pid)
-            parked[layer].pop()  # the top of the stack is its layer's latest entry
-            move(pid, i, layer, layer)
+        # deferred pages move back, lowest first, while a page's headroom remains
+        while moved < len(own) and gpu_budget - (traced[i] + paged) > page_bytes:
+            move(moved, i)
+            moved += 1
 
-    assert not any(parked.values()), "wait stack must drain by the end of the forward sweep"
+    assert moved == len(own), "every deferred page must move by the end of the forward sweep"
 
     # the backward sweep makes no query: its residency is checked on the whole list
     for slot in range(n, 2 * n):

@@ -540,6 +540,37 @@ class TestTraceFileValidation:
         err = capsys.readouterr().err
         assert err.count("error:") == 2 and "bad.json" in err
 
+    def test_schedule_traces_must_name_the_models_tensors(self, tmp_path, capsys):
+        traces, _ = tiny_schedule_file(tmp_path)
+        for bad, message in mismatched_traces(json.loads(traces.read_text())):
+            capsys.readouterr()
+            assert run(["schedule", "--preset", "tiny-2layer", "--gpu-budget", str(2**30),
+                        "--traces", write(tmp_path, "bad.json", bad)]) == EXIT_USAGE
+            assert message in capsys.readouterr().err
+
+    def test_simulate_traces_must_name_the_models_tensors(self, tmp_path, capsys):
+        traces, raw = tiny_schedule_file(tmp_path)
+        sched = write(tmp_path, "sched.json", raw)
+        out = tmp_path / "report.json"
+        for bad, message in mismatched_traces(json.loads(traces.read_text())):
+            capsys.readouterr()
+            assert run(["simulate", "--schedule", sched, "--out", str(out),
+                        "--traces", write(tmp_path, "bad.json", bad)]) == EXIT_USAGE
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+
+def mismatched_traces(traces):
+    """(traces, error) pairs for tiny-2layer's traces: ids the model lacks
+    or gives an untraced kind, and tensors left untraced."""
+    shifted = [{**t, "tensor_id": t["tensor_id"] + 100000} for t in traces]
+    optim = [*traces[:-1], {**traces[-1], "tensor_id": 2}]  # tensor 2 is an optim32 one
+    not_traced = "which is not a param16, grad16 or activation16 tensor of the model"
+    return [(shifted, f"names tensor 100000, {not_traced}"),
+            (optim, f"names tensor 2, {not_traced}"),
+            ([], "has no trace of tensor 0 (L0.attn.linear_qkv.param16)"),
+            (traces[1:], "has no trace of tensor 0 (L0.attn.linear_qkv.param16)")]
+
 
 class TestLockfreeCmd:
     def test_both_modes(self, tmp_path):
@@ -591,8 +622,13 @@ class TestLockfreeCmd:
         ({"hyper": {"lr": float("nan")}}, "toy config 'hyper' 'lr' must be finite, not nan"),
         ({"hyper": {"eps": float("inf")}}, "toy config 'hyper' 'eps' must be finite, not inf"),
         ({"seed": -1}, "toy config 'seed' must be >= 0, not -1"),
+        ({"hyper": {"beta1": 1.0}}, "toy config 'hyper' 'beta1' must be in [0, 1), not 1.0"),
+        ({"hyper": {"beta2": 1.0}}, "toy config 'hyper' 'beta2' must be in [0, 1), not 1.0"),
+        ({"num_layers": 2, "dim": 4, "hyper": {"lr": 1e308}},
+         "lockfree loss is nan: training diverged under the toy config"),
     ], ids=["unknown_key", "mistyped_value", "unknown_hyper_key", "not_object",
-            "val_size_zero", "noise_std_negative", "lr_nan", "eps_inf", "seed_negative"])
+            "val_size_zero", "noise_std_negative", "lr_nan", "eps_inf", "seed_negative",
+            "beta1_one", "beta2_one", "lr_diverges"])
     def test_bad_toy_config_is_usage_error(self, tmp_path, capsys, toy, message):
         path = write(tmp_path, "toy.json", toy)
         assert run(["lockfree", "--toy-config", path, "--iters", "2"]) == EXIT_USAGE

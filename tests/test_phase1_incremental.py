@@ -4,6 +4,7 @@ deterministic schedules, and a guard on how many sweeps one schedule()
 makes."""
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,14 @@ def decisions(phase1) -> tuple[int, int]:
     return deferred, evicted
 
 
+def most_moved_at_own_slot(phase1) -> int:
+    """The most deferred pages of one layer that move at that layer's own
+    forward slot (a layer's pages never move there otherwise)."""
+    counts = Counter(t.layer for t in phase1.tasks
+                     if t.operation == "move_to_gpu" and 0 < t.trigger_id == t.layer)
+    return max(counts.values(), default=0)
+
+
 def as_json(sched) -> str:
     return json.dumps(sched.to_dict(), sort_keys=True)
 
@@ -73,7 +82,7 @@ def assert_matches_reference(model, traces, budget, sharding):
 class TestMatchesReference:
     def test_random_tight_instances(self):
         rng = random.Random(2024)
-        deferring = evicting = 0
+        deferring = evicting = at_own_slot = 0
         for _ in range(150):
             n = rng.randint(1, 7)
             model, traces, sharding = make_instance(
@@ -89,8 +98,10 @@ class TestMatchesReference:
                 deferred, evicted = decisions(ref1)
                 deferring += deferred > 0
                 evicting += evicted > 0
-        # the budgets must drive both branches of the phase-1 loop
-        assert deferring >= 5 and evicting >= 5
+                at_own_slot += most_moved_at_own_slot(ref1) >= 2
+        # the budgets must drive both branches of the phase-1 loop, and move
+        # several deferred pages of one layer at its own slot
+        assert deferring >= 5 and evicting >= 5 and at_own_slot >= 5
 
     @pytest.mark.parametrize("rank", [0, 5])
     def test_shrunken_175b_shape(self, rank):

@@ -188,7 +188,7 @@ class TestWorkedExamples:
         budget = PAGE  # exactly one layer's gathered params, no acts
         p2 = schedule(model, traces, budget, sharding)
         move1 = next(t for t in tasks_of(p2, "move_to_gpu") if t.target == 1)
-        assert move1.trigger_id >= 1  # deferred through the wait stack
+        assert move1.trigger_id >= 1  # deferred past trigger 0
         g1 = next(t for t in tasks_of(p2, "all_gather") if t.target == 1 and t.slot == 1)
         assert g1.trigger_id == move1.trigger_id  # not advanced past its move
         assert validate_schedule(p2, traces) == []
