@@ -52,9 +52,11 @@ from .scheduler import (
     Schedule,
     ShardingModel,
     Task,
+    TaskColumns,
     available_memory,
     peak_memory,
     schedule,
+    task_columns,
     validate_schedule,
 )
 from .simengine import (

@@ -65,7 +65,8 @@ class RowStream(ABC):
     @abstractmethod
     def value_types(self) -> tuple[type, ...] | None:
         """The exact type of each key's values, in ``keys`` order, when every
-        value is a str or a finite float of that type; else None."""
+        value is a str, an int, a bool or a finite float of that type; else
+        None."""
 
     def chunks(self, size: int) -> Iterator[list[list]]:
         """The rows in order, ``size`` at a time (fewer in the last chunk):
@@ -141,8 +142,8 @@ def _row_columns(rows) -> tuple[list[str], list[Callable], list[list[list]]] | N
 
 def _stream_columns(stream: RowStream) -> tuple[list[str], list[Callable], Iterable] | None:
     """(sorted keys, their encoders, chunks of their values) of a row stream
-    with keys whose values are strs and finite floats (``value_types``),
-    else None."""
+    with keys whose values are strs, ints, bools and finite floats
+    (``value_types``), else None."""
     keys, types = stream.keys, stream.value_types()
     if not keys or types is None:
         return None
@@ -281,9 +282,9 @@ def write_json(data, out: str | None):
     the same exception type before ``out`` is opened.
 
     A ``RowStream`` is written as json.dumps writes its ``dicts()``. When it
-    has keys and its values are strs and finite floats, it is formatted
-    like a rows list from its ``chunks()``, so its text is never held whole;
-    otherwise json.dumps formats its dicts.
+    has keys and its values are strs, ints, bools and finite floats, it is
+    formatted like a rows list from its ``chunks()``, so its text is never
+    held whole; otherwise json.dumps formats its dicts.
     """
     pieces = _json_pieces(data)
     with open_output(out) as fh:

@@ -701,9 +701,11 @@ def run_lockfree(toy_cfg: ToyTrainConfig, delays: DelayModel, iterations: int, *
         _buffering_actor(buffer, boxes),
         _updating_actor(toy_cfg, delays, buffer, masters, boxes, rec),
     ]
-    makespan = runtime.run(actors)
-    return _make_report("lockfree", toy_cfg, iterations, rec, buffer, readout, val,
-                        makespan)
+    # a diverging run overflows to inf and nan; _make_report rejects its loss
+    with np.errstate(over="ignore", invalid="ignore"):
+        makespan = runtime.run(actors)
+        return _make_report("lockfree", toy_cfg, iterations, rec, buffer, readout, val,
+                            makespan)
 
 
 def run_sync(toy_cfg: ToyTrainConfig, delays: DelayModel, iterations: int) -> TrainReport:
@@ -730,11 +732,14 @@ def run_sync(toy_cfg: ToyTrainConfig, delays: DelayModel, iterations: int) -> Tr
                 _, layer, p32, newest_iter = effect[2]
                 buffer.publish(layer, p32, applied_iter=newest_iter)
 
-    for it in range(iterations):
-        run(_gpu_iteration(cfg, delays, buffer, readout, teacher, it, rec, None))
-        # GPU blocks on the complete master update + publish
-        for layer in reversed(range(cfg.num_layers)):
-            snapshot = buffer.take(layer)
-            if snapshot is not None:
-                run(_update_layer(cfg, delays, buffer, masters, layer, snapshot, rec, None))
-    return _make_report("sync", cfg, iterations, rec, buffer, readout, val, clock)
+    # a diverging run overflows to inf and nan; _make_report rejects its loss
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(iterations):
+            run(_gpu_iteration(cfg, delays, buffer, readout, teacher, it, rec, None))
+            # GPU blocks on the complete master update + publish
+            for layer in reversed(range(cfg.num_layers)):
+                snapshot = buffer.take(layer)
+                if snapshot is not None:
+                    run(_update_layer(cfg, delays, buffer, masters, layer, snapshot, rec,
+                                      None))
+        return _make_report("sync", cfg, iterations, rec, buffer, readout, val, clock)

@@ -65,9 +65,9 @@ def run_pipeline(config: dict) -> dict:
             "param_count": fp.param_count(cfg),
         },
         "schedule": {
-            "phase1": {"num_tasks": len(phase1.tasks),
+            "phase1": {"num_tasks": len(phase1.columns),
                        "peak_bytes": peak_memory(phase1, traces)},
-            "phase2": {"num_tasks": len(phase2.tasks),
+            "phase2": {"num_tasks": len(phase2.columns),
                        "peak_bytes": peak_memory(phase2, traces)},
             "selected_phase": chosen.phase,
         },

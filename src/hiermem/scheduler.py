@@ -13,17 +13,33 @@ and post-backward eviction of owned pages.
 
 Phase 2 re-triggers each all_gather at the earliest point that keeps peak
 residency within budget (owned-page gathers never add memory and move to
-their page's move trigger; no trigger ever increases).
+their page's move trigger; no trigger ever increases). Gathers are taken
+in schedule order. Each run of consecutive non-owned gathers that share a
+trigger and a lower bound (their page's last eviction at or before the
+trigger) is one water-fill over the slots' page headroom: the j-th gather
+of the run reaches back over every slot from which each slot up to its
+trigger still has room for j pages, and those slots lose one page of room
+per gather that covers them. That is the greedy that walks each gather
+back one slot at a time, computed by run. Phase 2's order is one stable
+sort of phase 1's tasks on their new triggers.
 
-Residency model: one rule, in `_page_intervals`, says when a page is
-resident. Each acquire (the move trigger of a page this rank owns, the
-gather trigger of any other page) holds the page until the next later
-eviction of that page or until one slot past its layer's backward op,
-whichever comes first; that release never lies past the 2n-slot horizon.
-A page that two acquires hold at once is resident once. Activations and
-parameter gradients are resident over their trace lifetimes. trigger_id t
-means the task becomes eligible when compute slot t is reached (t=0 at
-iteration start).
+Residency model: one rule says when a page is resident. Each acquire (the
+move trigger of a page this rank owns, the gather trigger of any other
+page) holds the page until the next later eviction of that page or until
+one slot past its layer's backward op, whichever comes first; that release
+never lies past the 2n-slot horizon. A page that two acquires hold at once
+is resident once. Activations and parameter gradients are resident over
+their trace lifetimes. trigger_id t means the task becomes eligible when
+compute slot t is reached (t=0 at iteration start).
+
+`_residency` applies the rule to a whole task list in one numpy sweep,
+shared by `schedule()`, `peak_memory`, `available_memory` and
+`validate_schedule`. It keys each acquire and eviction by (page, trigger),
+as ``page * (2n + 1) + trigger``, and sorts the keys. ``searchsorted``
+finds each acquire's next eviction; the acquires of a page that share it
+hold the page over one interval, from the first of them. The result is
+resident bytes per slot plus the sorted keys, which phase 2 searches for
+each gather's lower bound.
 
 Phase 1's state is three numbers. A deferral withdraws the highest moved
 page and a move back takes the lowest deferred one, so the moved owned
@@ -35,12 +51,17 @@ and each gather of a page this rank does not own adds a page; each
 withdrawn move and each evicted victim page takes one away, and the traced
 bytes at the slot are read off one profile of the traces. Every query is at
 that slot, so nothing else is needed: a layer's own share there is its
-owned pages and its traced bytes.
-`_residency` is the one sweep over a whole task list, shared by
-`schedule()`, `peak_memory`, `available_memory` and `validate_schedule`:
-resident bytes per slot, plus each page's acquire and eviction triggers,
-sorted, which phase 2 bisects for each gather's lower bound while it adds
-the bytes of each gather it moves earlier to the profile in place.
+owned pages and its traced bytes. The owned pages are the ids rank, rank +
+world, ..., so phase 1 plans in runs of pages that share one operation and
+trigger: a deferral or a move back of k pages is one step, and the task
+list is built from the runs at the end.
+
+Columns: a Schedule holds its tasks as parallel integer columns in schedule
+order (``TaskColumns``): operation code, target, trigger, layer, slot and
+owned. ``Task`` is only the row type. ``task_columns`` is the one
+conversion from rows; ``Schedule.tasks`` builds the rows on demand, for
+``Schedule.from_dict``, ``_faults`` and callers that read tasks one by one,
+and ``Schedule.to_dict()`` streams the columns as rows (``TaskRows``).
 
 Runnable schedules: ``_faults`` states, for ``Schedule.from_dict`` and
 ``validate_schedule`` alike, when the simulator can run a task list. (1) A
@@ -59,16 +80,21 @@ Scheduling is a pure function; a Schedule is an immutable value.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
+from typing import ClassVar, Iterable, Iterator
+
+import numpy as np
 
 from .errors import ConfigError, InfeasibleScheduleError, check_fields, check_range
 from .footprint import TensorSpec
+from .jsonio import _CHUNK_ROWS, RowStream
 from .pagemem import PAGE_BYTES_DEFAULT, check_page_bytes
 from .tracer import TensorTrace, backward_id
 
 OPERATIONS = ("move_to_gpu", "all_gather", "compute", "evict_to_cpu")
+MOVE, GATHER, COMPUTE, EVICT = range(len(OPERATIONS))  # operation codes
 
 
 @dataclass(frozen=True)
@@ -80,15 +106,84 @@ class Task:
     slot: int  # compute slot this task serves (reporting/simulation metadata)
     owned: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "operation": self.operation,
-            "target": self.target,
-            "trigger_id": self.trigger_id,
-            "layer": self.layer,
-            "slot": self.slot,
-            "owned": self.owned,
-        }
+
+@dataclass(frozen=True, eq=False)
+class TaskColumns:
+    """A task list as parallel columns, one entry per task in schedule
+    order: the operation's index in ``OPERATIONS`` (int8); target,
+    trigger, layer and slot (int64); owned (bool)."""
+
+    operation: np.ndarray
+    target: np.ndarray
+    trigger: np.ndarray
+    layer: np.ndarray
+    slot: np.ndarray
+    owned: np.ndarray
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __len__(self) -> int:
+        return len(self.operation)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TaskColumns) and \
+            all(map(np.array_equal, self.arrays(), other.arrays()))
+
+    __hash__ = None
+
+    def take(self, index) -> "TaskColumns":
+        """The tasks at ``index`` (an index array, mask or slice), in its order."""
+        return TaskColumns(*(column[index] for column in self.arrays()))
+
+    def lists(self, index=slice(None)) -> list[list]:
+        """The tasks at ``index`` as one list per ``Task`` field, of its values."""
+        operation, *rest = (column[index].tolist() for column in self.arrays())
+        return [[OPERATIONS[k] for k in operation], *rest]
+
+    def rows(self) -> tuple[Task, ...]:
+        return tuple(map(Task, *self.lists()))
+
+
+def task_columns(tasks: Iterable[Task]) -> TaskColumns:
+    """The columns of a list of ``Task`` rows; ConfigError names an
+    operation that is not in ``OPERATIONS``."""
+    tasks = tuple(tasks)
+    codes = dict(zip(OPERATIONS, range(len(OPERATIONS))))
+    for t in tasks:
+        if t.operation not in codes:
+            raise ConfigError(f"unknown operation {t.operation!r}")
+
+    def column(name: str, dtype) -> np.ndarray:
+        return np.array([getattr(t, name) for t in tasks], dtype=dtype)
+
+    return TaskColumns(np.array([codes[t.operation] for t in tasks], dtype=np.int8),
+                       column("target", np.int64), column("trigger_id", np.int64),
+                       column("layer", np.int64), column("slot", np.int64),
+                       column("owned", bool))
+
+
+@dataclass(frozen=True)
+class TaskRows(RowStream):
+    """A schedule's tasks as the rows of its file, built from the columns
+    as they are read."""
+
+    columns: TaskColumns
+
+    keys: ClassVar = ("operation", "target", "trigger_id", "layer", "slot", "owned")
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def rows(self) -> Iterator[tuple]:
+        return chain.from_iterable(zip(*columns) for columns in self.chunks(_CHUNK_ROWS))
+
+    def chunks(self, size: int) -> Iterator[list[list]]:
+        for lo in range(0, len(self.columns), size):
+            yield self.columns.lists(slice(lo, lo + size))
+
+    def value_types(self) -> tuple[type, ...]:
+        return (str, int, int, int, int, bool)
 
 
 @dataclass(frozen=True)
@@ -141,6 +236,10 @@ class LayerModel:
     def layer_of(self, pid: int) -> int:
         """The layer of parameter page ``pid``, which must be below num_pages."""
         return bisect_right(self._starts, pid) - 1
+
+    def layers_of(self, pids: np.ndarray) -> np.ndarray:
+        """``layer_of`` of each page id in an array of them."""
+        return np.searchsorted(self._starts, pids, side="right") - 1
 
     @cached_property
     def page_layer(self) -> dict[int, int]:
@@ -213,7 +312,7 @@ _TENSOR_FIELDS = {"tensor_id": (int,), "name": (str,), "kind": (str,), "bytes": 
 
 @dataclass(frozen=True)
 class Schedule:
-    tasks: tuple[Task, ...]
+    columns: TaskColumns
     phase: str  # "phase1" | "phase2"
     gpu_budget: int
     model: LayerModel = field(compare=False)
@@ -223,6 +322,11 @@ class Schedule:
     def num_slots(self) -> int:
         return 2 * self.model.num_layers
 
+    @property
+    def tasks(self) -> tuple[Task, ...]:
+        """The tasks as rows, built on each access."""
+        return self.columns.rows()
+
     def to_dict(self) -> dict:
         return {
             "phase": self.phase,
@@ -230,14 +334,16 @@ class Schedule:
             "world_size": self.sharding.world_size,
             "rank": self.sharding.rank,
             "model": self.model.to_dict(),
-            "tasks": [t.to_dict() for t in self.tasks],
+            "tasks": TaskRows(self.columns),
         }
 
     @classmethod
     def from_dict(cls, raw) -> "Schedule":
-        """A schedule file as ``hiermem schedule`` writes it; ConfigError names
-        the field of a malformed value or the first fault of "Runnable
-        schedules" in the module docstring."""
+        """A schedule file as ``hiermem schedule`` writes it, or ``to_dict()``
+        of a Schedule; ConfigError names the field of a malformed value or
+        the first fault of "Runnable schedules" in the module docstring."""
+        if isinstance(raw, dict) and isinstance(raw.get("tasks"), TaskRows):
+            raw = {**raw, "tasks": raw["tasks"].dicts()}
         raw = check_fields("schedule", raw, _SCHEDULE_FIELDS,
                            required=("phase", "gpu_budget", "model", "tasks"))
         if raw["phase"] not in ("phase1", "phase2"):
@@ -249,7 +355,7 @@ class Schedule:
         for k, name, message in _faults(tasks, model, sharding):
             where = f"task {k} {name!r}" if k < len(tasks) else f"schedule {name!r}"
             raise ConfigError(f"{where}: {message}")
-        return cls(tasks, raw["phase"], raw["gpu_budget"], model, sharding)
+        return cls(task_columns(tasks), raw["phase"], raw["gpu_budget"], model, sharding)
 
 
 # schema_version and peak_bytes are what ``hiermem schedule`` adds to to_dict()
@@ -352,32 +458,18 @@ def _task_from_dict(k: int, raw, model: LayerModel) -> Task:
 _RESIDENT_KINDS = ("activation16", "grad16")
 
 
-def _page_intervals(acquires, evicts, release: int) -> list[tuple[int, int]]:
-    """Slot intervals [start, end) over which one page is resident.
-
-    Each acquire holds the page until the next later eviction or
-    ``release``, whichever comes first; empty intervals are dropped. A page
-    is resident once however many acquires hold it, so an acquire inside an
-    earlier one's interval, which ends at the same eviction, adds nothing.
-    Both trigger lists are sorted. ``release`` is one past the layer's
-    backward slot, so it never exceeds the 2n-slot horizon and neither end
-    needs clamping.
-    """
-    intervals = []
-    for a in acquires:
-        if intervals and a < intervals[-1][1]:
-            continue
-        k = bisect_right(evicts, a)
-        r = evicts[k] if k < len(evicts) and evicts[k] < release else release
-        if r > a:
-            intervals.append((a, r))
-    return intervals
-
-
 def _last_at_or_before(triggers: list[int], t: int, default: int) -> int:
     """The largest of the sorted ``triggers`` that is <= t, else ``default``."""
     k = bisect_right(triggers, t)
     return triggers[k - 1] if k else default
+
+
+def _last_key_at_or_before(keys: np.ndarray, at: np.ndarray, span: int, default):
+    """Per (page, trigger) key in ``at``, the trigger of the last of the
+    sorted ``keys`` of the same page at or before it, else ``default`` (a
+    scalar or an array like ``at``). A key is ``page * span + trigger``."""
+    last = np.append(keys, -1)[np.searchsorted(keys, at, side="right") - 1]
+    return np.where(last // span == at // span, last % span, default)
 
 
 def _traced_lifetimes(model: LayerModel, traces: list[TensorTrace]):
@@ -390,37 +482,41 @@ def _traced_lifetimes(model: LayerModel, traces: list[TensorTrace]):
             yield spec, min(tr.first_id, horizon), min(tr.end_id + 1, horizon)
 
 
-def _residency(tasks, model: LayerModel, sharding: ShardingModel,
-               traces: list[TensorTrace]):
-    """One sweep over a task list: (resident GPU bytes per compute slot,
-    page -> acquire triggers, page -> eviction triggers), triggers sorted."""
+def _residency(tasks: TaskColumns, model: LayerModel, sharding: ShardingModel,
+               traces: list[TensorTrace]) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """One sweep over a task list: (resident GPU bytes per compute slot, the
+    (page, trigger) keys of the acquires, and those of the evictions, each
+    sorted), with the key ``page * (2n + 1) + trigger``."""
     horizon = 2 * model.num_layers
-    delta = [0] * (horizon + 1)
+    span = horizon + 1  # triggers run from 0 to 2n
+    delta = [0] * span
     for spec, start, end in _traced_lifetimes(model, traces):
         delta[start] += spec.bytes
         delta[end] -= spec.bytes
-    acquires: dict[int, list[int]] = {}
-    evicts: dict[int, list[int]] = {}
-    for task in tasks:
-        pid = task.target
-        if task.operation == "compute" or not 0 <= pid < model.num_pages:
-            continue
-        if task.operation == "evict_to_cpu":
-            evicts.setdefault(pid, []).append(task.trigger_id)
-        elif task.operation == ("move_to_gpu" if sharding.owns(pid) else "all_gather"):
-            acquires.setdefault(pid, []).append(task.trigger_id)
-    for triggers in (*acquires.values(), *evicts.values()):
-        triggers.sort()
-    # only acquired pages are ever resident
-    for pid, triggers in acquires.items():
-        release = backward_id(model.layer_of(pid), model.num_layers) + 1
-        for a, r in _page_intervals(triggers, evicts.get(pid, ()), release):
-            delta[a] += model.page_bytes
-            delta[r] -= model.page_bytes
-    return list(accumulate(delta[:horizon])), acquires, evicts
+    op, pid, trigger = tasks.operation, tasks.target, tasks.trigger
+    page = (op != COMPUTE) & (pid >= 0) & (pid < model.num_pages)
+    owns = pid % sharding.world_size == sharding.rank
+    acquire = page & np.where(owns, op == MOVE, op == GATHER)
+    evict = page & (op == EVICT)
+    acquires = np.sort(pid[acquire] * span + trigger[acquire])
+    evicts = np.sort(pid[evict] * span + trigger[evict])
+
+    pages, starts = np.divmod(acquires, span)
+    # each acquire holds its page until the page's next later eviction, or its release
+    nxt = np.searchsorted(evicts, acquires, side="right")
+    evicted_at = np.append(evicts, -1)[nxt]
+    release = horizon - model.layers_of(pages)  # one past the layer's backward slot
+    ends = np.where(evicted_at // span == pages, np.minimum(evicted_at % span, release), release)
+    # the acquires of a page before one eviction hold it once, from the first of them
+    first = np.ones(len(acquires), dtype=bool)
+    first[1:] = (pages[1:] != pages[:-1]) | (nxt[1:] != nxt[:-1])
+    held = first & (ends > starts)
+    pages_held = np.bincount(starts[held], minlength=span) - np.bincount(ends[held], minlength=span)
+    profile = np.cumsum(pages_held[:horizon] * model.page_bytes + delta[:horizon])
+    return profile.tolist(), acquires, evicts
 
 
-def _resident_profile(tasks, model: LayerModel, sharding: ShardingModel,
+def _resident_profile(tasks: TaskColumns, model: LayerModel, sharding: ShardingModel,
                       traces: list[TensorTrace]) -> list[int]:
     """Resident GPU bytes per compute slot, in one sweep over a task list."""
     return _residency(tasks, model, sharding, traces)[0]
@@ -430,28 +526,28 @@ def available_memory(schedule: Schedule, traces: list[TensorTrace], at_id: int) 
     """GPU budget minus bytes resident at a logical compute slot."""
     if not (0 <= at_id < schedule.num_slots):
         raise ConfigError(f"at_id {at_id} outside [0, {schedule.num_slots})")
-    profile = _resident_profile(schedule.tasks, schedule.model, schedule.sharding, traces)
+    profile = _resident_profile(schedule.columns, schedule.model, schedule.sharding, traces)
     return schedule.gpu_budget - profile[at_id]
 
 
 def peak_memory(schedule: Schedule, traces: list[TensorTrace]) -> int:
     """Max resident bytes over all logical slots; 0 for an empty schedule."""
-    if not schedule.tasks:
+    if not len(schedule.columns):
         return 0
-    profile = _resident_profile(schedule.tasks, schedule.model, schedule.sharding, traces)
+    profile = _resident_profile(schedule.columns, schedule.model, schedule.sharding, traces)
     return max(profile)
 
 
 # -- phase 1 -----------------------------------------------------------------
 
 def _build_phase1(model: LayerModel, traces: list[TensorTrace], gpu_budget: int,
-                  sharding: ShardingModel) -> list[Task]:
+                  sharding: ShardingModel) -> TaskColumns:
     n = model.num_layers
     page_bytes = model.page_bytes
-    layer_of = model.layer_of
-    own_pages = [[p for p in pages if sharding.owns(p)] for pages in model.layer_pages]
-    own = [p for pages in own_pages for p in pages]  # in (layer, page) order
-    ends = list(accumulate(map(len, own_pages)))  # one past each layer's last page in own
+    world, rank = sharding.world_size, sharding.rank
+    own = range(rank, model.num_pages, world)  # the owned pages, in (layer, page) order
+    ends = [len(range(rank, pages.stop, world)) for pages in model.layer_pages]
+    own_pages = [own[a:b] for a, b in zip([0, *ends], ends)]  # ends[i]: one past layer i's in own
 
     # traced bytes at each slot, and each layer's own at its forward and backward slots
     delta = [0] * (2 * n + 1)
@@ -471,54 +567,66 @@ def _build_phase1(model: LayerModel, traces: list[TensorTrace], gpu_budget: int,
         if size > gpu_budget:
             raise InfeasibleScheduleError(i, size, gpu_budget)
 
-    tasks: list[Task | None] = []  # None: a move a deferral withdrew
-    move_at = [0] * len(own)  # index into tasks of own[k]'s live move
+    # [operation, pages (a range), trigger, slot (None: each page's layer)] per run
+    runs: list[list] = []
+    moving: list[list] = []  # the runs that hold the moves of own[:moved], in own order
     paged = 0  # bytes of the pages resident at the forward slot being planned
 
-    def move(k: int, trigger: int) -> None:
+    def move(lo: int, hi: int, trigger: int) -> None:
         nonlocal paged
-        layer = layer_of(own[k])
-        move_at[k] = len(tasks)
-        tasks.append(Task("move_to_gpu", own[k], trigger, layer, layer, True))
-        paged += page_bytes
+        runs.append([MOVE, own[lo:hi], trigger, None])
+        moving.append(runs[-1])
+        paged += (hi - lo) * page_bytes
 
-    for k in range(len(own)):
-        move(k, 0)
+    def withdraw(count: int) -> None:
+        """Withdraw the moves of the highest ``count`` moved pages."""
+        while count:
+            pages = moving[-1][1]
+            take = min(count, len(pages))
+            moving[-1][1] = pages[:len(pages) - take]
+            if take == len(pages):
+                moving.pop()
+            count -= take
+
+    move(0, len(own), 0)
     moved = len(own)  # own[:moved] are moved; the rest are deferred
     evicted = 0  # layers 0..evicted-1 were evicted in the forward sweep, oldest first
 
     for i in range(n):
-        # this layer's deferred pages must move now (the gather needs them), highest first
-        for k in reversed(range(moved, ends[i])):
-            move(k, i)
-        moved = max(moved, ends[i])
+        # this layer's deferred pages must move now (the gather needs them), highest
+        # first; no later deferral reaches them, so they stay off ``moving``
+        if moved < ends[i]:
+            runs.append([MOVE, own[moved:ends[i]][::-1], i, i])
+            paged += (ends[i] - moved) * page_bytes
+            moved = ends[i]
 
         # layer i's own bytes at slot i: all its owned pages moved, none gathered yet
         mine = len(own_pages[i]) * page_bytes + own_traced[i][0]
-        while gpu_budget - (traced[i] + paged - mine) < sizes[i]:
-            if moved > ends[i]:  # withdraw the highest page's move: its layer is after i
-                moved -= 1
-                tasks[move_at[moved]] = None
-                paged -= page_bytes
+        while (short := sizes[i] - (gpu_budget - (traced[i] + paged - mine))) > 0:
+            if moved > ends[i]:  # withdraw the highest pages' moves: their layers are after i
+                count = min(moved - ends[i], -(-short // page_bytes))
+                withdraw(count)
+                moved -= count
+                paged -= count * page_bytes
                 continue
             victim = evicted
             if victim >= i:
                 raise InfeasibleScheduleError(
                     i, sizes[i], gpu_budget - (traced[i] + paged - mine))
-            for pid in model.layer_pages[victim]:
-                tasks.append(Task("evict_to_cpu", pid, i, victim, i, sharding.owns(pid)))
+            runs.append([EVICT, model.layer_pages[victim], i, i])
             paged -= len(model.layer_pages[victim]) * page_bytes
             evicted += 1
 
-        for pid in model.layer_pages[i]:
-            tasks.append(Task("all_gather", pid, i, i, i, sharding.owns(pid)))
+        runs.append([GATHER, model.layer_pages[i], i, i])
         paged += (len(model.layer_pages[i]) - len(own_pages[i])) * page_bytes
-        tasks.append(Task("compute", i, i, i, i))
+        runs.append([COMPUTE, range(i, i + 1), i, i])
 
         # deferred pages move back, lowest first, while a page's headroom remains
-        while moved < len(own) and gpu_budget - (traced[i] + paged) > page_bytes:
-            move(moved, i)
-            moved += 1
+        room = gpu_budget - (traced[i] + paged) - page_bytes
+        if moved < len(own) and room > 0:
+            count = min(len(own) - moved, -(-room // page_bytes))
+            move(moved, moved + count, i)
+            moved += count
 
     assert moved == len(own), "every deferred page must move by the end of the forward sweep"
 
@@ -526,46 +634,74 @@ def _build_phase1(model: LayerModel, traces: list[TensorTrace], gpu_budget: int,
     for slot in range(n, 2 * n):
         i = backward_id(slot, n)
         if i < evicted:
-            for pid in own_pages[i]:
-                tasks.append(Task("move_to_gpu", pid, slot, i, slot, True))
-            for pid in model.layer_pages[i]:
-                tasks.append(Task("all_gather", pid, slot, i, slot, sharding.owns(pid)))
-        tasks.append(Task("compute", i, slot, i, slot))
-        for pid in own_pages[i]:
-            tasks.append(Task("evict_to_cpu", pid, slot + 1, i, slot, True))
+            runs.append([MOVE, own_pages[i], slot, slot])
+            runs.append([GATHER, model.layer_pages[i], slot, slot])
+        runs.append([COMPUTE, range(i, i + 1), slot, slot])
+        runs.append([EVICT, own_pages[i], slot + 1, slot])
 
-    return [t for t in tasks if t is not None]
+    return _run_columns(runs, model, sharding)
+
+
+def _run_columns(runs: list[list], model: LayerModel, sharding: ShardingModel) -> TaskColumns:
+    """The columns of phase 1's runs: a compute's target is its layer, a
+    page task's layer is its page's, and its slot, where the run gives
+    none, is that layer."""
+    runs = [run for run in runs if len(run[1])]
+    lengths = [len(run[1]) for run in runs]
+    operation = np.repeat(np.array([run[0] for run in runs], dtype=np.int8), lengths)
+    target = np.concatenate([np.arange(p.start, p.stop, p.step, dtype=np.int64)
+                             for _, p, _, _ in runs])
+    trigger = np.repeat(np.array([run[2] for run in runs], dtype=np.int64), lengths)
+    slot = np.repeat(np.array([-1 if run[3] is None else run[3] for run in runs],
+                              dtype=np.int64), lengths)
+    is_page = operation != COMPUTE
+    layer = np.where(is_page, model.layers_of(target), target)
+    owned = is_page & (target % sharding.world_size == sharding.rank)
+    return TaskColumns(operation, target, trigger, layer, np.where(slot < 0, layer, slot),
+                       owned)
 
 
 # -- phase 2 -----------------------------------------------------------------
 
-def _advance_gathers(phase1: Schedule, profile: list[int], acquires: dict[int, list[int]],
-                     evicts: dict[int, list[int]]) -> Schedule:
-    """Phase 2 on the sweep of phase 1's tasks (see ``_residency``);
-    ``profile`` gains the bytes of each gather moved earlier, in place."""
+def _advance_gathers(phase1: Schedule, profile: list[int], acquires: np.ndarray,
+                     evicts: np.ndarray) -> Schedule:
+    """Phase 2 on the sweep of phase 1's tasks (see ``_residency``)."""
+    tasks = phase1.columns
     page_bytes = phase1.model.page_bytes
     budget = phase1.gpu_budget
-    tasks = []
-    for task in phase1.tasks:
-        if task.operation == "all_gather":
-            old = task.trigger_id
-            # a re-gather may not precede the eviction it recovers from
-            lb = _last_at_or_before(evicts.get(task.target, ()), old, 0)
-            if task.owned:
-                # owned-page gathers reuse the resident shard: no memory cost
-                new = max(lb, _last_at_or_before(acquires.get(task.target, ()), old, old))
-            else:
-                new = old
-                while new > lb and profile[new - 1] + page_bytes <= budget:
-                    new -= 1
-                for x in range(new, old):
-                    profile[x] += page_bytes
-            if new != old:
-                task = Task("all_gather", task.target, new, task.layer, task.slot,
-                            task.owned)
-        tasks.append(task)
-    tasks.sort(key=lambda t: t.trigger_id)  # stable: schedule order within a trigger
-    return Schedule(tuple(tasks), "phase2", budget, phase1.model, phase1.sharding)
+    span = phase1.num_slots + 1
+    gathers = np.flatnonzero(tasks.operation == GATHER)
+    old = tasks.trigger[gathers]
+    keys = tasks.target[gathers] * span + old
+    # a re-gather may not precede the eviction it recovers from
+    low = _last_key_at_or_before(evicts, keys, span, 0)
+    owned = tasks.owned[gathers]
+    # owned-page gathers reuse the resident shard: no memory cost
+    new = np.where(owned, np.maximum(low, _last_key_at_or_before(acquires, keys, span, old)),
+                   old)
+
+    free = np.flatnonzero(~owned)  # the gathers that add a page, in schedule order
+    old, low = old[free], low[free]
+    firsts = np.flatnonzero(np.diff(old, prepend=-1) | np.diff(low, prepend=-1)).tolist()
+    # pages each slot has room for; no slot needs room for more than every gather
+    room = np.array([max(0, min((budget - p) // page_bytes, len(free))) for p in profile],
+                    dtype=np.int64)
+    advanced = old.copy()
+    for lo, hi in zip(firsts, firsts[1:] + [len(free)]):  # one run of equal (old, low)
+        at, floor = int(old[lo]), int(low[lo])
+        # per slot x, from at - 1 down to floor: the room every slot in [x, at) has
+        reach = np.minimum.accumulate(room[floor:at][::-1])
+        # the j-th gather of the run (from 1) reaches back over the slots with room j
+        advanced[lo:hi] = at - np.searchsorted(-reach, -np.arange(1, hi - lo + 1),
+                                               side="right")
+        room[floor:at] -= np.minimum(reach, hi - lo)[::-1]
+    new[free] = advanced
+
+    trigger = tasks.trigger.copy()
+    trigger[gathers] = new
+    order = np.argsort(trigger, kind="stable")  # schedule order within a trigger
+    return Schedule(replace(tasks, trigger=trigger).take(order), "phase2", budget,
+                    phase1.model, phase1.sharding)
 
 
 def advance_gathers(schedule: Schedule, traces: list[TensorTrace]) -> Schedule:
@@ -578,7 +714,7 @@ def advance_gathers(schedule: Schedule, traces: list[TensorTrace]) -> Schedule:
     and none increases. ``schedule()`` runs the same pass on the sweep it
     checks phase 1's peak with.
     """
-    return _advance_gathers(schedule, *_residency(schedule.tasks, schedule.model,
+    return _advance_gathers(schedule, *_residency(schedule.columns, schedule.model,
                                                   schedule.sharding, traces))
 
 
@@ -588,8 +724,8 @@ def schedule(model_layers: LayerModel, traces: list[TensorTrace], gpu_budget: in
     check_range("gpu budget", gpu_budget, 0, finite=False)
     sharding = sharding or ShardingModel()
     tasks = _build_phase1(model_layers, traces, gpu_budget, sharding)
-    phase1 = Schedule(tuple(tasks), "phase1", gpu_budget, model_layers, sharding)
-    profile, acquires, evicts = _residency(phase1.tasks, model_layers, sharding, traces)
+    phase1 = Schedule(tasks, "phase1", gpu_budget, model_layers, sharding)
+    profile, acquires, evicts = _residency(tasks, model_layers, sharding, traces)
     peak = max(profile)
     if peak > gpu_budget:
         slot = profile.index(peak)

@@ -21,14 +21,17 @@ arrive then. Every task runs on a resource; there are no control tasks.
 
 The template is a set of parallel columns indexed by task uid: the task
 id, operation and resource, an integer code per resource, the duration and
-the list of dependencies. It is filled in one pass over the tasks in
+the list of dependencies. It is built from the schedule's task columns in
 trigger order, each trigger's page tasks in schedule order before its
-compute; one table gives every page operation its resource and duration.
-An owned page's gather depends on the page's latest move at or before its
-trigger, wherever the schedule lists that move within the trigger. The
-pass raises SimulationError on two computes at one trigger, an unknown
-operation or an owned gather with no such move: it cannot build their
-dependencies, and a Schedule built in code meets no other check. The event
+compute, which is one stable ``np.lexsort``; one table gives every
+operation code its task id prefix, resource and duration, and each task id
+is formatted once per template. An owned page's gather depends on the
+page's latest move at or before its trigger, wherever the schedule lists
+that move within the trigger: one ``searchsorted`` over the moves' sorted
+(page, trigger) keys finds it. The pass raises SimulationError on two
+computes at one trigger or an owned gather with no such move: it cannot
+build their dependencies, and a Schedule built in code meets no other
+check (``task_columns`` already refuses an unknown operation). The event
 loop keeps one heap per resource code and reads the columns by index; each
 resource's uids are found once per call, for the busy sums and the checks.
 
@@ -63,7 +66,6 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import ClassVar, Iterator
@@ -72,7 +74,7 @@ import numpy as np
 
 from .errors import REAL, ConfigError, SimulationError, check_fields, check_range
 from .jsonio import _CHUNK_ROWS, RowStream
-from .scheduler import Schedule
+from .scheduler import COMPUTE, EVICT, GATHER, MOVE, OPERATIONS, Schedule
 from .tracer import CPU_BYTES_PER_S, GPU_BYTES_PER_S, TensorTrace, TimingModel, backward_id
 
 LINKS = ("pcie_h2d", "pcie_d2h", "gpu_interconnect", "ssd_io")
@@ -338,6 +340,18 @@ class _Template:
         self.deps: list[list[int]] = []
         self.resource_codes: dict[str, int] = {}
 
+    def extend(self, task_ids: list[str], operations: list[str], resources: list[str],
+               durations: list[float], deps: list[list[int]]) -> None:
+        """Append tasks given as columns."""
+        self.task_ids += task_ids
+        self.operations += operations
+        self.resources += resources
+        for resource in dict.fromkeys(resources):
+            self.resource_codes.setdefault(resource, len(self.resource_codes))
+        self.codes += map(self.resource_codes.__getitem__, resources)
+        self.durations += durations
+        self.deps += deps
+
     def add(self, task_id: str, operation: str, resource: str, duration: float,
             deps: list[int]) -> int:
         """Append one task; returns its uid."""
@@ -394,67 +408,25 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
 
     model = schedule.model
     n = model.num_layers
-    num_slots = 2 * n
     page_bytes = model.page_bytes
     world = schedule.sharding.world_size
 
     slot_dur = _slot_durations(schedule, traces)
     update_cpu = _layer_update_cpu_s(schedule, traces)
     link = profile.links["gpu_interconnect"]
-    # operation -> (task id prefix, resource, duration) of one page task
-    page_ops = {
-        "move_to_gpu": ("move", "pcie_h2d", profile.links["pcie_h2d"].latency_s +
-                        page_bytes / profile.pcie_effective_bw("pcie_h2d")),
-        "all_gather": ("gather", "gpu_interconnect", link.latency_s +
-                       page_bytes * ((world - 1) / world) / link.bandwidth_bytes_per_s),
-        "evict_to_cpu": ("evict", "pcie_d2h", profile.links["pcie_d2h"].latency_s +
-                         page_bytes / profile.pcie_effective_bw("pcie_d2h")),
-    }
+    # per operation code, (task id prefix, resource, duration) of one task;
+    # a compute's id and duration are its slot's
+    kinds = [("move", "pcie_h2d", profile.links["pcie_h2d"].latency_s +
+              page_bytes / profile.pcie_effective_bw("pcie_h2d")),
+             ("gather", "gpu_interconnect", link.latency_s +
+              page_bytes * ((world - 1) / world) / link.bandwidth_bytes_per_s),
+             ("compute", "gpu", None),
+             ("evict", "pcie_d2h", profile.links["pcie_d2h"].latency_s +
+              page_bytes / profile.pcie_effective_bw("pcie_d2h"))]
 
-    tpl = _Template()  # one iteration, replayed per iteration
+    tpl, compute_uid, evict_uids_by_layer = _page_template(schedule, slot_dur, kinds)
     add = tpl.add
-    prev_comp: int | None = None  # latest compute instantiated so far
-    compute_uid: dict[int, int] = {}
-    gather_uids_by_slot: dict[int, list[int]] = {}
-    evict_uids_by_layer: dict[int, list[int]] = {}
-
-    # Trigger order, each trigger's page tasks in schedule order before its
-    # compute. Trigger t tasks become eligible when slot t is reached, i.e.
-    # at the finish of the latest compute before slot t (or iteration start).
-    # Every task adds one template task, so task u of this order gets uid u.
-    ordered = sorted(schedule.tasks, key=lambda t: (t.trigger_id, t.operation == "compute"))
-    # page -> (trigger, uid) of its moves, rising: an owned gather waits for
-    # the latest at or before its trigger, whether listed before it or not
-    moves: dict[int, list[tuple[int, int]]] = {}
-    for uid, t in enumerate(ordered):
-        if t.operation == "move_to_gpu":
-            moves.setdefault(t.target, []).append((t.trigger_id, uid))
-    for t in ordered:
-        elig = [] if prev_comp is None else [prev_comp]
-        if t.operation == "compute":
-            slot = t.trigger_id
-            if slot in compute_uid:
-                raise SimulationError(f"two compute tasks share trigger {slot}")
-            dur = slot_dur[slot] if slot < num_slots else 0.0
-            deps = elig + gather_uids_by_slot.get(slot, [])
-            prev_comp = compute_uid[slot] = add(f"compute.s{slot}.l{t.target}", "compute",
-                                                "gpu", dur, deps)
-            continue
-        if t.operation not in page_ops:
-            raise SimulationError(f"unknown operation {t.operation!r}")
-        if t.operation == "all_gather" and t.owned:
-            page_moves = moves.get(t.target, [])
-            k = bisect_right(page_moves, (t.trigger_id, math.inf))
-            if not k:
-                raise SimulationError(f"all_gather of owned page {t.target} has no move "
-                                      f"at or before its trigger {t.trigger_id}")
-            elig.append(page_moves[k - 1][1])
-        prefix, resource, dur = page_ops[t.operation]
-        uid = add(f"{prefix}.p{t.target}@{t.trigger_id}", t.operation, resource, dur, elig)
-        if t.operation == "all_gather":
-            gather_uids_by_slot.setdefault(t.slot, []).append(uid)
-        elif t.operation == "evict_to_cpu":
-            evict_uids_by_layer.setdefault(t.layer, []).append(uid)
+    prev_comp = max(compute_uid.values(), default=None)  # the last compute
 
     if update_mode == "sync":
         prev_in_pipe: list[int] = []
@@ -519,6 +491,72 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
             "schedule_phase": schedule.phase,
         },
     )
+
+
+def _page_template(schedule: Schedule, slot_dur: list[float], kinds: list[tuple]):
+    """The schedule's tasks as an iteration template, in trigger order, each
+    trigger's page tasks in schedule order before its compute, so that task
+    u of that order gets uid u; plus the uid of each slot's compute and each
+    layer's eviction uids. ``kinds`` gives each operation code's task id
+    prefix, resource and duration. Trigger t tasks become eligible when
+    slot t is reached, i.e. at the finish of the latest compute before them
+    (or at iteration start); a compute also waits for the gathers that
+    serve its slot and come before it, and an owned page's gather for the
+    page's latest move at or before its trigger, whether listed before it
+    or not."""
+    tasks = schedule.columns
+    order = np.lexsort((tasks.operation == COMPUTE, tasks.trigger))  # stable
+    op, target, trigger, layer, slot, owned = (c[order] for c in tasks.arrays())
+    computes = np.flatnonzero(op == COMPUTE)
+    comp_slots = trigger[computes]
+    # the second of two computes at one trigger, and owned gathers with no move
+    shared = computes[1:][comp_slots[1:] == comp_slots[:-1]]
+    gathers = np.flatnonzero((op == GATHER) & owned)
+    moves = np.flatnonzero(op == MOVE)
+    span = int(trigger.max()) + 1 if len(op) else 1
+    move_keys = target[moves] * span + trigger[moves]
+    by_key = np.argsort(move_keys, kind="stable")
+    move_keys, moves = move_keys[by_key], moves[by_key]
+    k = np.searchsorted(move_keys, target[gathers] * span + trigger[gathers], side="right") - 1
+    unmoved = gathers[np.append(move_keys, -1)[k] // span != target[gathers]]
+    if shared.size and not (unmoved.size and unmoved[0] < shared[0]):
+        raise SimulationError(f"two compute tasks share trigger {trigger[shared[0]]}")
+    if unmoved.size:
+        u = unmoved[0]
+        raise SimulationError(f"all_gather of owned page {target[u]} has no move "
+                              f"at or before its trigger {trigger[u]}")
+
+    # the latest compute before each task, -1 for none
+    prev = np.append(computes, -1)[np.searchsorted(computes, np.arange(len(op))) - 1]
+    deps = [[p] if p >= 0 else [] for p in prev.tolist()]
+    for u, m in zip(gathers.tolist(), moves[k].tolist()):
+        deps[u].append(m)
+    # a slot's gathers that come before its compute are those at or before its trigger
+    serving = np.flatnonzero((op == GATHER) & (trigger <= slot))
+    serving = serving[np.argsort(slot[serving], kind="stable")]
+    los = np.searchsorted(slot[serving], comp_slots).tolist()
+    his = np.searchsorted(slot[serving], comp_slots, side="right").tolist()
+    for u, lo, hi in zip(computes.tolist(), los, his):
+        deps[u] += serving[lo:hi].tolist()
+
+    ops, targets, triggers = op.tolist(), target.tolist(), trigger.tolist()
+    prefixes, resources, durations = zip(*kinds)
+    num_slots = len(slot_dur)
+    tpl = _Template()
+    tpl.extend(
+        [f"compute.s{g}.l{t}" if o == COMPUTE else f"{prefixes[o]}.p{t}@{g}"
+         for o, t, g in zip(ops, targets, triggers)],
+        [OPERATIONS[o] for o in ops], [resources[o] for o in ops],
+        [(slot_dur[g] if g < num_slots else 0.0) if o == COMPUTE else durations[o]
+         for o, g in zip(ops, triggers)],
+        deps)
+
+    evicts = np.flatnonzero(op == EVICT)
+    evicts = evicts[np.argsort(layer[evicts], kind="stable")]
+    evict_layers, firsts = np.unique(layer[evicts], return_index=True)
+    evict_uids_by_layer = dict(zip(evict_layers.tolist(),
+                                   (part.tolist() for part in np.split(evicts, firsts[1:]))))
+    return tpl, dict(zip(comp_slots.tolist(), computes.tolist())), evict_uids_by_layer
 
 
 def _run_event_loop(tpl: _Template, start: float,

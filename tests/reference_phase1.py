@@ -1,12 +1,16 @@
 """Reference scheduler: phase 1's forward/backward sweep as it was first
 written, rebuilding the whole residency profile for every query, and phase 2
 and the per-layer working set as they were written before both ran on phase
-1's maintained residency.
+1's maintained residency. The residency sweep is the per-task one that came
+before the scheduler's column sweep.
 
 Phase 1 here is quadratic in the number of decisions. All of it is kept only
-so tests can require the scheduler to emit exactly the same tasks.
+so tests can require the scheduler to emit exactly the same tasks and
+profiles.
 """
+from bisect import bisect_right
 from dataclasses import replace
+from itertools import accumulate
 
 from hiermem.errors import InfeasibleScheduleError
 from hiermem.scheduler import (
@@ -15,9 +19,68 @@ from hiermem.scheduler import (
     Schedule,
     ShardingModel,
     Task,
-    _resident_profile,
+    _traced_lifetimes,
+    task_columns,
 )
 from hiermem.tracer import TensorTrace, backward_id
+
+
+def _page_intervals(acquires, evicts, release: int) -> list[tuple[int, int]]:
+    """Slot intervals [start, end) over which one page is resident.
+
+    Each acquire holds the page until the next later eviction or
+    ``release``, whichever comes first; empty intervals are dropped. A page
+    is resident once however many acquires hold it, so an acquire inside an
+    earlier one's interval, which ends at the same eviction, adds nothing.
+    Both trigger lists are sorted. ``release`` is one past the layer's
+    backward slot, so it never exceeds the 2n-slot horizon and neither end
+    needs clamping.
+    """
+    intervals = []
+    for a in acquires:
+        if intervals and a < intervals[-1][1]:
+            continue
+        k = bisect_right(evicts, a)
+        r = evicts[k] if k < len(evicts) and evicts[k] < release else release
+        if r > a:
+            intervals.append((a, r))
+    return intervals
+
+
+def reference_residency(tasks, model: LayerModel, sharding: ShardingModel,
+                        traces: list[TensorTrace]):
+    """One sweep over a list of Task rows: (resident GPU bytes per compute
+    slot, page -> acquire triggers, page -> eviction triggers), triggers sorted."""
+    horizon = 2 * model.num_layers
+    delta = [0] * (horizon + 1)
+    for spec, start, end in _traced_lifetimes(model, traces):
+        delta[start] += spec.bytes
+        delta[end] -= spec.bytes
+    acquires: dict[int, list[int]] = {}
+    evicts: dict[int, list[int]] = {}
+    for task in tasks:
+        pid = task.target
+        if task.operation == "compute" or not 0 <= pid < model.num_pages:
+            continue
+        if task.operation == "evict_to_cpu":
+            evicts.setdefault(pid, []).append(task.trigger_id)
+        elif task.operation == ("move_to_gpu" if sharding.owns(pid) else "all_gather"):
+            acquires.setdefault(pid, []).append(task.trigger_id)
+    for triggers in (*acquires.values(), *evicts.values()):
+        triggers.sort()
+    # only acquired pages are ever resident
+    for pid, triggers in acquires.items():
+        release = backward_id(model.layer_of(pid), model.num_layers) + 1
+        for a, r in _page_intervals(triggers, evicts.get(pid, ()), release):
+            delta[a] += model.page_bytes
+            delta[r] -= model.page_bytes
+    return list(accumulate(delta[:horizon])), acquires, evicts
+
+
+def _resident_profile(tasks, model: LayerModel, sharding: ShardingModel,
+                      traces: list[TensorTrace]) -> list[int]:
+    """Resident GPU bytes per compute slot, in one sweep over Task rows."""
+    return reference_residency(tasks, model, sharding, traces)[0]
 
 
 def reference_layer_working_set(model: LayerModel, traces: list[TensorTrace], layer: int) -> int:
@@ -78,7 +141,7 @@ def reference_advance_gathers(schedule: Schedule, traces: list[TensorTrace]) -> 
             tasks[idx] = replace(task, trigger_id=new)
 
     order = sorted(range(len(tasks)), key=lambda k: (tasks[k].trigger_id, k))
-    return Schedule(tuple(tasks[k] for k in order), "phase2",
+    return Schedule(task_columns(tasks[k] for k in order), "phase2",
                     budget, model, sharding)
 
 
@@ -165,7 +228,7 @@ def reference_schedule(model: LayerModel, traces, gpu_budget: int,
                        sharding: ShardingModel) -> tuple[Schedule, Schedule]:
     """(phase 1, phase 2) as the scheduler first computed them."""
     tasks, _ = reference_build_phase1(model, traces, gpu_budget, sharding)
-    phase1 = Schedule(tuple(tasks), "phase1", gpu_budget, model, sharding)
+    phase1 = Schedule(task_columns(tasks), "phase1", gpu_budget, model, sharding)
     profile = _resident_profile(tasks, model, sharding, traces)
     peak = max(profile)
     if peak > gpu_budget:

@@ -1,6 +1,8 @@
 """CLI surfaces: every subcommand, file formats, exit codes, preset override."""
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -633,6 +635,18 @@ class TestLockfreeCmd:
         path = write(tmp_path, "toy.json", toy)
         assert run(["lockfree", "--toy-config", path, "--iters", "2"]) == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["sync", "lockfree"])
+    def test_diverging_run_prints_only_its_error(self, tmp_path, mode):
+        """No numpy warning of the overflow and nan on the way reaches stderr."""
+        path = write(tmp_path, "toy.json", {"num_layers": 2, "dim": 4, "hyper": {"lr": 1e308}})
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run([sys.executable, "-m", "hiermem", "lockfree", "--toy-config", path,
+                               "--iters", "2", "--mode", mode], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == (f"error: {mode} loss is nan: training diverged under the "
+                               f"toy config\n")
 
     def test_delays_file(self, tmp_path, capsys):
         hardware = hardware_preset("a100-server").to_dict()

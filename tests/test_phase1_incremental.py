@@ -14,6 +14,7 @@ from hiermem import footprint as fp
 from hiermem import presets
 from hiermem import scheduler
 from hiermem.errors import InfeasibleScheduleError
+from hiermem.jsonio import RowStream
 from hiermem.scheduler import (
     LayerModel,
     Schedule,
@@ -21,11 +22,13 @@ from hiermem.scheduler import (
     Task,
     _build_phase1,
     _resident_profile,
+    advance_gathers,
     schedule,
+    task_columns,
     validate_schedule,
 )
 from hiermem.tracer import TimingModel, build_trace
-from reference_phase1 import reference_schedule
+from reference_phase1 import reference_advance_gathers, reference_residency, reference_schedule
 from test_scheduler import MIB, PAGE, brute_force_resident, make_instance
 
 GIB = 2**30
@@ -60,7 +63,7 @@ def most_moved_at_own_slot(phase1) -> int:
 
 
 def as_json(sched) -> str:
-    return json.dumps(sched.to_dict(), sort_keys=True)
+    return json.dumps(sched.to_dict(), sort_keys=True, default=RowStream.dicts)
 
 
 def assert_matches_reference(model, traces, budget, sharding):
@@ -148,8 +151,8 @@ class TestProperties:
 
 
 def assert_sweep_is_oracle(tasks, model, sharding, traces):
-    sched = Schedule(tuple(tasks), "phase1", 0, model, sharding)
-    assert _resident_profile(tasks, model, sharding, traces) == \
+    sched = Schedule(task_columns(tasks), "phase1", 0, model, sharding)
+    assert _resident_profile(task_columns(tasks), model, sharding, traces) == \
         [brute_force_resident(sched, traces, x) for x in range(2 * model.num_layers)]
 
 
@@ -162,7 +165,7 @@ class TestMaintainedProfile:
     def test_equals_sweep_after_phase1(self, instance, budget_pages):
         model, traces, sharding = instance
         try:
-            tasks = _build_phase1(model, traces, budget_pages * PAGE, sharding)
+            tasks = _build_phase1(model, traces, budget_pages * PAGE, sharding).rows()
         except InfeasibleScheduleError:
             return
         assert_sweep_is_oracle(tasks, model, sharding, traces)
@@ -213,10 +216,118 @@ class TestMaintainedProfile:
                 tasks.append(task)
             else:
                 tasks.remove(task)
-            sched = Schedule(tuple(tasks), "phase1", 0, model, sharding)
-            assert _resident_profile(tasks, model, sharding, traces) == \
+            sched = Schedule(task_columns(tasks), "phase1", 0, model, sharding)
+            assert _resident_profile(task_columns(tasks), model, sharding, traces) == \
                 [brute_force_resident(sched, traces, x) for x in range(4)] == \
                 [p * PAGE for p in pages]
+
+
+def any_task_list(model, sharding):
+    """Lists of up to 30 tasks: any operation on any page at any trigger
+    from 0 to 2n, and computes, in any order and with repeats."""
+    n = model.num_layers
+    page = st.integers(0, model.num_pages - 1)
+    return st.lists(st.one_of(
+        st.builds(lambda op, pid, at: Task(op, pid, at, model.layer_of(pid), 0,
+                                           sharding.owns(pid)),
+                  st.sampled_from(["move_to_gpu", "all_gather", "evict_to_cpu"]), page,
+                  st.integers(0, 2 * n)),
+        st.builds(lambda layer, at: Task("compute", layer, at, layer, at),
+                  st.integers(0, n - 1), st.integers(0, 2 * n - 1))), max_size=30)
+
+
+def assert_sweep_is_reference(tasks, model, sharding, traces):
+    """The column sweep's profile, and each page's sorted acquire and
+    eviction triggers, are those of the frozen per-task sweep."""
+    profile, acquires, evicts = scheduler._residency(task_columns(tasks), model, sharding,
+                                                     traces)
+    span = 2 * model.num_layers + 1
+
+    def by_page(keys) -> dict[int, list[int]]:
+        triggers: dict[int, list[int]] = {}
+        for key in keys.tolist():
+            triggers.setdefault(key // span, []).append(key % span)
+        return triggers
+
+    assert (profile, by_page(acquires), by_page(evicts)) == \
+        reference_residency(tasks, model, sharding, traces)
+
+
+class TestSweepMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(instances(), budgets, st.booleans())
+    def test_on_schedules(self, instance, budget, phase1_only):
+        model, traces, sharding = instance
+        try:
+            sched = schedule(model, traces, budget, sharding, phase1_only=phase1_only)
+        except InfeasibleScheduleError:
+            return
+        assert_sweep_is_reference(sched.tasks, model, sharding, traces)
+
+    @settings(max_examples=200, deadline=None)
+    @given(instances(), st.data())
+    def test_on_any_task_list(self, instance, data):
+        """Acquires of owned and other pages, each operation on any page at
+        any trigger from 0 to 2n, in any order and with repeats."""
+        model, traces, sharding = instance
+        assert_sweep_is_reference(data.draw(any_task_list(model, sharding)), model, sharding,
+                                  traces)
+
+    @settings(max_examples=200, deadline=None)
+    @given(instances(), budgets, st.data())
+    def test_advance_gathers_on_any_task_list(self, instance, budget, data):
+        """Phase 2 by runs equals the reference's gather-by-gather walk, also
+        where consecutive gathers share a trigger but not a lower bound."""
+        model, traces, sharding = instance
+        tasks = data.draw(any_task_list(model, sharding))
+        sched = Schedule(task_columns(tasks), "phase1", budget, model, sharding)
+        assert advance_gathers(sched, traces).tasks == \
+            reference_advance_gathers(sched, traces).tasks
+
+    def test_advance_gathers_splits_runs_at_lower_bounds(self):
+        """Two gathers at trigger 3 of pages that rank 0 of 2 does not own:
+        page 1 was evicted at 2, page 3 never, so only page 3 reaches slot 0."""
+        model, traces, _ = make_instance([2, 2], world=2)
+        sharding = ShardingModel(2, 0)
+        tasks = [Task("evict_to_cpu", 1, 2, 0, 0), Task("all_gather", 1, 3, 0, 3),
+                 Task("all_gather", 3, 3, 1, 3)]
+        sched = Schedule(task_columns(tasks), "phase1", 4 * PAGE, model, sharding)
+        advanced = advance_gathers(sched, traces).tasks
+        assert advanced == reference_advance_gathers(sched, traces).tasks
+        assert [(t.target, t.trigger_id) for t in advanced if t.operation == "all_gather"] == \
+            [(3, 0), (1, 2)]
+
+    def test_hand_built_cases(self):
+        """Two layers of two pages each, rank 0 of 2: pages 0 and 2 are owned
+        (acquired by a move), 1 and 3 are not (acquired by a gather). Layer 0
+        is released at 4 and layer 1 at 3."""
+        model, traces, _ = make_instance([2, 2], acts=[MIB, 0], grads=[0, MIB], world=2)
+        sharding = ShardingModel(2, 0)
+        cases = {
+            "acquire inside an earlier interval": [
+                Task("move_to_gpu", 0, 0, 0, 0, True), Task("move_to_gpu", 0, 1, 0, 0, True),
+                Task("evict_to_cpu", 0, 2, 0, 0, True), Task("all_gather", 1, 1, 0, 0),
+                Task("all_gather", 1, 0, 0, 0), Task("evict_to_cpu", 1, 3, 0, 0)],
+            "acquire at or after its layer's release": [
+                Task("move_to_gpu", 2, 3, 1, 1, True), Task("all_gather", 3, 4, 1, 2),
+                Task("all_gather", 3, 3, 1, 2), Task("move_to_gpu", 2, 1, 1, 1, True)],
+            "eviction at the acquire's own trigger": [
+                Task("move_to_gpu", 0, 2, 0, 0, True), Task("evict_to_cpu", 0, 2, 0, 0, True),
+                Task("all_gather", 3, 1, 1, 1), Task("evict_to_cpu", 3, 1, 1, 1),
+                Task("evict_to_cpu", 3, 2, 1, 1)],
+            "pages never acquired": [
+                Task("evict_to_cpu", 1, 1, 0, 0), Task("move_to_gpu", 1, 0, 0, 0),
+                Task("all_gather", 0, 0, 0, 0, True), Task("compute", 0, 0, 0, 0)],
+        }
+        for name, tasks in cases.items():
+            assert_sweep_is_reference(tasks, model, sharding, traces)
+        assert_sweep_is_reference([t for tasks in cases.values() for t in tasks], model,
+                                  sharding, traces)
+        # the first case holds page 0 over [0, 2) and page 1 over [0, 3), beside
+        # layer 0's activations over [0, 4) and layer 1's gradients at slot 2
+        assert scheduler._resident_profile(
+            task_columns(cases["acquire inside an earlier interval"]), model, sharding,
+            traces)[:3] == [2 * PAGE + MIB, 2 * PAGE + MIB, PAGE + 2 * MIB]
 
 
 def test_whole_profile_builds_do_not_grow_with_decisions(monkeypatch):

@@ -299,3 +299,31 @@ def test_one_large_iteration_is_written_in_chunks(tmp_path):
     assert len(report.timeline) > 20 * jsonio._CHUNK_ROWS
     assert peak < os.path.getsize(out) / 4
     assert out.read_bytes() == oracle(report.to_dict())
+
+
+def schedules_to_write():
+    """Both phases of a tiny-2layer schedule and of the GPT-3 175B layer
+    shape at two layers (12 GiB, rank 5 of 8, recomputed activations)."""
+    from test_phase1_incremental import GIB, paper_shaped
+    cfg = model_preset("tiny-2layer")
+    inventory = tensor_inventory(cfg)
+    tiny = (LayerModel.from_inventory(inventory, 2**20, cfg.batch_size), build_trace(inventory),
+            2**30)
+    model, traces = paper_shaped(2, 4 * 2**20)
+    for model, traces, budget in (tiny, (model, traces, 12 * GIB)):
+        for phase1_only in (True, False):
+            yield schedule(model, traces, budget, ShardingModel(8, 5), phase1_only=phase1_only)
+
+
+def test_schedule_tasks_are_written_from_columns(tmp_path):
+    """A schedule's tasks reach write_json as a row stream of str, int and
+    bool columns, and are written as json.dumps writes each task as a dict."""
+    for k, sched in enumerate(schedules_to_write()):
+        data = sched.to_dict()
+        assert isinstance(data["tasks"], jsonio.RowStream)
+        assert data["tasks"].value_types() == (str, int, int, int, int, bool)
+        out = tmp_path / f"schedule{k}.json"
+        jsonio.write_json(data, str(out))
+        rows = [dataclasses.asdict(t) for t in sched.tasks]
+        assert len(rows) > 0
+        assert out.read_bytes() == (json.dumps({**data, "tasks": rows}, **OPTS) + "\n").encode()

@@ -13,7 +13,7 @@ from hiermem import simengine
 from hiermem.errors import ConfigError, InfeasibleScheduleError, SimulationError
 from hiermem.lockfree import GPU_FLOPS_PER_S, DelayModel, ToyTrainConfig
 from hiermem.presets import HARDWARE_PRESETS, hardware_preset, model_preset
-from hiermem.scheduler import LayerModel, Schedule, ShardingModel, Task, schedule
+from hiermem.scheduler import LayerModel, Schedule, ShardingModel, Task, schedule, task_columns
 from hiermem.simengine import HardwareProfile, LinkSpec, TimelineEntry, compare, simulate
 from hiermem.tracer import (CPU_BYTES_PER_S, GPU_BYTES_PER_S, TensorTrace, TimingModel,
                             backward_id, build_trace)
@@ -116,7 +116,7 @@ def single_compute_instance(gpu_time=1e-3):
 class TestSimulate:
     def test_single_compute_task(self):
         model, traces, sharding = single_compute_instance(1e-3)
-        sched = Schedule((Task("compute", 0, 0, 0, 0),), "phase1", 2**30,
+        sched = Schedule(task_columns((Task("compute", 0, 0, 0, 0),)), "phase1", 2**30,
                          model, sharding)
         report = simulate(sched, traces, profile())
         assert report.makespan_s == pytest.approx(1e-3)
@@ -125,7 +125,7 @@ class TestSimulate:
 
     def test_empty_schedule_reports_null_throughput(self):
         model, traces, sharding = single_compute_instance()
-        report = simulate(Schedule((), "phase1", 2**30, model, sharding), traces, profile())
+        report = simulate(Schedule(task_columns(()), "phase1", 2**30, model, sharding), traces, profile())
         assert report.makespan_s == 0.0
         assert report.to_dict()["samples_per_s"] is None  # not Infinity, which JSON lacks
 
@@ -134,14 +134,14 @@ class TestSimulate:
         tasks = (Task("move_to_gpu", 0, 0, 0, 0, True),
                  Task("all_gather", 0, 0, 0, 0, True),
                  Task("compute", 0, 0, 0, 0))
-        sched = Schedule(tasks, "phase1", 2**30, model, sharding)
+        sched = Schedule(task_columns(tasks), "phase1", 2**30, model, sharding)
         report = simulate(sched, traces, profile())
         assert report.makespan_s == pytest.approx(4 * MIB / 32e9 + 1e-3)
 
     def test_malformed_gather_without_move(self):
         model, traces, sharding = single_compute_instance()
         tasks = (Task("all_gather", 0, 0, 0, 0, True), Task("compute", 0, 0, 0, 0))
-        sched = Schedule(tasks, "phase1", 2**30, model, sharding)
+        sched = Schedule(task_columns(tasks), "phase1", 2**30, model, sharding)
         with pytest.raises(SimulationError):
             simulate(sched, traces, profile())
 
@@ -199,18 +199,18 @@ class TestOverlap:
 class TestCompare:
     def test_identical_reports(self):
         model, traces, sharding = single_compute_instance()
-        sched = Schedule((Task("compute", 0, 0, 0, 0),), "phase1", 2**30,
+        sched = Schedule(task_columns((Task("compute", 0, 0, 0, 0),)), "phase1", 2**30,
                          model, sharding)
         r = simulate(sched, traces, profile())
         assert compare(r, r)["speedup"] == pytest.approx(1.0)
 
     def test_two_to_one(self):
         model, traces, sharding = single_compute_instance(2e-3)
-        sched = Schedule((Task("compute", 0, 0, 0, 0),), "phase1", 2**30,
+        sched = Schedule(task_columns((Task("compute", 0, 0, 0, 0),)), "phase1", 2**30,
                          model, sharding)
         slow = simulate(sched, traces, profile())
         model2, traces2, _ = single_compute_instance(1e-3)
-        fast = simulate(Schedule((Task("compute", 0, 0, 0, 0),), "phase1", 2**30,
+        fast = simulate(Schedule(task_columns((Task("compute", 0, 0, 0, 0),)), "phase1", 2**30,
                                  model2, sharding), traces2, profile())
         assert compare(slow, fast)["speedup"] == pytest.approx(2.0)
 
@@ -326,7 +326,8 @@ class TestMatchesReference:
         for t in sched.tasks:
             groups.setdefault(t.trigger_id, []).append(t)
         order = data.draw(st.permutations(sorted(groups)), label="trigger order")
-        shuffled = dataclasses.replace(sched, tasks=tuple(t for g in order for t in groups[g]))
+        shuffled = dataclasses.replace(
+            sched, columns=task_columns(t for g in order for t in groups[g]))
         assert plain(simulate(shuffled, traces, prof, **kwargs)) == expected
 
     def test_gpt3_1_7b_evicting(self):
@@ -365,7 +366,7 @@ class TestTimeline:
         streamed rows still come in (start_s, task_id) order, where "it10."
         sorts before "it9."."""
         model, traces, sharding = single_compute_instance(1e-3)
-        sched = Schedule(tuple(Task("compute", 0, s, 0, s) for s in range(3)), "phase1",
+        sched = Schedule(task_columns(Task("compute", 0, s, 0, s) for s in range(3)), "phase1",
                          2**30, model, sharding)
         report = simulate(sched, traces, profile(), iterations=12)
         tl = report.timeline
@@ -400,7 +401,7 @@ def near_tie_instance(pcie):
     tasks = (Task("move_to_gpu", 0, 0, 0, 0, True), Task("move_to_gpu", 1, 0, 0, 0, True),
              Task("all_gather", 1, 0, 0, 1, True), Task("compute", 0, 0, 0, 0),
              Task("all_gather", 0, 1, 0, 1), Task("compute", 0, 1, 0, 1))
-    return Schedule(tasks, "phase1", 2**30, model, sharding), traces, profile(pcie=pcie,
+    return Schedule(task_columns(tasks), "phase1", 2**30, model, sharding), traces, profile(pcie=pcie,
                                                                               inter=5e9)
 
 
