@@ -355,12 +355,7 @@ class _Template:
     def add(self, task_id: str, operation: str, resource: str, duration: float,
             deps: list[int]) -> int:
         """Append one task; returns its uid."""
-        self.task_ids.append(task_id)
-        self.operations.append(operation)
-        self.resources.append(resource)
-        self.codes.append(self.resource_codes.setdefault(resource, len(self.resource_codes)))
-        self.durations.append(duration)
-        self.deps.append(deps)
+        self.extend([task_id], [operation], [resource], [duration], [deps])
         return len(self.codes) - 1
 
     def uids_by_resource(self) -> dict[str, np.ndarray]:
