@@ -19,13 +19,12 @@ from . import footprint as fp
 from . import lockfree as lf
 from . import pagemem as pm
 from . import presets
-from .errors import (REAL, AllocationError, ConfigError, InfeasibleScheduleError, MoveError,
-                     check_fields, check_type)
+from .errors import REAL, ConfigError, InfeasibleScheduleError, check_fields, check_type
 from .jsonio import SCHEMA_VERSION, load_json, open_output, write_json
 from .pipeline import run_pipeline
-from .scheduler import LayerModel, Schedule, ShardingModel, peak_memory, schedule
+from .scheduler import LayerModel, Schedule, ShardingModel, check_traces, peak_memory, schedule
 from .simengine import simulate
-from .tracer import TensorTrace, TimingModel, build_trace, validate_trace
+from .tracer import TensorTrace, TimingModel, build_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,76 +108,14 @@ def cmd_footprint(args) -> int:
 
 # -- pagemem demo ---------------------------------------------------------------
 
-# The fields of a pool spec entry and of each kind of op in a pagemem-demo
-# script, with their types; the optional ones are those with defaults.
-_DEMO_POOL = {"tier": (str,), "capacity_bytes": (int,), "page_bytes": (int,)}
-_DEMO_OPS = {
-    "allocate": {"name": (str,), "bytes": (int,), "tier": (str,),
-                 "kind": (str,), "layer_index": (int,)},
-    "release": {"name": (str,)},
-    "move": {"page_id": (int,), "target": (str,)},
-    "merge": {"name": (str,)},
-}
-_DEMO_OPTIONAL = {"page_bytes", "kind", "layer_index"}
-
-
-def _check_demo_op(i: int, op) -> str:
-    """The kind of op ``i`` of a pagemem-demo script, once its keys and
-    value types are those the kind takes."""
-    kind = op.get("op") if isinstance(op, dict) else None
-    if not isinstance(kind, str) or kind not in _DEMO_OPS:
-        raise ConfigError(f"op {i}: not an object whose 'op' is one of {list(_DEMO_OPS)}")
-    fields = _DEMO_OPS[kind]
-    check_fields(f"op {i} ({kind})", {k: v for k, v in op.items() if k != "op"}, fields,
-                 required=fields.keys() - _DEMO_OPTIONAL)
-    return kind
-
-
 def cmd_pagemem_demo(args) -> int:
     pools = check_fields("pool spec", load_json(args.pool_spec), {"pools": (list,)},
                          required=["pools"])["pools"]
-    for k, p in enumerate(pools):
-        check_fields(f"pool spec entry {k}", p, _DEMO_POOL,
-                     required=_DEMO_POOL.keys() - _DEMO_OPTIONAL)
     ops = load_json(args.ops)
     if not isinstance(ops, list):
         raise ConfigError(f"{args.ops}: an ops script is a JSON list of ops")
-    manager = pm.PageManager([
-        (p["tier"], p["capacity_bytes"], p.get("page_bytes", pm.PAGE_BYTES_DEFAULT))
-        for p in pools
-    ])
-    name_to_id: dict[str, int] = {}  # live tensors by name
-    log = []
-    for i, op in enumerate(ops):
-        kind = _check_demo_op(i, op)
-        name = op.get("name")
-        if kind in ("release", "merge") and name not in name_to_id:
-            raise ConfigError(f"op {i}: no live tensor named {name!r}")
-        try:
-            if kind == "allocate":
-                spec = fp.TensorSpec(name, op.get("kind", "param16"),
-                                     op["bytes"], op.get("layer_index", 0))
-                tensor = manager.allocate(spec, op["tier"])
-                name_to_id[name] = tensor.tensor_id
-                log.append({"op": "allocate", "name": name,
-                            "tensor_id": tensor.tensor_id, "pages": tensor.page_list})
-            elif kind == "release":
-                freed = manager.release(name_to_id.pop(name))
-                log.append({"op": "release", "name": name, "freed_bytes": freed})
-            elif kind == "move":
-                try:
-                    desc = manager.page_move(op["page_id"], op["target"])
-                except KeyError as exc:  # no such page, or a free one
-                    raise ConfigError(exc.args[0]) from None
-                log.append({"op": "move", "page_id": op["page_id"],
-                            "bytes": desc.bytes, "src": desc.src_tier.name,
-                            "dst": desc.dst_tier.name, "new_page_id": desc.new_page_id})
-            else:
-                log.append(manager.tensor_merge(name_to_id[name]))
-        except (AllocationError, MoveError, ConfigError) as exc:
-            raise ConfigError(f"op {i}: {exc}") from None
-    write_json({"schema_version": SCHEMA_VERSION, "log": log,
-                "state": manager.state_dict()}, args.out)
+    log, state = pm.replay(pools, ops)
+    write_json({"schema_version": SCHEMA_VERSION, "log": log, "state": state}, args.out)
     return EXIT_OK
 
 
@@ -194,25 +131,12 @@ def cmd_trace(args) -> int:
 
 
 def _traces_from_file(path: str, model: LayerModel) -> list[TensorTrace]:
-    """Traces read from a file, checked against the model's n-layer timeline
-    and tensor table: one trace for each of its param16, grad16 and
-    activation16 tensors, and no other."""
+    """Traces read from a file, once ``check_traces`` finds they match the model."""
     try:
         traces = [TensorTrace(**t) for t in load_json(path)]
-        violations = validate_trace(traces, model.num_layers)
     except TypeError as exc:  # not a list of objects with the trace fields
         raise ConfigError(f"bad trace in {path}: {exc}") from None
-    if violations:
-        raise ConfigError(f"invalid traces in {path}: " + "; ".join(violations))
-    traced = {tid for tid, spec in model.tensor_info.items() if spec.kind != "optim32"}
-    for tr in traces:
-        if tr.tensor_id not in traced:
-            raise ConfigError(f"trace in {path} names tensor {tr.tensor_id}, which is not "
-                              f"a param16, grad16 or activation16 tensor of the model")
-    untraced = sorted(traced - {tr.tensor_id for tr in traces})
-    if untraced:
-        raise ConfigError(f"{path} has no trace of tensor {untraced[0]} "
-                          f"({model.tensor_info[untraced[0]].name})")
+    check_traces(model, traces, path)
     return traces
 
 

@@ -93,6 +93,8 @@ class TensorSpec:
             raise ConfigError(f"tensor {self.name!r} has non-positive size {self.bytes}")
         if self.kind not in KINDS:
             raise ConfigError(f"tensor {self.name!r} has unknown kind {self.kind!r}")
+        if self.layer_index < 0:
+            raise ConfigError(f"tensor {self.name!r} has negative layer_index {self.layer_index}")
 
 
 def layer_rows(cfg: TransformerConfig) -> tuple[FootprintRow, ...]:

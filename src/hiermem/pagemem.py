@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import AllocationError, ConfigError, MoveError
+from .errors import AllocationError, ConfigError, MoveError, check_fields
 from .footprint import TensorSpec
 
 PAGE_BYTES_DEFAULT = 4 * 2**20
@@ -456,6 +456,78 @@ class PageManager:
                 "page_list": list(t.page_list),
             })
         return {"pools": pools, "pages": pages, "tensors": tensors}
+
+
+# -- op scripts -----------------------------------------------------------------
+
+# The fields of a pool spec entry and of each kind of op in an op script, with
+# their types; the optional ones are those with defaults.
+_POOL_FIELDS = {"tier": (str,), "capacity_bytes": (int,), "page_bytes": (int,)}
+_OP_FIELDS = {
+    "allocate": {"name": (str,), "bytes": (int,), "tier": (str,),
+                 "kind": (str,), "layer_index": (int,)},
+    "release": {"name": (str,)},
+    "move": {"page_id": (int,), "target": (str,)},
+    "merge": {"name": (str,)},
+}
+_OPTIONAL = {"page_bytes", "kind", "layer_index"}
+
+
+def _op_kind(i: int, op) -> str:
+    """The kind of op ``i`` of a script, once its keys and value types are
+    those the kind takes."""
+    kind = op.get("op") if isinstance(op, dict) else None
+    if not isinstance(kind, str) or kind not in _OP_FIELDS:
+        raise ConfigError(f"op {i}: not an object whose 'op' is one of {list(_OP_FIELDS)}")
+    fields = _OP_FIELDS[kind]
+    check_fields(f"op {i} ({kind})", {k: v for k, v in op.items() if k != "op"}, fields,
+                 required=fields.keys() - _OPTIONAL)
+    return kind
+
+
+def replay(pools: list, ops: list) -> tuple[list[dict], dict]:
+    """Replay an op script on a PageManager with one pool per pool spec
+    entry: (one log entry per op, the final ``state_dict()``). An allocate
+    names a tensor, which release and merge then refer to; the name is
+    live until its release. ConfigError names the first bad entry or op."""
+    for k, p in enumerate(pools):
+        check_fields(f"pool spec entry {k}", p, _POOL_FIELDS,
+                     required=_POOL_FIELDS.keys() - _OPTIONAL)
+    manager = PageManager([(p["tier"], p["capacity_bytes"], p.get("page_bytes", PAGE_BYTES_DEFAULT))
+                           for p in pools])
+    live: dict[str, int] = {}  # tensor ids by name
+    log = []
+    for i, op in enumerate(ops):
+        kind = _op_kind(i, op)
+        name = op.get("name")
+        if kind == "allocate" and name in live:
+            raise ConfigError(f"op {i}: tensor {name!r} is still live")
+        if kind in ("release", "merge") and name not in live:
+            raise ConfigError(f"op {i}: no live tensor named {name!r}")
+        try:
+            if kind == "allocate":
+                spec = TensorSpec(name, op.get("kind", "param16"), op["bytes"],
+                                  op.get("layer_index", 0))
+                tensor = manager.allocate(spec, op["tier"])
+                live[name] = tensor.tensor_id
+                log.append({"op": "allocate", "name": name,
+                            "tensor_id": tensor.tensor_id, "pages": tensor.page_list})
+            elif kind == "release":
+                log.append({"op": "release", "name": name,
+                            "freed_bytes": manager.release(live.pop(name))})
+            elif kind == "move":
+                try:
+                    desc = manager.page_move(op["page_id"], op["target"])
+                except KeyError as exc:  # no such page, or a free one
+                    raise ConfigError(exc.args[0]) from None
+                log.append({"op": "move", "page_id": op["page_id"],
+                            "bytes": desc.bytes, "src": desc.src_tier.name,
+                            "dst": desc.dst_tier.name, "new_page_id": desc.new_page_id})
+            else:
+                log.append(manager.tensor_merge(live[name]))
+        except (AllocationError, MoveError, ConfigError) as exc:
+            raise ConfigError(f"op {i}: {exc}") from None
+    return log, manager.state_dict()
 
 
 def tensor_allocate(pool: TierPool, spec: TensorSpec) -> ManagedTensor:

@@ -65,15 +65,20 @@ and ``Schedule.to_dict()`` streams the columns as rows (``TaskRows``).
 
 Runnable schedules: ``_faults`` states, for ``Schedule.from_dict`` and
 ``validate_schedule`` alike, when the simulator can run a task list. (1) A
-page task names its page's layer, and an all_gather serves one of that
-layer's two compute slots at or after its trigger. (2) A page task is
-``owned`` exactly when the rank owns its page; a compute never is. (3) A
-compute's slot is its trigger, and its target and layer are that slot's
-layer. (4) The compute triggers are 0, 1, ..., 2n-1 in list order, one
-compute per slot. (5) An owned page's all_gather has a move_to_gpu of the
-page at or before its trigger. (6) Each page of a compute's layer has an
-all_gather, and an owned page a move_to_gpu too, between the page's last
-eviction at or before the compute's trigger (or 0) and that trigger.
+page task's target is a parameter page and its layer is that page's, and
+an all_gather serves one of that layer's two compute slots at or after its
+trigger. (2) A page task is ``owned`` exactly when the rank owns its page;
+a compute never is. (3) A compute's slot is its trigger, and its target
+and layer are that slot's layer. (4) The compute triggers are 0, 1, ...,
+2n-1 in list order, one compute per slot. (5) An owned page's all_gather
+has a move_to_gpu of the page at or before its trigger. (6) Each page of a
+compute's layer has an all_gather, and an owned page a move_to_gpu too,
+between the page's last eviction at or before the compute's trigger (or 0)
+and that trigger.
+
+Traces are checked on entry: every public function that takes them first
+calls ``check_traces``, which raises ConfigError unless they are well formed
+and trace exactly the model's param16, grad16 and activation16 tensors.
 
 Scheduling is a pure function; a Schedule is an immutable value.
 """
@@ -91,7 +96,7 @@ from .errors import ConfigError, InfeasibleScheduleError, check_fields, check_ra
 from .footprint import TensorSpec
 from .jsonio import _CHUNK_ROWS, RowStream
 from .pagemem import PAGE_BYTES_DEFAULT, check_page_bytes
-from .tracer import TensorTrace, backward_id
+from .tracer import TensorTrace, backward_id, validate_trace
 
 OPERATIONS = ("move_to_gpu", "all_gather", "compute", "evict_to_cpu")
 MOVE, GATHER, COMPUTE, EVICT = range(len(OPERATIONS))  # operation codes
@@ -304,6 +309,25 @@ def _layer_bytes(specs, num_layers: int, kind: str) -> list[int]:
     return totals
 
 
+def check_traces(model: LayerModel, traces: list[TensorTrace],
+                 where: str = "the trace list") -> None:
+    """ConfigError unless ``traces`` pass ``validate_trace`` on the model's
+    n layers and hold one trace of each of its param16, grad16 and
+    activation16 tensors, and no other; ``where`` names the traces."""
+    violations = validate_trace(traces, model.num_layers)
+    if violations:
+        raise ConfigError(f"invalid traces in {where}: " + "; ".join(violations))
+    traced = {tid for tid, spec in model.tensor_info.items() if spec.kind != "optim32"}
+    for tr in traces:
+        if tr.tensor_id not in traced:
+            raise ConfigError(f"trace in {where} names tensor {tr.tensor_id}, which is not "
+                              f"a param16, grad16 or activation16 tensor of the model")
+    untraced = sorted(traced - {tr.tensor_id for tr in traces})
+    if untraced:
+        raise ConfigError(f"{where} has no trace of tensor {untraced[0]} "
+                          f"({model.tensor_info[untraced[0]].name})")
+
+
 _MODEL_FIELDS = {"num_layers": (int,), "page_bytes": (int,), "layer_param_bytes": (list,),
                  "layer_optim_bytes": (list,), "batch_size": (int,), "tensors": (list,)}
 _TENSOR_FIELDS = {"tensor_id": (int,), "name": (str,), "kind": (str,), "bytes": (int,),
@@ -386,6 +410,9 @@ def _faults(tasks, model: LayerModel, sharding: ShardingModel):
     last = None  # the index of that compute
     for k, t in enumerate(tasks):
         at = t.trigger_id
+        if t.operation != "compute" and not 0 <= t.target < model.num_pages:
+            yield k, "target", f"page {t.target} is not a parameter page"
+            continue
         owned = t.operation != "compute" and sharding.owns(t.target)
         if t.owned != owned:
             yield k, "owned", (f"'owned' must be {str(owned).lower()} for {t.operation} of "
@@ -474,12 +501,11 @@ def _last_key_at_or_before(keys: np.ndarray, at: np.ndarray, span: int, default)
 
 def _traced_lifetimes(model: LayerModel, traces: list[TensorTrace]):
     """(spec, start, end) of each traced tensor that is resident, over the
-    slots [start, end) it is live in, clamped to the 2n-slot horizon."""
-    horizon = 2 * model.num_layers
+    slots [start, end) it is live in."""
     for tr in traces:
-        spec = model.tensor_info.get(tr.tensor_id)
-        if spec is not None and spec.kind in _RESIDENT_KINDS:
-            yield spec, min(tr.first_id, horizon), min(tr.end_id + 1, horizon)
+        spec = model.tensor_info[tr.tensor_id]
+        if spec.kind in _RESIDENT_KINDS:
+            yield spec, tr.first_id, tr.end_id + 1
 
 
 def _residency(tasks: TaskColumns, model: LayerModel, sharding: ShardingModel,
@@ -526,12 +552,14 @@ def available_memory(schedule: Schedule, traces: list[TensorTrace], at_id: int) 
     """GPU budget minus bytes resident at a logical compute slot."""
     if not (0 <= at_id < schedule.num_slots):
         raise ConfigError(f"at_id {at_id} outside [0, {schedule.num_slots})")
+    check_traces(schedule.model, traces)
     profile = _resident_profile(schedule.columns, schedule.model, schedule.sharding, traces)
     return schedule.gpu_budget - profile[at_id]
 
 
 def peak_memory(schedule: Schedule, traces: list[TensorTrace]) -> int:
     """Max resident bytes over all logical slots; 0 for an empty schedule."""
+    check_traces(schedule.model, traces)
     if not len(schedule.columns):
         return 0
     profile = _resident_profile(schedule.columns, schedule.model, schedule.sharding, traces)
@@ -714,6 +742,7 @@ def advance_gathers(schedule: Schedule, traces: list[TensorTrace]) -> Schedule:
     and none increases. ``schedule()`` runs the same pass on the sweep it
     checks phase 1's peak with.
     """
+    check_traces(schedule.model, traces)
     return _advance_gathers(schedule, *_residency(schedule.columns, schedule.model,
                                                   schedule.sharding, traces))
 
@@ -722,6 +751,7 @@ def schedule(model_layers: LayerModel, traces: list[TensorTrace], gpu_budget: in
              sharding: ShardingModel | None = None, phase1_only: bool = False) -> Schedule:
     """Emit the page-level task schedule for one rank under a GPU budget."""
     check_range("gpu budget", gpu_budget, 0, finite=False)
+    check_traces(model_layers, traces)
     sharding = sharding or ShardingModel()
     tasks = _build_phase1(model_layers, traces, gpu_budget, sharding)
     phase1 = Schedule(tasks, "phase1", gpu_budget, model_layers, sharding)
@@ -744,7 +774,7 @@ def validate_schedule(schedule: Schedule, traces: list[TensorTrace]) -> list[str
     "Runnable schedules" in the module docstring); else the peak over the
     budget, then the message of every fault in task order."""
     budget = schedule.gpu_budget
-    peak = peak_memory(schedule, traces)
+    peak = peak_memory(schedule, traces)  # which checks the traces
     violations = [f"peak memory {peak} exceeds budget {budget}"] if peak > budget else []
     return violations + [message for _, _, message in
                          _faults(schedule.tasks, schedule.model, schedule.sharding)]

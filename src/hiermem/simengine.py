@@ -8,7 +8,7 @@ becomes eligible when compute slot t is reached, i.e. when slot t-1
 finishes (t=0 at iteration start). Compute slot durations come from the
 trace production times: activations charge half at their forward op and
 half at their last (gradient-side) op, gradients charge fully at their
-backward op.
+backward op. The traces are checked on entry (``scheduler.check_traces``).
 
 The optional synchronous-update mode appends a per-layer optimizer
 pipeline (SSD fetch, CPU update, SSD store over the rank's state shard)
@@ -74,7 +74,7 @@ import numpy as np
 
 from .errors import REAL, ConfigError, SimulationError, check_fields, check_range
 from .jsonio import _CHUNK_ROWS, RowStream
-from .scheduler import COMPUTE, EVICT, GATHER, MOVE, OPERATIONS, Schedule
+from .scheduler import COMPUTE, EVICT, GATHER, MOVE, OPERATIONS, Schedule, check_traces
 from .tracer import CPU_BYTES_PER_S, GPU_BYTES_PER_S, TensorTrace, TimingModel, backward_id
 
 LINKS = ("pcie_h2d", "pcie_d2h", "gpu_interconnect", "ssd_io")
@@ -368,13 +368,11 @@ def _slot_durations(schedule: Schedule, traces: list[TensorTrace]) -> list[float
     model = schedule.model
     dur = [0.0] * (2 * model.num_layers)
     for tr in traces:
-        spec = model.tensor_info.get(tr.tensor_id)
-        if spec is None or spec.kind not in ("activation16", "grad16"):
-            continue
-        if spec.kind == "activation16" and tr.end_id != tr.first_id:
+        kind = model.tensor_info[tr.tensor_id].kind
+        if kind == "activation16" and tr.end_id != tr.first_id:
             dur[tr.first_id] += tr.gpu_time / 2
             dur[tr.end_id] += tr.gpu_time / 2
-        else:
+        elif kind in ("activation16", "grad16"):
             dur[tr.first_id] += tr.gpu_time
     return dur
 
@@ -383,8 +381,8 @@ def _layer_update_cpu_s(schedule: Schedule, traces: list[TensorTrace]) -> list[f
     model = schedule.model
     out = [0.0] * model.num_layers
     for tr in traces:
-        spec = model.tensor_info.get(tr.tensor_id)
-        if spec is not None and spec.kind == "param16":
+        spec = model.tensor_info[tr.tensor_id]
+        if spec.kind == "param16":
             out[spec.layer_index] += tr.cpu_time
     world = schedule.sharding.world_size
     return [t / world for t in out]
@@ -400,6 +398,7 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
         raise ConfigError(f"unknown update_mode {update_mode!r}")
     if optimizer_tier not in ("ssd", "cpu"):
         raise ConfigError(f"unknown optimizer_tier {optimizer_tier!r}")
+    check_traces(schedule.model, traces)
 
     model = schedule.model
     n = model.num_layers

@@ -152,7 +152,7 @@ def build_trace(
 
 def validate_trace(traces: list[TensorTrace], num_layers: int) -> list[str]:
     """Empty list iff ids are unique integers, every trace fits the 2n ops of
-    an n-layer iteration and every production time is finite and >= 0."""
+    an n-layer iteration and every production time is a finite number >= 0."""
     num_ops = 2 * num_layers
     violations: list[str] = []
     seen: set[int] = set()
@@ -174,6 +174,10 @@ def validate_trace(traces: list[TensorTrace], num_layers: int) -> list[str]:
                 f"tensor {tr.tensor_id}: lifetime [{tr.first_id}, {tr.end_id}] outside "
                 f"[0, {num_ops})"
             )
-        if not all(0 <= t < math.inf for t in (tr.cpu_time, tr.gpu_time)):
+        not_real = [name for name in ("cpu_time", "gpu_time")
+                    if not isinstance(getattr(tr, name), REAL)]
+        if not_real:
+            violations.append(f"tensor {tr.tensor_id}: {', '.join(not_real)} not a number")
+        elif not all(0 <= t < math.inf for t in (tr.cpu_time, tr.gpu_time)):
             violations.append(f"tensor {tr.tensor_id}: production time negative or not finite")
     return violations

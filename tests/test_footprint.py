@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hiermem.errors import ConfigError
 from hiermem.footprint import (
     GIB,
+    TensorSpec,
     TransformerConfig,
     ignored_terms,
     layer_footprint,
@@ -155,6 +156,10 @@ class TestInventory:
         a = tensor_inventory(GPT3)
         b = tensor_inventory(GPT3)
         assert a == b
+
+    def test_negative_layer_index_rejected(self):
+        with pytest.raises(ConfigError, match="negative layer_index -1"):
+            TensorSpec("x", "param16", 1, -1)
 
     def test_unknown_granularity(self):
         with pytest.raises(ConfigError):

@@ -1,4 +1,5 @@
 """Page pools: packing policy, occupancy invariants, moves, merge, fragmentation."""
+import json
 import random
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiermem.cli import EXIT_USAGE, main
 from hiermem.errors import AllocationError, ConfigError, MoveError
 from hiermem.footprint import TensorSpec
 from hiermem.pagemem import (
@@ -14,6 +16,7 @@ from hiermem.pagemem import (
     Tier,
     fragmentation,
     pool_init,
+    replay,
     tensor_allocate,
     tensor_release,
 )
@@ -485,3 +488,29 @@ def test_page_multiple_workloads_have_zero_fragmentation(counts):
     for i, c in enumerate(counts):
         tensor_allocate(pool, spec(f"t{i}", c * 4 * MIB))
     assert fragmentation(pool) == 0.0
+
+
+class TestReplay:
+    POOLS = [{"tier": "GPU", "capacity_bytes": 64 * MIB, "page_bytes": 4 * MIB}]
+    A = {"op": "allocate", "name": "a", "bytes": 5 * MIB, "tier": "GPU"}
+
+    def test_name_is_reusable_once_released(self):
+        log, state = replay(self.POOLS, [self.A, {"op": "release", "name": "a"}, self.A])
+        assert [entry["op"] for entry in log] == ["allocate", "release", "allocate"]
+        assert [t["tensor_id"] for t in state["tensors"]] == [1]
+
+    def test_live_name_is_not_reallocated(self, tmp_path, capsys):
+        """A second allocate of a live name would leave the first tensor
+        allocated with no name to release it by."""
+        with pytest.raises(ConfigError) as err:
+            replay(self.POOLS, [self.A, self.A])
+        assert str(err.value) == "op 1: tensor 'a' is still live"
+        pools, ops = tmp_path / "pools.json", tmp_path / "ops.json"
+        pools.write_text(json.dumps({"pools": self.POOLS}))
+        ops.write_text(json.dumps([self.A, self.A, {"op": "release", "name": "a"}]))
+        assert main(["pagemem-demo", "--pool-spec", str(pools), "--ops", str(ops)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: op 1: tensor 'a' is still live\n"
+
+    def test_negative_layer_index_is_rejected(self):
+        with pytest.raises(ConfigError, match="op 0: tensor 'a' has negative layer_index -3"):
+            replay(self.POOLS, [{**self.A, "layer_index": -3}])

@@ -300,6 +300,15 @@ class TestValidate:
         bad = Schedule(task_columns(stripped), "phase1", 2**30, model, sharding)
         assert any("move_to_gpu" in v for v in validate_schedule(bad, traces))
 
+    @pytest.mark.parametrize("page", [7, -1])
+    def test_eviction_of_a_missing_page_flagged(self, page):
+        """A page task whose target is not a parameter page names no layer."""
+        model, traces, sharding = make_instance([1, 1])
+        sched = schedule(model, traces, 2**30, sharding)
+        bad = dataclasses.replace(sched, columns=task_columns(
+            (*sched.tasks, Task("evict_to_cpu", page, 4, 0, 3, page == 7))))
+        assert validate_schedule(bad, traces) == [f"page {page} is not a parameter page"]
+
     def test_budget_below_peak_flagged(self):
         model, traces, sharding = make_instance([2])
         sched = schedule(model, traces, 2**30, sharding)
