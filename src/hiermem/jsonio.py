@@ -1,18 +1,18 @@
 """JSON files in and out: ``load_json`` reads every JSON input, ``write_json``
 writes every report and ``open_output`` opens every output, JSON or CSV.
-Reports carry ``SCHEMA_VERSION``. A ``RowStream`` is a rows list that
-``write_json`` writes a chunk at a time instead of holding it whole."""
+Reports carry ``SCHEMA_VERSION``. A ``RowStream`` is a list of flat dicts
+built as it is read, which ``write_json`` formats a chunk of rows at a time
+instead of holding it whole; everything else it writes is json.dumps's
+text."""
 from __future__ import annotations
 
 import contextlib
 import json
-import math
 import re
 import sys
 from abc import ABC, abstractmethod
-from itertools import chain, islice
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -49,18 +49,22 @@ def open_output(out: str | None):
         yield fh
 
 
+_CHUNK_ROWS = 1024  # rows formatted per piece
+
+
 class RowStream(ABC):
     """A list of flat dicts that is built row by row as it is read.
-    ``keys``, distinct strs, name the values of each tuple ``rows()``
-    yields; ``chunks(size)`` gives the same rows as columns, ``size`` rows
-    at a time. json.dumps sees the stream as ``dicts()``, and ``write_json``
-    writes it from ``chunks`` with the same bytes."""
+    ``keys``, distinct strs, name the values of each row; ``chunks(size)``
+    gives the rows as columns, ``size`` rows at a time, and ``rows()`` the
+    same rows as tuples. json.dumps sees the stream as ``dicts()``, and
+    ``write_json`` writes it from ``chunks`` with the same bytes."""
 
     keys: tuple[str, ...]
 
     @abstractmethod
-    def rows(self) -> Iterator[tuple]:
-        """Each row's values, in ``keys`` order."""
+    def chunks(self, size: int) -> Iterator[list[list]]:
+        """The rows in order, ``size`` at a time (fewer in the last chunk):
+        per chunk, one list of values per key, in ``keys`` order."""
 
     @abstractmethod
     def value_types(self) -> tuple[type, ...] | None:
@@ -68,12 +72,9 @@ class RowStream(ABC):
         value is a str, an int, a bool or a finite float of that type; else
         None."""
 
-    def chunks(self, size: int) -> Iterator[list[list]]:
-        """The rows in order, ``size`` at a time (fewer in the last chunk):
-        per chunk, one list of values per key, in ``keys`` order."""
-        rows = self.rows()
-        while chunk := list(islice(rows, size)):
-            yield list(map(list, zip(*chunk)))
+    def rows(self) -> Iterator[tuple]:
+        """Each row's values, in ``keys`` order."""
+        return chain.from_iterable(zip(*columns) for columns in self.chunks(_CHUNK_ROWS))
 
     def dicts(self) -> list[dict]:
         return [dict(zip(self.keys, row)) for row in self.rows()]
@@ -87,57 +88,19 @@ def _stream_dicts(obj):
 
 
 _JSON_OPTS = {"indent": 2, "sort_keys": True, "allow_nan": False, "default": _stream_dicts}
-_CHUNK_ROWS = 1024  # rows formatted per piece
 _PROBE_ROWS = 64  # a str column is memoised when a value repeats among its first this many
 
-# How json encodes each scalar type a rows-path value may have. Exact types
-# only: a subclass (an IntEnum, say) keeps its list on the json.dumps path.
+# How json encodes each type a row stream's values may have (``value_types``).
 _SCALAR_JSON = {
     str: encode_basestring_ascii,
     int: int.__repr__,
     float: float.__repr__,
     bool: {False: "false", True: "true"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
 }
 
-
-def _scalar_json(value) -> str:
-    return _SCALAR_JSON[type(value)](value)
-
-
-# A rows list in the skeleton that json.dumps encodes; the index names the list.
+# A row stream in the skeleton that json.dumps encodes; the index names the stream.
 _ROWS_MARKER = "\x00hiermem-rows-%d\x00"
 _ROWS_MARKER_JSON = re.compile(r'"\\u0000hiermem-rows-(\d+)\\u0000"')
-
-
-def _row_columns(rows) -> tuple[list[str], list[Callable], list[list[list]]] | None:
-    """(sorted keys, their encoders, chunks of their values) when ``rows`` is
-    a non-empty list of dicts that share one non-empty set of str keys and
-    hold only finite scalars, else None."""
-    first = rows[0] if type(rows) is list and rows else None
-    if type(first) is not dict or not first or \
-            not all(type(k) is str for k in first):
-        return None
-    keys = sorted(first)
-    if set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(keys)}:
-        return None
-    encoders, columns = [], []
-    for key in keys:
-        try:
-            values = list(map(itemgetter(key), rows))
-        except KeyError:  # a row with as many keys but other ones
-            return None
-        types = set(map(type, values))
-        if not types <= _SCALAR_JSON.keys():
-            return None
-        if float in types:
-            floats = values if len(types) == 1 else [v for v in values if type(v) is float]
-            if not all(map(math.isfinite, floats)):  # json.dumps raises for it
-                return None
-        encoders.append(_SCALAR_JSON[types.pop()] if len(types) == 1 else _scalar_json)
-        columns.append(values)
-    return keys, encoders, [[values[i:i + _CHUNK_ROWS] for values in columns]
-                            for i in range(0, len(rows), _CHUNK_ROWS)]
 
 
 def _stream_columns(stream: RowStream) -> tuple[list[str], list[Callable], Iterable] | None:
@@ -153,31 +116,24 @@ def _stream_columns(stream: RowStream) -> tuple[list[str], list[Callable], Itera
 
 
 def _swap_rows(obj, found: list):
-    """``obj`` with each rows list (see ``_row_columns``) and row stream (see
-    ``_stream_columns``) replaced by its marker string and recorded in
-    ``found``; containers that hold none are returned as they are."""
+    """``obj`` with each row stream that dicts hold (see ``_stream_columns``)
+    replaced by its marker string and recorded in ``found``; dicts that hold
+    none are returned as they are. A stream anywhere else is left to
+    json.dumps, which writes its dicts."""
     if isinstance(obj, RowStream):
         rows = _stream_columns(obj)
         if rows is None:  # json.dumps decides, on its dicts
             return obj
         found.append(rows)
         return _ROWS_MARKER % (len(found) - 1)
-    if type(obj) is dict:
-        items = obj.items()
-    elif type(obj) is list or type(obj) is tuple:
-        rows = _row_columns(obj)
-        if rows is not None:
-            found.append(rows)
-            return _ROWS_MARKER % (len(found) - 1)
-        items = enumerate(obj)
-    else:
+    if type(obj) is not dict:
         return obj
     swapped = None
-    for key, value in items:
+    for key, value in obj.items():
         new = _swap_rows(value, found)
         if new is not value:
             if swapped is None:
-                swapped = dict(obj) if type(obj) is dict else list(obj)
+                swapped = dict(obj)
             swapped[key] = new
     return obj if swapped is None else swapped
 
@@ -211,7 +167,7 @@ def _encoded(encoders: list[Callable], columns: list[list]) -> list[list[str]]:
 
 
 def _rows_json(rows, indent: int) -> Iterator[str]:
-    """A rows list as json.dumps formats it with its opening line at
+    """A row stream as json.dumps formats it with its opening line at
     ``indent``, one piece per chunk of rows, given (sorted keys, their
     encoders, chunks of their values). A chunk is one join of the fixed
     text before each value with the values' texts, row after row."""
@@ -257,10 +213,7 @@ def _json_pieces(data) -> list[Iterable[str]]:
     pieces = [(parts[0],)]
     for i in range(1, len(parts), 2):
         line = parts[i - 1][parts[i - 1].rfind("\n") + 1:]
-        rows = found[int(parts[i])]
-        text = _rows_json(rows, len(line) - len(line.lstrip(" ")))
-        # a rows list is formatted now, as an int json.dumps refuses raises
-        pieces.append(tuple(text) if type(rows[2]) is list else text)
+        pieces.append(_rows_json(found[int(parts[i])], len(line) - len(line.lstrip(" "))))
         pieces.append((parts[i + 1],))
     return pieces
 
@@ -268,23 +221,19 @@ def _json_pieces(data) -> list[Iterable[str]]:
 def write_json(data, out: str | None):
     """Write ``data`` as ``json.dumps(data, indent=2, sort_keys=True,
     allow_nan=False)`` plus a newline, byte for byte, to ``out`` or stdout
-    (see ``open_output``).
+    (see ``open_output``). A ``RowStream`` in ``data`` is written as
+    json.dumps writes its ``dicts()``.
 
     The pure-Python encoder that ``indent`` selects is slow on large arrays,
-    so a rows list is formatted here, column by column: a non-empty list of
-    dicts that share one non-empty set of str keys and hold only str, int,
-    finite float, bool or None values (exact types). Each chunk of rows is
-    one join of the fixed text around the values with the values' texts,
-    and a chunk's repeated floats and strs are formatted once (see
-    ``_encoded``). Every other value, and the nesting, key order and
-    indentation around the rows, goes through json.dumps. Whatever
-    json.dumps rejects (NaN, infinities, unsupported types, cycles) raises
+    so a row stream that a dict holds, with keys and with str, int, bool
+    and finite float values (``value_types``), is formatted here from its
+    ``chunks()``, column by column, and its text is never held whole. Each
+    chunk of rows is one join of the fixed text around the values with the
+    values' texts, and a chunk's repeated floats and strs are formatted
+    once (see ``_encoded``). Everything else, the nesting, key order and
+    indentation around the streams included, goes through json.dumps, so
+    whatever it rejects (NaN, infinities, unsupported types, cycles) raises
     the same exception type before ``out`` is opened.
-
-    A ``RowStream`` is written as json.dumps writes its ``dicts()``. When it
-    has keys and its values are strs, ints, bools and finite floats, it is
-    formatted like a rows list from its ``chunks()``, so its text is never
-    held whole; otherwise json.dumps formats its dicts.
     """
     pieces = _json_pieces(data)
     with open_output(out) as fh:

@@ -511,7 +511,7 @@ def replay(pools: list, ops: list) -> tuple[list[dict], dict]:
                 tensor = manager.allocate(spec, op["tier"])
                 live[name] = tensor.tensor_id
                 log.append({"op": "allocate", "name": name,
-                            "tensor_id": tensor.tensor_id, "pages": tensor.page_list})
+                            "tensor_id": tensor.tensor_id, "pages": list(tensor.page_list)})
             elif kind == "release":
                 log.append({"op": "release", "name": name,
                             "freed_bytes": manager.release(live.pop(name))})

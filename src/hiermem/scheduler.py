@@ -68,13 +68,13 @@ Runnable schedules: ``_faults`` states, for ``Schedule.from_dict`` and
 page task's target is a parameter page and its layer is that page's, and
 an all_gather serves one of that layer's two compute slots at or after its
 trigger. (2) A page task is ``owned`` exactly when the rank owns its page;
-a compute never is. (3) A compute's slot is its trigger, and its target
-and layer are that slot's layer. (4) The compute triggers are 0, 1, ...,
-2n-1 in list order, one compute per slot. (5) An owned page's all_gather
-has a move_to_gpu of the page at or before its trigger. (6) Each page of a
-compute's layer has an all_gather, and an owned page a move_to_gpu too,
-between the page's last eviction at or before the compute's trigger (or 0)
-and that trigger.
+a compute never is. (3) A compute's slot is one of the 2n and is its
+trigger, and its target and layer are that slot's layer. (4) The compute
+triggers are 0, 1, ..., 2n-1 in list order, one compute per slot. (5) An
+owned page's all_gather has a move_to_gpu of the page at or before its
+trigger. (6) Each page of a compute's layer has an all_gather, and an
+owned page a move_to_gpu too, between the page's last eviction at or
+before the compute's trigger (or 0) and that trigger.
 
 Traces are checked on entry: every public function that takes them first
 calls ``check_traces``, which raises ConfigError unless they are well formed
@@ -87,14 +87,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
 from .errors import ConfigError, InfeasibleScheduleError, check_fields, check_range
 from .footprint import TensorSpec
-from .jsonio import _CHUNK_ROWS, RowStream
+from .jsonio import RowStream
 from .pagemem import PAGE_BYTES_DEFAULT, check_page_bytes
 from .tracer import TensorTrace, backward_id, validate_trace
 
@@ -179,9 +179,6 @@ class TaskRows(RowStream):
 
     def __len__(self) -> int:
         return len(self.columns)
-
-    def rows(self) -> Iterator[tuple]:
-        return chain.from_iterable(zip(*columns) for columns in self.chunks(_CHUNK_ROWS))
 
     def chunks(self, size: int) -> Iterator[list[list]]:
         for lo in range(0, len(self.columns), size):
@@ -440,6 +437,9 @@ def _faults(tasks, model: LayerModel, sharding: ShardingModel):
         else:
             yield k, "trigger_id", (f"compute at trigger {at} follows task {last}'s at "
                                     f"{due - 1}: compute triggers not strictly increasing")
+        if not 0 <= t.slot < 2 * n:
+            yield k, "slot", f"compute at trigger {at} serves slot {t.slot}, outside [0, {2 * n})"
+            continue
         layer = t.slot if t.slot < n else backward_id(t.slot, n)
         if t.slot != at:
             yield k, "slot", f"compute at trigger {at} must serve slot {at}, not slot {t.slot}"

@@ -73,7 +73,7 @@ from typing import ClassVar, Iterator
 import numpy as np
 
 from .errors import REAL, ConfigError, SimulationError, check_fields, check_range
-from .jsonio import _CHUNK_ROWS, RowStream
+from .jsonio import RowStream
 from .scheduler import COMPUTE, EVICT, GATHER, MOVE, OPERATIONS, Schedule, check_traces
 from .tracer import CPU_BYTES_PER_S, GPU_BYTES_PER_S, TensorTrace, TimingModel, backward_id
 
@@ -210,9 +210,6 @@ class Timeline(RowStream):
     def __iter__(self) -> Iterator[TimelineEntry]:
         for start, task_id, end, operation, resource in self.rows():
             yield TimelineEntry(task_id, operation, resource, start, end)
-
-    def rows(self) -> Iterator[tuple]:
-        return chain.from_iterable(zip(*columns) for columns in self.chunks(_CHUNK_ROWS))
 
     def chunks(self, size: int) -> Iterator[list[list]]:
         chunk = None  # a chunk's slices so far, joined

@@ -174,8 +174,8 @@ def validate_trace(traces: list[TensorTrace], num_layers: int) -> list[str]:
                 f"tensor {tr.tensor_id}: lifetime [{tr.first_id}, {tr.end_id}] outside "
                 f"[0, {num_ops})"
             )
-        not_real = [name for name in ("cpu_time", "gpu_time")
-                    if not isinstance(getattr(tr, name), REAL)]
+        not_real = [name for name in ("cpu_time", "gpu_time")  # a bool is no number here
+                    if not isinstance(v := getattr(tr, name), REAL) or type(v) is bool]
         if not_real:
             violations.append(f"tensor {tr.tensor_id}: {', '.join(not_real)} not a number")
         elif not all(0 <= t < math.inf for t in (tr.cpu_time, tr.gpu_time)):

@@ -111,7 +111,11 @@ class TestPagememDemoCmd:
         out = tmp_path / "state.json"
         assert run(["pagemem-demo", "--pool-spec", pool, "--ops", ops,
                     "--out", str(out)]) == EXIT_OK
-        state = json.loads(out.read_text())["state"]
+        report = json.loads(out.read_text())
+        # the allocate logs where w's pages were allocated, not where they are now
+        assert report["log"][0] == {"op": "allocate", "name": "w", "tensor_id": 0,
+                                    "pages": [0, 1, 2]}
+        state = report["state"]
         assert state["pools"]["GPU"]["allocated_pages"] == 2
         assert state["pools"]["CPU"]["allocated_pages"] == 1
         assert any(t["tier"] == "NOT_READY" for t in state["tensors"])
@@ -515,6 +519,8 @@ def corrupt(traces, case):
         traces[0]["gpu_time"] = -1.0
     elif case == "nan_gpu_time":
         traces[0]["gpu_time"] = float("nan")
+    elif case == "bool_gpu_time":
+        traces[0]["gpu_time"] = True
     elif case == "duplicate_tensor_id":
         traces[1]["tensor_id"] = traces[0]["tensor_id"]
     elif case == "missing_key":
@@ -527,7 +533,8 @@ def corrupt(traces, case):
 class TestTraceFileValidation:
     @pytest.mark.parametrize("case", ["end_past_timeline", "first_after_end",
                                       "negative_gpu_time", "duplicate_tensor_id",
-                                      "missing_key", "fractional_first_id", "nan_gpu_time"])
+                                      "missing_key", "fractional_first_id", "nan_gpu_time",
+                                      "bool_gpu_time"])
     def test_bad_traces_are_usage_errors(self, tmp_path, capsys, case):
         cfg = write(tmp_path, "cfg.json", TINY)
         traces, sched = tmp_path / "traces.json", tmp_path / "sched.json"

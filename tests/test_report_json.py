@@ -159,15 +159,6 @@ def test_timeline_chunks_are_the_sorted_rows(timeline, size):
         [{min(size, len(expected) - i)} for i in range(0, len(expected), size)]
     assert [tuple(map(repr, row)) for chunk in chunks for row in zip(*chunk)] == expected
     assert [tuple(map(repr, row)) for row in timeline.rows()] == expected
-    assert list(jsonio.RowStream.chunks(timeline, size)) == chunks  # the default, from rows()
-
-
-def test_rows_path_takes_flat_rows_only():
-    rows = [{"a": 1.5, "b": None, "c": True, "d": "x"}, {"a": -0.0, "b": 3, "c": False, "d": ""}]
-    assert jsonio._row_columns(rows) is not None
-    for near in ([], [{}], [*rows, {"a": 1.0}], [*rows, {**rows[0], "e": 1}],
-                 [{**rows[0], "a": [1]}], [{1: 1.0}], [{"a": math.nan}], (*rows,)):
-        assert jsonio._row_columns(near) is None
 
 
 def test_cycle_is_rejected_like_json_dumps(out_path):
@@ -215,11 +206,22 @@ def test_every_command_writes_json_dumps_bytes(tmp_path, dumped):
                                           "gpu_budget_bytes": 2**30, "iterations": 2,
                                           "update_mode": "sync"})
     toy = write(tmp_path, "toy.json", {"num_layers": 2, "dim": 8, "batch_size": 8})
+    pools = write(tmp_path, "pools.json", {"pools": [
+        {"tier": "GPU", "capacity_bytes": 64 * 2**20, "page_bytes": 4 * 2**20},
+        {"tier": "CPU", "capacity_bytes": 64 * 2**20, "page_bytes": 4 * 2**20}]})
+    ops = write(tmp_path, "ops.json", [
+        {"op": "allocate", "name": "w", "bytes": 10 * 2**20, "tier": "GPU"},
+        {"op": "merge", "name": "w"},
+        {"op": "move", "page_id": 0, "target": "CPU"},
+        {"op": "allocate", "name": "x", "bytes": 2**20, "tier": "CPU"},
+        {"op": "release", "name": "x"}])
     commands = {
         "pipeline": ["pipeline", "--config", config],
         "simulate": ["simulate", "--schedule", str(sched), "--traces", str(traces),
                      "--iterations", "3"],
         "lockfree": ["lockfree", "--toy-config", toy, "--iters", "10", "--seed", "1"],
+        "footprint": ["footprint", "--preset", "tiny-2layer", "--format", "json"],
+        "pagemem-demo": ["pagemem-demo", "--pool-spec", pools, "--ops", ops],
     }
     outputs = {"trace": traces, "schedule": sched}
     for name, argv in commands.items():

@@ -309,6 +309,19 @@ class TestValidate:
             (*sched.tasks, Task("evict_to_cpu", page, 4, 0, 3, page == 7))))
         assert validate_schedule(bad, traces) == [f"page {page} is not a parameter page"]
 
+    @pytest.mark.parametrize("slot", [9, -1])
+    def test_compute_slot_outside_the_slots_flagged(self, slot):
+        """A compute that serves no slot of the model is one slot fault and
+        names no layer."""
+        model, traces, sharding = make_instance([1, 1])
+        sched = schedule(model, traces, 2**30, sharding)
+        tasks = list(sched.tasks)
+        k = next(k for k, t in enumerate(tasks) if t.operation == "compute" and t.slot == 3)
+        tasks[k] = dataclasses.replace(tasks[k], slot=slot)
+        bad = dataclasses.replace(sched, columns=task_columns(tasks))
+        assert validate_schedule(bad, traces) == [
+            f"compute at trigger 3 serves slot {slot}, outside [0, 4)"]
+
     def test_budget_below_peak_flagged(self):
         model, traces, sharding = make_instance([2])
         sched = schedule(model, traces, 2**30, sharding)

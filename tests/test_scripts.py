@@ -1,7 +1,8 @@
 """Smoke tests: each script in scripts/ runs to the end on tiny arguments,
 every function perfbench traces by name still exists, and the allocator
 benchmark runs clean at tiny size. Only ``hiermem.__main__`` imports the
-command line, and no script imports a private hiermem name."""
+command line, and no script or hiermem module imports a private name of
+another hiermem module."""
 import ast
 import importlib
 import json
@@ -75,11 +76,18 @@ def test_only_main_imports_cli():
     assert importers == ["__main__.py"]
 
 
+def private_imports(folder: Path) -> list[tuple[str, str, str | None]]:
+    """(file, module, name) of each private hiermem name a file in ``folder`` imports."""
+    return [(path.name, m, n) for path in folder.glob("*.py") for m, n in hiermem_imports(path)
+            if (n or "").startswith("_") or "._" in m]
+
+
 def test_scripts_import_no_private_names():
-    private = [(path.name, m, n) for path in (ROOT / "scripts").glob("*.py")
-               for m, n in hiermem_imports(path)
-               if (n or "").startswith("_") or "._" in m]
-    assert private == []
+    assert private_imports(ROOT / "scripts") == []
+
+
+def test_modules_import_no_private_names_of_another():
+    assert private_imports(ROOT / "src" / "hiermem") == []
 
 
 def test_perfbench_targets_resolve(monkeypatch):
