@@ -116,10 +116,10 @@ def _stream_columns(stream: RowStream) -> tuple[list[str], list[Callable], Itera
 
 
 def _swap_rows(obj, found: list):
-    """``obj`` with each row stream that dicts hold (see ``_stream_columns``)
-    replaced by its marker string and recorded in ``found``; dicts that hold
-    none are returned as they are. A stream anywhere else is left to
-    json.dumps, which writes its dicts."""
+    """``obj`` with each row stream at the top level or held in a dict (see
+    ``_stream_columns``) replaced by its marker string and recorded in
+    ``found``; dicts that hold none are returned as they are. A stream in a
+    list or tuple is left to json.dumps, which writes its dicts."""
     if isinstance(obj, RowStream):
         rows = _stream_columns(obj)
         if rows is None:  # json.dumps decides, on its dicts
@@ -225,15 +225,15 @@ def write_json(data, out: str | None):
     json.dumps writes its ``dicts()``.
 
     The pure-Python encoder that ``indent`` selects is slow on large arrays,
-    so a row stream that a dict holds, with keys and with str, int, bool
-    and finite float values (``value_types``), is formatted here from its
-    ``chunks()``, column by column, and its text is never held whole. Each
-    chunk of rows is one join of the fixed text around the values with the
-    values' texts, and a chunk's repeated floats and strs are formatted
-    once (see ``_encoded``). Everything else, the nesting, key order and
-    indentation around the streams included, goes through json.dumps, so
-    whatever it rejects (NaN, infinities, unsupported types, cycles) raises
-    the same exception type before ``out`` is opened.
+    so a row stream at the top level or held in a dict, with keys and with
+    str, int, bool and finite float values (``value_types``), is formatted
+    here from its ``chunks()``, column by column, and its text is never
+    held whole. Each chunk of rows is one join of the fixed text around the
+    values with the values' texts, and a chunk's repeated floats and strs
+    are formatted once (see ``_encoded``). Everything else, the nesting,
+    key order and indentation around the streams included, goes through
+    json.dumps, so whatever it rejects (NaN, infinities, unsupported types,
+    cycles) raises the same exception type before ``out`` is opened.
     """
     pieces = _json_pieces(data)
     with open_output(out) as fh:
