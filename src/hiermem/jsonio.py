@@ -2,13 +2,12 @@
 writes every report and ``open_output`` opens every output, JSON or CSV.
 Reports carry ``SCHEMA_VERSION``. A ``RowStream`` is a list of flat dicts
 built as it is read, which ``write_json`` formats a chunk of rows at a time
-instead of holding it whole; everything else it writes is json.dumps's
-text."""
+instead of holding it whole, writing the dicts around it key by key; every
+other value it writes is json.dumps's text."""
 from __future__ import annotations
 
 import contextlib
 import json
-import re
 import sys
 from abc import ABC, abstractmethod
 from itertools import chain
@@ -55,15 +54,16 @@ _CHUNK_ROWS = 1024  # rows formatted per piece
 class RowStream(ABC):
     """A list of flat dicts that is built row by row as it is read.
     ``keys``, distinct strs, name the values of each row; ``chunks(size)``
-    gives the rows as columns, ``size`` rows at a time, and ``rows()`` the
-    same rows as tuples. json.dumps sees the stream as ``dicts()``, and
-    ``write_json`` writes it from ``chunks`` with the same bytes."""
+    gives the rows as columns, at most ``size`` rows at a time, and
+    ``rows()`` the same rows as tuples. json.dumps sees the stream as
+    ``dicts()``, and ``write_json`` writes it from ``chunks`` with the same
+    bytes."""
 
     keys: tuple[str, ...]
 
     @abstractmethod
     def chunks(self, size: int) -> Iterator[list[list]]:
-        """The rows in order, ``size`` at a time (fewer in the last chunk):
+        """The rows in order, in chunks of at most ``size`` rows, none empty:
         per chunk, one list of values per key, in ``keys`` order."""
 
     @abstractmethod
@@ -98,10 +98,6 @@ _SCALAR_JSON = {
     bool: {False: "false", True: "true"}.__getitem__,
 }
 
-# A row stream in the skeleton that json.dumps encodes; the index names the stream.
-_ROWS_MARKER = "\x00hiermem-rows-%d\x00"
-_ROWS_MARKER_JSON = re.compile(r'"\\u0000hiermem-rows-(\d+)\\u0000"')
-
 
 def _stream_columns(stream: RowStream) -> tuple[list[str], list[Callable], Iterable] | None:
     """(sorted keys, their encoders, chunks of their values) of a row stream
@@ -113,29 +109,6 @@ def _stream_columns(stream: RowStream) -> tuple[list[str], list[Callable], Itera
     order = sorted(range(len(keys)), key=keys.__getitem__)
     chunks = ([columns[i] for i in order] for columns in stream.chunks(_CHUNK_ROWS))
     return [keys[i] for i in order], [_SCALAR_JSON[types[i]] for i in order], chunks
-
-
-def _swap_rows(obj, found: list):
-    """``obj`` with each row stream at the top level or held in a dict (see
-    ``_stream_columns``) replaced by its marker string and recorded in
-    ``found``; dicts that hold none are returned as they are. A stream in a
-    list or tuple is left to json.dumps, which writes its dicts."""
-    if isinstance(obj, RowStream):
-        rows = _stream_columns(obj)
-        if rows is None:  # json.dumps decides, on its dicts
-            return obj
-        found.append(rows)
-        return _ROWS_MARKER % (len(found) - 1)
-    if type(obj) is not dict:
-        return obj
-    swapped = None
-    for key, value in obj.items():
-        new = _swap_rows(value, found)
-        if new is not value:
-            if swapped is None:
-                swapped = dict(obj)
-            swapped[key] = new
-    return obj if swapped is None else swapped
 
 
 def _encoded(encoders: list[Callable], columns: list[list]) -> list[list[str]]:
@@ -194,28 +167,32 @@ def _rows_json(rows, indent: int) -> Iterator[str]:
     yield "[]" if sep == "[\n" else "\n" + " " * indent + "]"
 
 
-def _json_pieces(data) -> list[Iterable[str]]:
-    """The text of ``json.dumps(data, **_JSON_OPTS)`` as pieces to join. A
-    row stream's piece is formatted as it is read; everything else is
-    formatted here, so that whatever json.dumps rejects raises here."""
-    found: list = []
-    try:
-        skeleton = _swap_rows(data, found)
-    except RecursionError:  # a reference cycle or deep nesting: json.dumps decides
-        found, skeleton = [], data
-    text = json.dumps(skeleton, **_JSON_OPTS)
-    if not found:
-        return [(text,)]
-    parts = _ROWS_MARKER_JSON.split(text)
-    if sorted(map(int, parts[1::2])) != list(range(len(found))):
-        # a string in the data holds a marker's text
-        return [(json.dumps(data, **_JSON_OPTS),)]
-    pieces = [(parts[0],)]
-    for i in range(1, len(parts), 2):
-        line = parts[i - 1][parts[i - 1].rfind("\n") + 1:]
-        pieces.append(_rows_json(found[int(parts[i])], len(line) - len(line.lstrip(" "))))
-        pieces.append((parts[i + 1],))
-    return pieces
+def _holds_stream(obj) -> bool:
+    """Whether ``obj`` is a row stream or a dict that holds one at any depth."""
+    return isinstance(obj, RowStream) or \
+        type(obj) is dict and any(map(_holds_stream, obj.values()))
+
+
+def _json_pieces(obj, indent: int = 0) -> Iterator[Iterable[str]]:
+    """The text of ``json.dumps(obj, **_JSON_OPTS)``, with its opening line
+    at ``indent``, as pieces to join. A dict with str keys that holds a row
+    stream is written key by key, and a stream with ``value_types`` by
+    ``_rows_json``, as it is read. Any other value is one json.dumps text,
+    its lines shifted by ``indent``: JSON text has no raw newline inside a
+    string."""
+    if isinstance(obj, RowStream) and (rows := _stream_columns(obj)) is not None:
+        yield _rows_json(rows, indent)
+    elif type(obj) is dict and all(type(k) is str for k in obj) and _holds_stream(obj):
+        pad = "\n" + " " * (indent + 2)
+        sep = "{"
+        for key in sorted(obj):
+            yield (sep + pad + encode_basestring_ascii(key) + ": ",)
+            yield from _json_pieces(obj[key], indent + 2)
+            sep = ","
+        yield ("\n" + " " * indent + "}",)
+    else:
+        text = json.dumps(obj, **_JSON_OPTS)
+        yield (text.replace("\n", "\n" + " " * indent) if indent else text,)
 
 
 def write_json(data, out: str | None):
@@ -225,17 +202,19 @@ def write_json(data, out: str | None):
     json.dumps writes its ``dicts()``.
 
     The pure-Python encoder that ``indent`` selects is slow on large arrays,
-    so a row stream at the top level or held in a dict, with keys and with
-    str, int, bool and finite float values (``value_types``), is formatted
-    here from its ``chunks()``, column by column, and its text is never
-    held whole. Each chunk of rows is one join of the fixed text around the
-    values with the values' texts, and a chunk's repeated floats and strs
-    are formatted once (see ``_encoded``). Everything else, the nesting,
-    key order and indentation around the streams included, goes through
-    json.dumps, so whatever it rejects (NaN, infinities, unsupported types,
-    cycles) raises the same exception type before ``out`` is opened.
+    so a row stream at the top level or held in dicts with str keys, with
+    keys and with str, int, bool and finite float values (``value_types``),
+    is formatted here from its ``chunks()``, column by column, and its text
+    is never held whole. The dicts around it are written key by key; every
+    other value, a stream in a list or tuple included, is one json.dumps
+    text (see ``_json_pieces``). So whatever json.dumps rejects (NaN,
+    infinities, unsupported types, cycles) raises the same exception type
+    before ``out`` is opened.
     """
-    pieces = _json_pieces(data)
+    try:
+        pieces = list(_json_pieces(data))
+    except RecursionError:  # a reference cycle or deep nesting: json.dumps decides
+        pieces = [(json.dumps(data, **_JSON_OPTS),)]
     with open_output(out) as fh:
         fh.writelines(chain.from_iterable(pieces))
         fh.write("\n")

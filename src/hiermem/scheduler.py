@@ -65,16 +65,16 @@ and ``Schedule.to_dict()`` streams the columns as rows (``TaskRows``).
 
 Runnable schedules: ``_faults`` states, for ``Schedule.from_dict`` and
 ``validate_schedule`` alike, when the simulator can run a task list. (1) A
-page task's target is a parameter page and its layer is that page's, and
-an all_gather serves one of that layer's two compute slots at or after its
-trigger. (2) A page task is ``owned`` exactly when the rank owns its page;
-a compute never is. (3) A compute's slot is one of the 2n and is its
-trigger, and its target and layer are that slot's layer. (4) The compute
-triggers are 0, 1, ..., 2n-1 in list order, one compute per slot. (5) An
-owned page's all_gather has a move_to_gpu of the page at or before its
-trigger. (6) Each page of a compute's layer has an all_gather, and an
-owned page a move_to_gpu too, between the page's last eviction at or
-before the compute's trigger (or 0) and that trigger.
+task's trigger is in [0, 2n]. A page task's target is a parameter page and
+its layer is that page's, and an all_gather serves one of that layer's two
+compute slots at or after its trigger. (2) A page task is ``owned`` exactly
+when the rank owns its page; a compute never is. (3) A compute's slot is
+one of the 2n and is its trigger, and its target and layer are that slot's
+layer. (4) The compute triggers are 0, 1, ..., 2n-1 in list order, one
+compute per slot. (5) An owned page's all_gather has a move_to_gpu of the
+page at or before its trigger. (6) Each page of a compute's layer has an
+all_gather, and an owned page a move_to_gpu too, between the page's last
+eviction at or before the compute's trigger (or 0) and that trigger.
 
 Traces are checked on entry: every public function that takes them first
 calls ``check_traces``, which raises ConfigError unless they are well formed
@@ -176,9 +176,6 @@ class TaskRows(RowStream):
     columns: TaskColumns
 
     keys: ClassVar = ("operation", "target", "trigger_id", "layer", "slot", "owned")
-
-    def __len__(self) -> int:
-        return len(self.columns)
 
     def chunks(self, size: int) -> Iterator[list[list]]:
         for lo in range(0, len(self.columns), size):
@@ -407,6 +404,9 @@ def _faults(tasks, model: LayerModel, sharding: ShardingModel):
     last = None  # the index of that compute
     for k, t in enumerate(tasks):
         at = t.trigger_id
+        if not 0 <= at <= 2 * n:
+            yield k, "trigger_id", f"{t.operation} at trigger {at}, outside [0, {2 * n}]"
+            continue
         if t.operation != "compute" and not 0 <= t.target < model.num_pages:
             yield k, "target", f"page {t.target} is not a parameter page"
             continue
@@ -521,6 +521,7 @@ def _residency(tasks: TaskColumns, model: LayerModel, sharding: ShardingModel,
         delta[end] -= spec.bytes
     op, pid, trigger = tasks.operation, tasks.target, tasks.trigger
     page = (op != COMPUTE) & (pid >= 0) & (pid < model.num_pages)
+    page &= (trigger >= 0) & (trigger < span)  # a trigger outside [0, 2n] holds no slot
     owns = pid % sharding.world_size == sharding.rank
     acquire = page & np.where(owns, op == MOVE, op == GATHER)
     evict = page & (op == EVICT)

@@ -189,11 +189,12 @@ class Timeline(RowStream):
     boundaries included ("it10." before "it9."). Iterations whose start-time
     ranges overlap form a group; the groups follow one another. A group's
     rows are sorted with one stable ``np.argsort`` on their start times,
-    then each run of equal starts by task id. ``chunks()`` takes its
-    columns from that order, a slice at a time, with ``tolist()`` and list
-    indexing; ``rows()`` and iterating, which gives ``TimelineEntry``
-    values, read the same chunks. No chunk, and so no iteration's text or
-    row tuples, is built whole.
+    then each run of equal starts by task id. ``chunks(size)`` takes its
+    columns from that order, a slice of at most ``size`` rows at a time,
+    with ``tolist()`` and list indexing; no chunk crosses a group, and none
+    is empty. ``rows()`` and iterating, which gives ``TimelineEntry``
+    values, read the same chunks. No iteration's text or row tuples are
+    built whole.
     """
 
     task_ids: tuple[str, ...]
@@ -212,25 +213,8 @@ class Timeline(RowStream):
             yield TimelineEntry(task_id, operation, resource, start, end)
 
     def chunks(self, size: int) -> Iterator[list[list]]:
-        chunk = None  # a chunk's slices so far, joined
-        for columns in self._sorted_slices(size):
-            if chunk is None:
-                chunk = columns
-            else:
-                for values, more in zip(chunk, columns):
-                    values += more
-            if len(chunk[0]) == size:
-                yield chunk
-                chunk = None
-        if chunk is not None:
-            yield chunk
-
-    def _sorted_slices(self, size: int) -> Iterator[list[list]]:
-        """The rows as columns, in report order, in slices of one group's
-        sort order that end where a chunk of ``size`` rows does."""
         ids, operations, resources = self.task_ids, self.operations, self.resources
         n = len(ids)
-        done = 0  # rows given so far
         for its in self._groups():
             prefixes = [f"it{k}." for k in its]
             if len(its) == 1:
@@ -243,10 +227,8 @@ class Timeline(RowStream):
             for lo, hi in _equal_runs(starts[order]):
                 order[lo:hi] = sorted(order[lo:hi].tolist(),
                                       key=lambda row: prefixes[row // n] + ids[row % n])
-            lo = 0
-            while lo < len(order):
-                hi = lo + size - done % size  # where the current chunk ends
-                index = order[lo:hi]
+            for lo in range(0, len(order), size):
+                index = order[lo:lo + size]
                 if len(its) == 1:
                     uids = index.tolist()
                     task_ids = [prefixes[0] + ids[u] for u in uids]
@@ -256,8 +238,6 @@ class Timeline(RowStream):
                     task_ids = [prefixes[i] + ids[u] for i, u in zip(group_its.tolist(), uids)]
                 yield [starts[index].tolist(), task_ids, ends[index].tolist(),
                        [operations[u] for u in uids], [resources[u] for u in uids]]
-                done += len(index)
-                lo = hi
 
     def _groups(self) -> list[list[int]]:
         """The iterations in groups whose start-time ranges overlap: rising

@@ -131,6 +131,17 @@ class TestStaleness:
         report = run_lockfree(small_cfg(), ZERO, 30, max_inflight=1)
         assert report.max_staleness == 0
 
+    @pytest.mark.parametrize("delays", [ZERO, SSD], ids=["zero", "ssd"])
+    @pytest.mark.parametrize("max_inflight", [2, 3])
+    def test_inflight_bound_caps_staleness(self, max_inflight, delays):
+        """With more than one iteration in flight the ledger balances and
+        staleness stays under the bound, whether the updates keep up (zero:
+        the buffer lets the GPU proceed at once) or fall behind (ssd)."""
+        report = run_lockfree(small_cfg(num_layers=2, dim=4), delays, 6,
+                              max_inflight=max_inflight)
+        assert report.conservation["balanced"]
+        assert report.max_staleness <= max_inflight - 1
+
 
 class TestSyncEquivalence:
     def test_sync_zero_delays_bit_identical_to_reference(self):

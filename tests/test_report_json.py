@@ -111,6 +111,10 @@ json_like = st.recursive(
     max_leaves=12)
 
 
+TWO_ROWS = Timeline(("a",), ("op",), ("gpu",), (array("d", [0.0]), array("d", [0.5])),
+                    (array("d", [1.0]), array("d", [1.5])))
+
+
 @pytest.fixture(scope="module")
 def out_path(tmp_path_factory):
     return tmp_path_factory.mktemp("writer") / "report.json"
@@ -118,12 +122,15 @@ def out_path(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None)
 @given(data=json_like | st.lists(json_like | unsupported, max_size=3))
-@example(data={"rows": [{"k": 1.0}], "text": jsonio._ROWS_MARKER % 0})
-@example(data=[[{"k": 1}], [{"k": 2}], 'x"' + jsonio._ROWS_MARKER % 1])
+@example(data={"rows": [{"k": 1.0}], "text": "\x00hiermem-rows-0\x00"})
+@example(data=[[{"k": 1}], [{"k": 2}], 'x"\x00hiermem-rows-1\x00'])
 @example(data={"timeline": Timeline(
     ("a", "b"), ("op", "op"), ("gpu", "gpu"),
     (array("d", [0.0, -0.0]), array("d", [-0.0, 1.0])),
     (array("d", [-0.0, 0.0]), array("d", [1.0, 0.0])))})
+@example(data={"a": {"b": {"c": TWO_ROWS, "d": [1, {"e": 2}]}, "f": "x\ny"}, "g": {}})
+@example(data={"timeline": TWO_ROWS, 1: 0})
+@example(data={"typed": TWO_ROWS, "untyped": dataclasses.replace(TWO_ROWS, operations=(None,))})
 def test_writer_matches_json_dumps(out_path, data):
     def write(data):
         out_path.unlink(missing_ok=True)
@@ -149,14 +156,14 @@ def sorted_rows(timeline: Timeline) -> list[tuple]:
 @settings(max_examples=200, deadline=None)
 @given(timeline=timelines(), size=st.integers(1, 5))
 def test_timeline_chunks_are_the_sorted_rows(timeline, size):
-    """Chunks of ``size`` rows, the last one shorter at most, hold the rows in
-    (start_s, task_id) order, zeros keeping their signs, across groups of
-    overlapping iterations and whatever chunk boundaries fall in them."""
+    """Chunks of 1 to ``size`` rows hold the rows in (start_s, task_id)
+    order, zeros keeping their signs, across groups of overlapping
+    iterations and whatever chunk boundaries fall in them."""
     assume(all(map(math.isfinite, chain(*timeline.starts, *timeline.ends))))
     chunks = list(timeline.chunks(size))
     expected = [tuple(map(repr, row)) for row in sorted_rows(timeline)]
-    assert [set(map(len, chunk)) for chunk in chunks] == \
-        [{min(size, len(expected) - i)} for i in range(0, len(expected), size)]
+    assert all(len(set(map(len, chunk))) == 1 and 1 <= len(chunk[0]) <= size
+               for chunk in chunks)
     assert [tuple(map(repr, row)) for chunk in chunks for row in zip(*chunk)] == expected
     assert [tuple(map(repr, row)) for row in timeline.rows()] == expected
 

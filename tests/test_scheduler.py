@@ -322,6 +322,23 @@ class TestValidate:
         assert validate_schedule(bad, traces) == [
             f"compute at trigger 3 serves slot {slot}, outside [0, 4)"]
 
+    @pytest.mark.parametrize("operation, trigger", [("evict_to_cpu", 99), ("evict_to_cpu", -1),
+                                                    ("move_to_gpu", -1), ("move_to_gpu", 99)])
+    def test_page_trigger_outside_the_triggers_flagged(self, operation, trigger):
+        """A page task whose trigger is outside [0, 2n] is one trigger fault,
+        and the residency leaves it out as if it were not listed."""
+        model, traces, sharding = make_instance([1, 1])
+        sched = schedule(model, traces, 2**30, sharding)
+        tasks = list(sched.tasks)
+        k = next(k for k, t in enumerate(tasks) if t.operation == operation)
+        moved = dataclasses.replace(sched, columns=task_columns(
+            (*tasks[:k], dataclasses.replace(tasks[k], trigger_id=trigger), *tasks[k + 1:])))
+        dropped = dataclasses.replace(sched, columns=task_columns(tasks[:k] + tasks[k + 1:]))
+        assert peak_memory(moved, traces) == peak_memory(dropped, traces)
+        faults = validate_schedule(moved, traces)
+        assert faults[0] == f"{operation} at trigger {trigger}, outside [0, 4]"
+        assert faults[1:] == validate_schedule(dropped, traces)
+
     def test_budget_below_peak_flagged(self):
         model, traces, sharding = make_instance([2])
         sched = schedule(model, traces, 2**30, sharding)

@@ -145,6 +145,18 @@ class TestSimulate:
         with pytest.raises(SimulationError):
             simulate(sched, traces, profile())
 
+    @pytest.mark.parametrize("gather, message", [
+        ((), "two compute tasks share trigger 0"),
+        ((Task("all_gather", 0, 0, 0, 0, True),),
+         "all_gather of owned page 0 has no move at or before its trigger 0")])
+    def test_two_computes_at_one_trigger(self, gather, message):
+        """The first of the two faults in the sorted tasks is the one raised."""
+        model, traces, sharding = single_compute_instance()
+        tasks = (*gather, Task("compute", 0, 0, 0, 0), Task("compute", 0, 0, 0, 0))
+        sched = Schedule(task_columns(tasks), "phase1", 2**30, model, sharding)
+        with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+            simulate(sched, traces, profile())
+
     def test_determinism(self):
         model, traces, sharding = make_instance([2, 1], acts=[MIB, 2 * MIB], world=2)
         sched = schedule(model, traces, 2**30, sharding)
