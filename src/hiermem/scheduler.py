@@ -59,22 +59,24 @@ list is built from the runs at the end.
 Columns: a Schedule holds its tasks as parallel integer columns in schedule
 order (``TaskColumns``): operation code, target, trigger, layer, slot and
 owned. ``Task`` is only the row type. ``task_columns`` is the one
-conversion from rows; ``Schedule.tasks`` builds the rows on demand, for
-``Schedule.from_dict``, ``_faults`` and callers that read tasks one by one,
-and ``Schedule.to_dict()`` streams the columns as rows (``TaskRows``).
+conversion from rows, a schedule file's among them; ``Schedule.tasks``
+builds rows on demand, only for callers that read tasks one by one.
+``_faults`` reads the columns' values, and ``Schedule.to_dict()`` streams
+the columns as rows (``TaskRows``).
 
 Runnable schedules: ``_faults`` states, for ``Schedule.from_dict`` and
 ``validate_schedule`` alike, when the simulator can run a task list. (1) A
 task's trigger is in [0, 2n]. A page task's target is a parameter page and
-its layer is that page's, and an all_gather serves one of that layer's two
-compute slots at or after its trigger. (2) A page task is ``owned`` exactly
-when the rank owns its page; a compute never is. (3) A compute's slot is
-one of the 2n and is its trigger, and its target and layer are that slot's
-layer. (4) The compute triggers are 0, 1, ..., 2n-1 in list order, one
-compute per slot. (5) An owned page's all_gather has a move_to_gpu of the
-page at or before its trigger. (6) Each page of a compute's layer has an
-all_gather, and an owned page a move_to_gpu too, between the page's last
-eviction at or before the compute's trigger (or 0) and that trigger.
+its layer is that page's; a move_to_gpu or evict_to_cpu serves a slot in
+[0, 2n), and an all_gather one of its layer's two compute slots at or after
+its trigger. (2) A page task is ``owned`` exactly when the rank owns its
+page; a compute never is. (3) A compute's slot is one of the 2n and is its
+trigger, and its target and layer are that slot's layer. (4) The compute
+triggers are 0, 1, ..., 2n-1 in list order, one compute per slot. (5) An
+owned page's all_gather has a move_to_gpu of the page at or before its
+trigger. (6) Each page of a compute's layer has an all_gather, and an owned
+page a move_to_gpu too, between the page's last eviction at or before the
+compute's trigger (or 0) and that trigger.
 
 Traces are checked on entry: every public function that takes them first
 calls ``check_traces``, which raises ConfigError unless they are well formed
@@ -151,16 +153,22 @@ class TaskColumns:
 
 
 def task_columns(tasks: Iterable[Task]) -> TaskColumns:
-    """The columns of a list of ``Task`` rows; ConfigError names an
-    operation that is not in ``OPERATIONS``."""
+    """The columns of a list of ``Task`` rows. ConfigError names task k and
+    its field for an operation that is not in ``OPERATIONS`` or a value
+    that does not fit in an int64; the values are judged by ``_faults``."""
     tasks = tuple(tasks)
     codes = dict(zip(OPERATIONS, range(len(OPERATIONS))))
-    for t in tasks:
+    for k, t in enumerate(tasks):
         if t.operation not in codes:
-            raise ConfigError(f"unknown operation {t.operation!r}")
+            raise ConfigError(f"task {k} 'operation': unknown operation {t.operation!r}")
 
     def column(name: str, dtype) -> np.ndarray:
-        return np.array([getattr(t, name) for t in tasks], dtype=dtype)
+        values = [getattr(t, name) for t in tasks]
+        try:
+            return np.array(values, dtype=dtype)
+        except OverflowError:
+            k = next(k for k, v in enumerate(values) if not -2**63 <= v < 2**63)
+            raise ConfigError(f"task {k} {name!r}: {values[k]} does not fit in 64 bits") from None
 
     return TaskColumns(np.array([codes[t.operation] for t in tasks], dtype=np.int8),
                        column("target", np.int64), column("trigger_id", np.int64),
@@ -198,11 +206,10 @@ class ShardingModel:
                 f"bad sharding: world_size={self.world_size} rank={self.rank}"
             )
 
-    def owner(self, page_id: int) -> int:
-        return page_id % self.world_size
-
-    def owns(self, page_id: int) -> bool:
-        return self.owner(page_id) == self.rank
+    def owns(self, page_id):
+        """Whether this rank owns page ``page_id``: an id, or an array of
+        ids, elementwise."""
+        return page_id % self.world_size == self.rank
 
 
 class LayerModel:
@@ -358,8 +365,11 @@ class Schedule:
     @classmethod
     def from_dict(cls, raw) -> "Schedule":
         """A schedule file as ``hiermem schedule`` writes it, or ``to_dict()``
-        of a Schedule; ConfigError names the field of a malformed value or
-        the first fault of "Runnable schedules" in the module docstring."""
+        of a Schedule. It is judged once, in three stages: ``check_fields``
+        checks each task's keys and types, ``task_columns`` its operation,
+        and ``_faults`` every value, so ConfigError names the field of a
+        malformed value or gives the first fault of "Runnable schedules" in
+        the module docstring, as ``validate_schedule`` words it."""
         if isinstance(raw, dict) and isinstance(raw.get("tasks"), TaskRows):
             raw = {**raw, "tasks": raw["tasks"].dicts()}
         raw = check_fields("schedule", raw, _SCHEDULE_FIELDS,
@@ -369,11 +379,13 @@ class Schedule:
         check_range("schedule 'gpu_budget'", raw["gpu_budget"], 0, finite=False)
         model = LayerModel.from_dict(raw["model"])
         sharding = ShardingModel(raw.get("world_size", 1), raw.get("rank", 0))
-        tasks = tuple(_task_from_dict(k, t, model) for k, t in enumerate(raw["tasks"]))
+        tasks = task_columns(Task(**check_fields(f"task {k}", t, _TASK_FIELDS,
+                                                 required=_TASK_FIELDS.keys() - {"owned"}))
+                             for k, t in enumerate(raw["tasks"]))
         for k, name, message in _faults(tasks, model, sharding):
             where = f"task {k} {name!r}" if k < len(tasks) else f"schedule {name!r}"
             raise ConfigError(f"{where}: {message}")
-        return cls(task_columns(tasks), raw["phase"], raw["gpu_budget"], model, sharding)
+        return cls(tasks, raw["phase"], raw["gpu_budget"], model, sharding)
 
 
 # schema_version and peak_bytes are what ``hiermem schedule`` adds to to_dict()
@@ -384,16 +396,17 @@ _TASK_FIELDS = {"operation": (str,), "target": (int,), "trigger_id": (int,),
                 "layer": (int,), "slot": (int,), "owned": (bool,)}
 
 
-def _faults(tasks, model: LayerModel, sharding: ShardingModel):
+def _faults(tasks: TaskColumns, model: LayerModel, sharding: ShardingModel):
     """(task index, field, message) of each fault that makes a task
     unrunnable, in task order: the rules of "Runnable schedules" in the
     module docstring. Slots left without a compute after the last one come
     last, as index len(tasks) and field "tasks"."""
     n = model.num_layers
+    rows = list(zip(*tasks.lists()))  # (operation, target, trigger, layer, slot, owned) each
     by_page: dict[tuple[str, int], list[int]] = {}  # (operation, page) -> triggers, sorted
-    for t in tasks:
-        if t.operation != "compute":
-            by_page.setdefault((t.operation, t.target), []).append(t.trigger_id)
+    for operation, target, at, *_ in rows:
+        if operation != "compute":
+            by_page.setdefault((operation, target), []).append(at)
     for triggers in by_page.values():
         triggers.sort()
 
@@ -402,30 +415,32 @@ def _faults(tasks, model: LayerModel, sharding: ShardingModel):
 
     due = 0  # one past the highest compute trigger so far
     last = None  # the index of that compute
-    for k, t in enumerate(tasks):
-        at = t.trigger_id
+    for k, (operation, target, at, layer, slot, owned) in enumerate(rows):
         if not 0 <= at <= 2 * n:
-            yield k, "trigger_id", f"{t.operation} at trigger {at}, outside [0, {2 * n}]"
+            yield k, "trigger_id", f"{operation} at trigger {at}, outside [0, {2 * n}]"
             continue
-        if t.operation != "compute" and not 0 <= t.target < model.num_pages:
-            yield k, "target", f"page {t.target} is not a parameter page"
+        if operation != "compute" and not 0 <= target < model.num_pages:
+            yield k, "target", f"page {target} is not a parameter page"
             continue
-        owned = t.operation != "compute" and sharding.owns(t.target)
-        if t.owned != owned:
-            yield k, "owned", (f"'owned' must be {str(owned).lower()} for {t.operation} of "
-                               f"{t.target} on rank {sharding.rank} of {sharding.world_size}")
-        if t.operation != "compute":
-            layer = model.layer_of(t.target)
-            slots = (layer, backward_id(layer, n))
-            if t.layer != layer:
-                yield k, "layer", (f"{t.operation} of page {t.target} names layer {t.layer}, "
-                                   f"but the page is in layer {layer}")
-            elif t.operation == "all_gather" and (t.slot not in slots or t.slot < at):
-                yield k, "slot", (f"all_gather of page {t.target} (layer {layer}) at trigger "
+        owns = operation != "compute" and sharding.owns(target)
+        if owned != owns:
+            yield k, "owned", (f"'owned' must be {str(owns).lower()} for {operation} of "
+                               f"{target} on rank {sharding.rank} of {sharding.world_size}")
+        if operation != "compute":
+            home = model.layer_of(target)
+            slots = (home, backward_id(home, n))
+            if layer != home:
+                yield k, "layer", (f"{operation} of page {target} names layer {layer}, "
+                                   f"but the page is in layer {home}")
+            elif operation == "all_gather" and (slot not in slots or slot < at):
+                yield k, "slot", (f"all_gather of page {target} (layer {home}) at trigger "
                                   f"{at} must serve slot {slots[0]} or {slots[1]} at or after "
-                                  f"its trigger, not slot {t.slot}")
-            if t.operation == "all_gather" and owned and latest("move_to_gpu", t.target, at) < 0:
-                yield k, "trigger_id", (f"all_gather of owned page {t.target} at trigger {at} "
+                                  f"its trigger, not slot {slot}")
+            if operation != "all_gather" and not 0 <= slot < 2 * n:
+                yield k, "slot", (f"{operation} of page {target} serves slot {slot}, "
+                                  f"outside [0, {2 * n})")
+            if operation == "all_gather" and owns and latest("move_to_gpu", target, at) < 0:
+                yield k, "trigger_id", (f"all_gather of owned page {target} at trigger {at} "
                                         f"has no move_to_gpu at or before it")
             continue
         if at >= due:
@@ -437,47 +452,26 @@ def _faults(tasks, model: LayerModel, sharding: ShardingModel):
         else:
             yield k, "trigger_id", (f"compute at trigger {at} follows task {last}'s at "
                                     f"{due - 1}: compute triggers not strictly increasing")
-        if not 0 <= t.slot < 2 * n:
-            yield k, "slot", f"compute at trigger {at} serves slot {t.slot}, outside [0, {2 * n})"
+        if not 0 <= slot < 2 * n:
+            yield k, "slot", f"compute at trigger {at} serves slot {slot}, outside [0, {2 * n})"
             continue
-        layer = t.slot if t.slot < n else backward_id(t.slot, n)
-        if t.slot != at:
-            yield k, "slot", f"compute at trigger {at} must serve slot {at}, not slot {t.slot}"
-        for name in ("target", "layer"):
-            if getattr(t, name) != layer:
-                yield k, name, (f"compute of slot {t.slot} must name its layer {layer}, "
-                                f"not {getattr(t, name)}")
-        for pid in model.layer_pages[layer]:
+        home = slot if slot < n else backward_id(slot, n)
+        if slot != at:
+            yield k, "slot", f"compute at trigger {at} must serve slot {at}, not slot {slot}"
+        for name, value in (("target", target), ("layer", layer)):
+            if value != home:
+                yield k, name, f"compute of slot {slot} must name its layer {home}, not {value}"
+        for pid in model.layer_pages[home]:
             evicted = latest("evict_to_cpu", pid, at)
             since = (f"between the page's eviction at trigger {evicted} and it" if evicted >= 0
                      else "at or before it")
             needed = ("all_gather", "move_to_gpu") if sharding.owns(pid) else ("all_gather",)
             for operation in needed:
                 if latest(operation, pid, at) < max(evicted, 0):
-                    yield k, "trigger_id", (f"compute of layer {layer} at trigger {at} has no "
+                    yield k, "trigger_id", (f"compute of layer {home} at trigger {at} has no "
                                             f"{operation} of page {pid} {since}")
     if due < 2 * n:
         yield len(tasks), "tasks", f"slot {due} has no compute"
-
-
-def _task_from_dict(k: int, raw, model: LayerModel) -> Task:
-    """Task ``k`` of a schedule file; ConfigError names the task and field
-    of a value of the wrong type or out of range."""
-    task = Task(**check_fields(f"task {k}", raw, _TASK_FIELDS,
-                               required=_TASK_FIELDS.keys() - {"owned"}))
-    if task.operation not in OPERATIONS:
-        raise ConfigError(f"task {k} 'operation': unknown operation {task.operation!r}")
-    n = model.num_layers
-    # trigger 2n is the end of the last compute, where its layer's evictions start
-    for name, high in (("trigger_id", 2 * n + 1), ("slot", 2 * n), ("layer", n)):
-        if not 0 <= getattr(task, name) < high:
-            raise ConfigError(f"task {k} {name!r} must be in [0, {high}), "
-                              f"not {getattr(task, name)}")
-    if task.operation == "compute" and not 0 <= task.target < n:
-        raise ConfigError(f"task {k} 'target': compute target {task.target} is not a layer")
-    if task.operation != "compute" and not 0 <= task.target < model.num_pages:
-        raise ConfigError(f"task {k} 'target': page {task.target} is not a parameter page")
-    return task
 
 
 # -- residency ---------------------------------------------------------------
@@ -522,8 +516,7 @@ def _residency(tasks: TaskColumns, model: LayerModel, sharding: ShardingModel,
     op, pid, trigger = tasks.operation, tasks.target, tasks.trigger
     page = (op != COMPUTE) & (pid >= 0) & (pid < model.num_pages)
     page &= (trigger >= 0) & (trigger < span)  # a trigger outside [0, 2n] holds no slot
-    owns = pid % sharding.world_size == sharding.rank
-    acquire = page & np.where(owns, op == MOVE, op == GATHER)
+    acquire = page & np.where(sharding.owns(pid), op == MOVE, op == GATHER)
     evict = page & (op == EVICT)
     acquires = np.sort(pid[acquire] * span + trigger[acquire])
     evicts = np.sort(pid[evict] * span + trigger[evict])
@@ -685,7 +678,7 @@ def _run_columns(runs: list[list], model: LayerModel, sharding: ShardingModel) -
                               dtype=np.int64), lengths)
     is_page = operation != COMPUTE
     layer = np.where(is_page, model.layers_of(target), target)
-    owned = is_page & (target % sharding.world_size == sharding.rank)
+    owned = is_page & sharding.owns(target)
     return TaskColumns(operation, target, trigger, layer, np.where(slot < 0, layer, slot),
                        owned)
 
@@ -778,4 +771,4 @@ def validate_schedule(schedule: Schedule, traces: list[TensorTrace]) -> list[str
     peak = peak_memory(schedule, traces)  # which checks the traces
     violations = [f"peak memory {peak} exceeds budget {budget}"] if peak > budget else []
     return violations + [message for _, _, message in
-                         _faults(schedule.tasks, schedule.model, schedule.sharding)]
+                         _faults(schedule.columns, schedule.model, schedule.sharding)]

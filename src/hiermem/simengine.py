@@ -28,12 +28,12 @@ operation code its task id prefix, resource and duration, and each task id
 is formatted once per template. An owned page's gather depends on the
 page's latest move at or before its trigger, wherever the schedule lists
 that move within the trigger: one ``searchsorted`` over the moves' sorted
-(page, trigger) keys finds it. The pass raises SimulationError on two
-computes at one trigger or an owned gather with no such move: it cannot
-build their dependencies, and a Schedule built in code meets no other
-check (``task_columns`` already refuses an unknown operation). The event
-loop keeps one heap per resource code and reads the columns by index; each
-resource's uids are found once per call, for the busy sums and the checks.
+(page, trigger) keys finds it. The pass raises SimulationError on a trigger
+outside [0, 2n], two computes at one trigger or an owned gather with no
+such move, which it cannot place; a Schedule built in code meets no other
+check (``task_columns`` refuses an unknown operation). The event loop keeps
+one heap per resource code and reads the columns by index; each resource's
+uids are found once per call, for the busy sums and the checks.
 
 The first iteration runs through a single-threaded, deterministic heap
 event loop, which records the order in which it starts tasks. Each later
@@ -476,6 +476,12 @@ def _page_template(schedule: Schedule, slot_dur: list[float], kinds: list[tuple]
     page's latest move at or before its trigger, whether listed before it
     or not."""
     tasks = schedule.columns
+    num_slots = len(slot_dur)
+    outside = np.flatnonzero((tasks.trigger < 0) | (tasks.trigger > num_slots))
+    if outside.size:  # the first in schedule order
+        k = outside[0]
+        raise SimulationError(f"task {k}: {OPERATIONS[tasks.operation[k]]} at trigger "
+                              f"{tasks.trigger[k]}, outside [0, {num_slots}]")
     order = np.lexsort((tasks.operation == COMPUTE, tasks.trigger))  # stable
     op, target, trigger, layer, slot, owned = (c[order] for c in tasks.arrays())
     computes = np.flatnonzero(op == COMPUTE)
@@ -484,7 +490,7 @@ def _page_template(schedule: Schedule, slot_dur: list[float], kinds: list[tuple]
     shared = computes[1:][comp_slots[1:] == comp_slots[:-1]]
     gathers = np.flatnonzero((op == GATHER) & owned)
     moves = np.flatnonzero(op == MOVE)
-    span = int(trigger.max()) + 1 if len(op) else 1
+    span = num_slots + 1  # triggers run from 0 to 2n
     move_keys = target[moves] * span + trigger[moves]
     by_key = np.argsort(move_keys, kind="stable")
     move_keys, moves = move_keys[by_key], moves[by_key]
@@ -512,7 +518,6 @@ def _page_template(schedule: Schedule, slot_dur: list[float], kinds: list[tuple]
 
     ops, targets, triggers = op.tolist(), target.tolist(), trigger.tolist()
     prefixes, resources, durations = zip(*kinds)
-    num_slots = len(slot_dur)
     tpl = _Template()
     tpl.extend(
         [f"compute.s{g}.l{t}" if o == COMPUTE else f"{prefixes[o]}.p{t}@{g}"

@@ -297,6 +297,7 @@ class TestSimulateCmd:
         ("trigger_id", -5, False),
         ("trigger_id", "3", False),
         ("target", 99, True),
+        ("slot", 99, False),
     ])
     def test_bad_task_is_usage_error(self, tmp_path, capsys, field, value, compute):
         cfg = write(tmp_path, "cfg.json", TINY)
@@ -313,8 +314,14 @@ class TestSimulateCmd:
         capsys.readouterr()
         assert run(["simulate", "--schedule", bad, "--traces", str(traces),
                     "--out", str(out)]) == EXIT_USAGE
-        assert f"task {k} {field!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"task {k} {field!r}" in err
         assert not out.exists()
+        if (field, value) == ("trigger_id", -5):  # the rule's words, as validate gives them
+            assert raw["tasks"][k]["operation"] == "move_to_gpu"
+            n = raw["model"]["num_layers"]
+            assert err == (f"error: task {k} 'trigger_id': move_to_gpu at trigger -5, "
+                           f"outside [0, {2 * n}]\n")
 
     @pytest.mark.parametrize("case, field", [
         ("not_object", "schedule must be a JSON object"),

@@ -1,7 +1,7 @@
 """Phase 1's running count and the one residency sweep: same output as the
 frozen reference, the sweep against the brute-force oracle, valid and
-deterministic schedules, and a guard on how many sweeps one schedule()
-makes."""
+deterministic schedules, a guard on how many sweeps one schedule() makes,
+and one that validate_schedule builds no Task."""
 import json
 import random
 from collections import Counter
@@ -328,6 +328,23 @@ class TestSweepMatchesReference:
         assert scheduler._resident_profile(
             task_columns(cases["acquire inside an earlier interval"]), model, sharding,
             traces)[:3] == [2 * PAGE + MIB, 2 * PAGE + MIB, PAGE + 2 * MIB]
+
+
+def test_validate_builds_no_task(monkeypatch):
+    """validate_schedule judges a schedule on its columns: no Task is built."""
+    model, traces = paper_shaped(2, 4 * MIB)
+    sched = schedule(model, traces, 12 * GIB, ShardingModel(8, 5))
+    built = []
+    init = Task.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Task, "__init__", counting)
+    assert validate_schedule(sched, traces) == []
+    assert built == []
+    assert len(sched.tasks) == len(built) > 0  # the count sees rows that are built
 
 
 def test_whole_profile_builds_do_not_grow_with_decisions(monkeypatch):

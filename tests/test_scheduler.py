@@ -6,7 +6,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiermem.errors import ConfigError, InfeasibleScheduleError
@@ -322,6 +322,19 @@ class TestValidate:
         assert validate_schedule(bad, traces) == [
             f"compute at trigger 3 serves slot {slot}, outside [0, 4)"]
 
+    @pytest.mark.parametrize("operation", ["move_to_gpu", "evict_to_cpu"])
+    @pytest.mark.parametrize("slot", [4, -1])
+    def test_page_slot_outside_the_slots_flagged(self, operation, slot):
+        """A move or eviction that serves no slot of the model is one slot fault."""
+        model, traces, sharding = make_instance([1, 1])
+        sched = schedule(model, traces, 2**30, sharding)
+        tasks = list(sched.tasks)
+        k = next(k for k, t in enumerate(tasks) if t.operation == operation)
+        tasks[k] = dataclasses.replace(tasks[k], slot=slot)
+        bad = dataclasses.replace(sched, columns=task_columns(tasks))
+        assert validate_schedule(bad, traces) == [
+            f"{operation} of page {tasks[k].target} serves slot {slot}, outside [0, 4)"]
+
     @pytest.mark.parametrize("operation, trigger", [("evict_to_cpu", 99), ("evict_to_cpu", -1),
                                                     ("move_to_gpu", -1), ("move_to_gpu", 99)])
     def test_page_trigger_outside_the_triggers_flagged(self, operation, trigger):
@@ -462,13 +475,12 @@ class TestProperties:
             del tasks[k]
         elif mutation == "shift":
             trigger = task.trigger_id + data.draw(st.sampled_from([-1, 1]))
-            assume(0 <= trigger <= 2 * n)  # from_dict range-checks before the rule
             tasks[k] = dataclasses.replace(task, trigger_id=trigger)
         elif mutation == "owned":
             tasks[k] = dataclasses.replace(task, owned=not task.owned)
         else:
             name = data.draw(st.sampled_from(["slot", "layer"]))
-            value = data.draw(st.integers(0, (2 * n if name == "slot" else n) - 1))
+            value = data.draw(st.integers(-1, 2 * n if name == "slot" else n))
             tasks[k] = dataclasses.replace(task, **{name: value})
         bad = dataclasses.replace(sched, columns=task_columns(tasks))
         faults = validate_schedule(dataclasses.replace(bad, gpu_budget=2**62), traces)
@@ -635,5 +647,40 @@ class TestColumns:
                     sched.to_dict(), default=RowStream.dicts))) == sched
 
     def test_unknown_operation_is_config_error(self):
-        with pytest.raises(ConfigError, match="unknown operation 'prefetch'"):
+        with pytest.raises(ConfigError, match="task 1 'operation': unknown operation 'prefetch'"):
             task_columns([Task("compute", 0, 0, 0, 0), Task("prefetch", 0, 0, 0, 0)])
+
+    @pytest.mark.parametrize("name", ["target", "trigger_id", "layer", "slot"])
+    @pytest.mark.parametrize("value", [2**63, -2**63 - 1])
+    def test_value_past_int64_is_config_error(self, name, value):
+        tasks = [Task("compute", 0, 0, 0, 0), Task("compute", 1, 1, 1, 1)]
+        tasks[1] = dataclasses.replace(tasks[1], **{name: value})
+        with pytest.raises(ConfigError, match=f"task 1 '{name}': {value} does not fit"):
+            task_columns(tasks)
+
+
+class TestFromDict:
+    """A schedule file is judged once: the types by ``check_fields``, the
+    operation by ``task_columns``, every value by the rule that
+    ``validate_schedule`` states."""
+
+    @pytest.mark.parametrize("operation", ["move_to_gpu", "all_gather", "compute",
+                                           "evict_to_cpu"])
+    @pytest.mark.parametrize("name, value", [
+        ("trigger_id", -1), ("trigger_id", 5), ("trigger_id", 2**63 - 1),
+        ("slot", -1), ("slot", 4), ("slot", 99),
+        ("layer", -1), ("layer", 2), ("target", -1), ("target", 99)])
+    def test_out_of_range_value_is_the_rule_fault(self, operation, name, value):
+        """A value out of its range, on any operation, is refused with the
+        fault ``validate_schedule`` gives first."""
+        model, traces, sharding = make_instance([1, 1])
+        sched = schedule(model, traces, 2**30, sharding)
+        tasks = list(sched.tasks)
+        k = next(k for k, t in enumerate(tasks) if t.operation == operation)
+        tasks[k] = dataclasses.replace(tasks[k], **{name: value})
+        bad = dataclasses.replace(sched, columns=task_columns(tasks))
+        faults = validate_schedule(dataclasses.replace(bad, gpu_budget=2**62), traces)
+        assert faults
+        with pytest.raises(ConfigError) as err:
+            Schedule.from_dict(json.loads(json.dumps(bad.to_dict(), default=RowStream.dicts)))
+        assert str(err.value).startswith(f"task {k} ") and str(err.value).endswith(faults[0])

@@ -157,6 +157,21 @@ class TestSimulate:
         with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
             simulate(sched, traces, profile())
 
+    @pytest.mark.parametrize("operation, trigger", [("compute", -1), ("evict_to_cpu", -1),
+                                                    ("evict_to_cpu", 99), ("move_to_gpu", 99)])
+    def test_trigger_outside_the_triggers_raises(self, operation, trigger):
+        """A task whose trigger names no slot is refused, in the rule's words,
+        before anything is charged for it."""
+        model, traces, sharding = make_instance([1, 1])
+        sched = schedule(model, traces, 2**30, sharding)
+        tasks = list(sched.tasks)
+        k = next(k for k, t in enumerate(tasks) if t.operation == operation)
+        tasks[k] = dataclasses.replace(tasks[k], trigger_id=trigger)
+        bad = dataclasses.replace(sched, columns=task_columns(tasks))
+        message = f"task {k}: {operation} at trigger {trigger}, outside [0, 4]"
+        with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+            simulate(bad, traces, profile())
+
     def test_determinism(self):
         model, traces, sharding = make_instance([2, 1], acts=[MIB, 2 * MIB], world=2)
         sched = schedule(model, traces, 2**30, sharding)
