@@ -20,35 +20,55 @@ iteration's makespan (0 for the first): its tasks without dependencies
 arrive then. Every task runs on a resource; there are no control tasks.
 
 The template is a set of parallel columns indexed by task uid: the task
-id, operation and resource, an integer code per resource, the duration and
-the list of dependencies. It is built from the schedule's task columns in
-trigger order, each trigger's page tasks in schedule order before its
-compute, which is one stable ``np.lexsort``; one table gives every
-operation code its task id prefix, resource and duration, and each task id
-is formatted once per template. An owned page's gather depends on the
-page's latest move at or before its trigger, wherever the schedule lists
-that move within the trigger: one ``searchsorted`` over the moves' sorted
-(page, trigger) keys finds it. The pass raises SimulationError on a trigger
-outside [0, 2n], two computes at one trigger or an owned gather with no
-such move, which it cannot place; a Schedule built in code meets no other
-check (``task_columns`` refuses an unknown operation). The event loop keeps
-one heap per resource code and reads the columns by index; each resource's
-uids are found once per call, for the busy sums and the checks.
+id, operation and resource, an integer code per resource and the duration,
+plus the dependency edges as (dependency uid, task uid) columns. It is
+built from the schedule's task columns in trigger order, each trigger's
+page tasks in schedule order before its compute, which is one stable
+``np.lexsort``; one table gives every operation code its task id prefix,
+resource and duration, and each task id is formatted once per template. An
+owned page's gather depends on the page's latest move at or before its
+trigger, wherever the schedule lists that move within the trigger: one
+``searchsorted`` over the moves' sorted (page, trigger) keys finds it. The
+pass raises SimulationError on a trigger outside [0, 2n], two computes at
+one trigger or an owned gather with no such move, which it cannot place; a
+Schedule built in code meets no other check (``task_columns`` refuses an
+unknown operation).
 
-The first iteration runs through a single-threaded, deterministic heap
-event loop, which records the order in which it starts tasks. Each later
-iteration is replayed in one pass over that order with the loop's own
-arithmetic: a task arrives at the iteration start or at its latest
-dependency's end, and begins at its arrival or when the task before it on
-its resource ends, whichever is later. Every choice the loop makes
-compares two event times (the iteration start and the task ends) and
-breaks exact ties by task index or start order, so the replay is the
-loop's result bit for bit whenever its event times fall in the recorded
-order with the same ties. That is checked per iteration in one pass over
-the recorded sort order. Shifted start times can round a near-tie the
-other way; an iteration that fails the check runs through the event loop
-instead, and its order becomes the recorded one. A single iteration
-records nothing.
+The event loop serves runs, not tasks. A run is a maximal block of
+consecutive uids with one resource code, one duration > 0, one set of
+dependencies and one set of dependents, such as a layer's page moves at
+one trigger; the template finds its runs once, with numpy. A run's members
+arrive together with consecutive uids, so the per-task FIFO would serve
+them back to back, member j starting when member j - 1 ends. The loop
+keeps one heap per resource code, pushes one queue entry and one
+completion event per run, and fills the members' columns by adding the
+duration in sequence, which is the per-task loop's arithmetic bit for bit.
+The events it skips are the members' own ends, which free the resource and
+push nothing, and those commute with any other event at the same instant.
+So its result is the per-task loop's unless two distinct events at one
+exact time push runs onto one resource; then a lower uid pushed by the
+second could slip in between a run's members. The events that count are
+run ends, and the iteration start for runs without dependencies; a run
+whose arrival ties the ends of several dependencies counts each of them.
+The rule is checked with numpy after the loop. Where it fails, the same
+loop runs again on the singleton partition, each task its own run, which
+is the per-task loop step for step. Each resource's uids are found once
+per call, for the busy sums and the checks.
+
+The first iteration runs through this single-threaded, deterministic heap
+event loop, which records the order in which it starts runs. Each later
+iteration is replayed in one pass over that order, on the same partition,
+with the loop's own arithmetic: a run arrives at the iteration start or at
+its latest dependency's end, and begins at its arrival or when the run
+before it on its resource ends, whichever is later; its members follow
+back to back. Every choice the loop makes compares two event times (the
+iteration start and the task ends) and breaks exact ties by task index or
+start order, so the replay is the loop's result bit for bit whenever its
+event times fall in the recorded order with the same ties. That is checked
+per iteration in one pass over the recorded sort order of every task's
+end. Shifted start times can round a near-tie the other way; an iteration
+that fails the check runs through the event loop instead, and its order
+becomes the recorded one. A single iteration records nothing.
 
 Causality within every iteration and resource exclusivity across the
 whole timeline are re-checked after every run, on the start and end
@@ -67,6 +87,7 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import ClassVar, Iterator
 
@@ -306,7 +327,10 @@ def compare(report_a: SimReport, report_b: SimReport) -> dict:
 class _Template:
     """One iteration's tasks as parallel columns by uid: the task id,
     operation and resource; the resource's code, numbered in order of first
-    use; the duration; and the uids the task depends on."""
+    use; the duration; and the dependency edges, as two columns of
+    (dependency uid, task uid) pairs. ``runs`` and ``singletons`` partition
+    the uids for the event loop (see ``_Runs``); each is built on first use,
+    after the last task is added."""
 
     def __init__(self):
         self.task_ids: list[str] = []  # timeline ids prefix them with the iteration: it{k}.
@@ -314,12 +338,12 @@ class _Template:
         self.resources: list[str] = []
         self.codes: list[int] = []
         self.durations: list[float] = []
-        self.deps: list[list[int]] = []
+        self.edge_deps, self.edge_tasks = array("q"), array("q")
         self.resource_codes: dict[str, int] = {}
 
     def extend(self, task_ids: list[str], operations: list[str], resources: list[str],
-               durations: list[float], deps: list[list[int]]) -> None:
-        """Append tasks given as columns."""
+               durations: list[float], edge_deps, edge_tasks) -> None:
+        """Append tasks given as columns, with their dependency edges."""
         self.task_ids += task_ids
         self.operations += operations
         self.resources += resources
@@ -327,18 +351,106 @@ class _Template:
             self.resource_codes.setdefault(resource, len(self.resource_codes))
         self.codes += map(self.resource_codes.__getitem__, resources)
         self.durations += durations
-        self.deps += deps
+        self.edge_deps.frombytes(np.asarray(edge_deps, dtype=np.int64).tobytes())
+        self.edge_tasks.frombytes(np.asarray(edge_tasks, dtype=np.int64).tobytes())
 
     def add(self, task_id: str, operation: str, resource: str, duration: float,
             deps: list[int]) -> int:
         """Append one task; returns its uid."""
-        self.extend([task_id], [operation], [resource], [duration], [deps])
-        return len(self.codes) - 1
+        uid = len(self.codes)
+        self.extend([task_id], [operation], [resource], [duration], deps, [uid] * len(deps))
+        return uid
 
     def uids_by_resource(self) -> dict[str, np.ndarray]:
         """Each resource's uids, rising, with the resources in order of first use."""
         code = np.array(self.codes, dtype=np.intp)
         return {resource: np.flatnonzero(code == c) for resource, c in self.resource_codes.items()}
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (dependency uids, task uids) columns as arrays."""
+        return np.frombuffer(self.edge_deps, np.int64), np.frombuffer(self.edge_tasks, np.int64)
+
+    @cached_property
+    def runs(self) -> "_Runs":
+        return _Runs.of(self, merge=True)
+
+    @cached_property
+    def singletons(self) -> "_Runs":
+        return _Runs.of(self, merge=False)
+
+
+def _same_as_previous(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Per row u of a sorted (row, id) list of pairs over rows 0..n-1,
+    whether row u holds the same ids as row u - 1 (False for row 0)."""
+    counts = np.bincount(rows, minlength=n)
+    same = np.zeros(n, dtype=bool)
+    same[1:] = counts[1:] == counts[:-1]
+    # an id of row u, if row u - 1 is as long, faces the id counts[u] places before it
+    facing = np.maximum(np.arange(len(ids)) - counts[rows], 0)
+    same[rows[same[rows] & (ids != ids[facing])]] = False
+    return same
+
+
+@dataclass(frozen=True)
+class _Runs:
+    """A partition of a template's uids into runs of consecutive uids, as
+    parallel columns by run: run r holds uids ``bounds[r]`` up to
+    ``bounds[r + 1]``, on resource code ``codes[r]``, each member for
+    ``durations[r]``; it depends on the runs ``deps[r]`` and they on it in
+    ``dependents``. ``edges`` holds the same (dependency run, run) pairs as
+    two arrays, by run. The members of a run share their dependents, so
+    every run's dependencies are whole runs.
+
+    ``_Runs.of(tpl, merge=True)`` makes each maximal block of consecutive
+    uids with one resource code, one duration > 0, one set of dependencies
+    and one set of dependents a run; with ``merge=False`` every uid is its
+    own run. ``merged`` says whether some run has two or more members."""
+
+    bounds: list[int]
+    codes: list[int]
+    durations: list[float]
+    deps: list[list[int]]
+    dependents: list[list[int]]
+    edges: tuple[np.ndarray, np.ndarray]
+
+    @property
+    def merged(self) -> bool:
+        return len(self.codes) < self.bounds[-1]
+
+    @classmethod
+    def of(cls, tpl: _Template, merge: bool) -> "_Runs":
+        n = len(tpl.codes)
+        dep, task = tpl.edges()
+        by_task = np.lexsort((dep, task))
+        dep, task = dep[by_task], task[by_task]
+        new = np.ones(n, dtype=bool)  # uids that start a run
+        if merge and n > 1:
+            code, duration = np.array(tpl.codes), np.array(tpl.durations)
+            by_dep = np.lexsort((task, dep))
+            new[1:] = ~((code[1:] == code[:-1]) & (duration[1:] == duration[:-1]) &
+                        (duration[1:] > 0) & _same_as_previous(dep, task, n)[1:] &
+                        _same_as_previous(task[by_dep], dep[by_dep], n)[1:])
+        firsts = np.flatnonzero(new)
+        run_of = np.cumsum(new) - 1
+        # each run's first member's edges, as (run, dependency run) pairs
+        first = new[task]
+        dep_run, run = run_of[dep[first]], run_of[task[first]]
+        once = np.ones(len(run), dtype=bool)  # sorted by (run, dependency run): drop repeats
+        once[1:] = (run[1:] != run[:-1]) | (dep_run[1:] != dep_run[:-1])
+        dep_run, run = dep_run[once], run[once]
+        by_dep = np.argsort(dep_run, kind="stable")
+        num_runs = len(firsts)
+        return cls(firsts.tolist() + [n], [tpl.codes[u] for u in firsts.tolist()],
+                   [tpl.durations[u] for u in firsts.tolist()],
+                   _split(dep_run, run, num_runs), _split(run[by_dep], dep_run[by_dep], num_runs),
+                   (dep_run, run))
+
+
+def _split(values: np.ndarray, rows: np.ndarray, num_rows: int) -> list[list[int]]:
+    """``values`` grouped by their rising ``rows``, as one list per row."""
+    flat = values.tolist()
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=num_rows)))).tolist()
+    return [flat[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
 
 def _slot_durations(schedule: Schedule, traces: list[TensorTrace]) -> list[float]:
@@ -427,9 +539,9 @@ def simulate(schedule: Schedule, traces: list[TensorTrace], profile: HardwarePro
                 plan = None
         if plan is None:
             order = [] if k < iterations - 1 else None
-            starts, ends = _run_event_loop(tpl, start, order)
+            starts, ends, part = _run_event_loop(tpl, start, order)
             if order is not None:
-                plan = _replay_plan(tpl, order, start, ends)
+                plan = _replay_plan(part, order, start, ends)
         runs.append((start, starts, ends))
         # the next iteration starts once every task of this one has finished
         start = max(ends, default=start)
@@ -503,18 +615,15 @@ def _page_template(schedule: Schedule, slot_dur: list[float], kinds: list[tuple]
         raise SimulationError(f"all_gather of owned page {target[u]} has no move "
                               f"at or before its trigger {trigger[u]}")
 
-    # the latest compute before each task, -1 for none
+    # (dependency, task) edges: each task on the latest compute before it, an
+    # owned gather on its page's move, and a compute on the gathers that serve
+    # its slot and come before it, those at or before its trigger
     prev = np.append(computes, -1)[np.searchsorted(computes, np.arange(len(op))) - 1]
-    deps = [[p] if p >= 0 else [] for p in prev.tolist()]
-    for u, m in zip(gathers.tolist(), moves[k].tolist()):
-        deps[u].append(m)
-    # a slot's gathers that come before its compute are those at or before its trigger
-    serving = np.flatnonzero((op == GATHER) & (trigger <= slot))
-    serving = serving[np.argsort(slot[serving], kind="stable")]
-    los = np.searchsorted(slot[serving], comp_slots).tolist()
-    his = np.searchsorted(slot[serving], comp_slots, side="right").tolist()
-    for u, lo, hi in zip(computes.tolist(), los, his):
-        deps[u] += serving[lo:hi].tolist()
+    after = np.flatnonzero(prev >= 0)
+    serving = np.flatnonzero((op == GATHER) & (trigger <= slot) & np.isin(slot, comp_slots))
+    edge_deps = np.concatenate((prev[after], moves[k], serving))
+    edge_tasks = np.concatenate((after, gathers,
+                                 computes[np.searchsorted(comp_slots, slot[serving])]))
 
     ops, targets, triggers = op.tolist(), target.tolist(), trigger.tolist()
     prefixes, resources, durations = zip(*kinds)
@@ -523,9 +632,10 @@ def _page_template(schedule: Schedule, slot_dur: list[float], kinds: list[tuple]
         [f"compute.s{g}.l{t}" if o == COMPUTE else f"{prefixes[o]}.p{t}@{g}"
          for o, t, g in zip(ops, targets, triggers)],
         [OPERATIONS[o] for o in ops], [resources[o] for o in ops],
-        [(slot_dur[g] if g < num_slots else 0.0) if o == COMPUTE else durations[o]
-         for o, g in zip(ops, triggers)],
-        deps)
+        # a compute at trigger 2n runs for 0 s
+        np.where(op == COMPUTE, np.append(slot_dur, 0.0)[trigger],
+                 np.array(durations, dtype=float)[op]).tolist(),
+        edge_deps, edge_tasks)
 
     evicts = np.flatnonzero(op == EVICT)
     evicts = evicts[np.argsort(layer[evicts], kind="stable")]
@@ -536,93 +646,138 @@ def _page_template(schedule: Schedule, slot_dur: list[float], kinds: list[tuple]
 
 
 def _run_event_loop(tpl: _Template, start: float,
-                    order: list[int] | None = None) -> tuple[array, array]:
+                    order: list[int] | None = None) -> tuple[array, array, _Runs]:
     """FIFO-per-resource event loop on an idle system from ``start``, where
-    tasks without dependencies arrive; returns the start and the finish
-    column by uid, and appends each uid to ``order``, if given, as it starts."""
-    codes, durations, deps = tpl.codes, tpl.durations, tpl.deps
-    n = len(codes)
-    pending = list(map(len, deps))
-    dependents: list[list[int]] = [[] for _ in range(n)]
-    for uid, task_deps in enumerate(deps):
-        for d in task_deps:
-            dependents[d].append(uid)
+    runs without dependencies arrive; returns the start and the finish
+    column by uid and the partition it ran on, and appends each run to
+    ``order``, if given, as it starts. It serves ``tpl.runs`` and keeps the
+    result if ``_one_pusher`` holds; else it serves ``tpl.singletons``."""
+    part = tpl.runs
+    starts, ends, run_ends = _serve_runs(part, len(tpl.resource_codes), start, order)
+    if part.merged and not _one_pusher(part, start, run_ends):
+        part = tpl.singletons
+        if order is not None:
+            order.clear()
+        starts, ends, _ = _serve_runs(part, len(tpl.resource_codes), start, order)
+    return starts, ends, part
 
-    queues: list[list] = [[] for _ in tpl.resource_codes]  # (arrival, uid) heap per code
-    running = [False] * len(queues)
+
+def _serve_runs(part: _Runs, num_codes: int, start: float,
+                order: list[int] | None) -> tuple[array, array, list[float]]:
+    """The event loop on one partition: the start and the finish column by
+    uid, and each run's end. A run is served whole, each member starting as
+    the one before it ends."""
+    bounds, codes, durations = part.bounds, part.codes, part.durations
+    deps, dependents = part.deps, part.dependents
+    n = bounds[-1]
+    pending = list(map(len, deps))
+    queues: list[list] = [[] for _ in range(num_codes)]  # (arrival, run) heap per code
+    running = [False] * num_codes
     starts, ends = array("d", bytes(8 * n)), array("d", bytes(8 * n))
-    events: list[tuple[float, int, int]] = []  # (time, seq, uid) completions
+    run_ends = [0.0] * len(codes)
+    events: list[tuple[float, int, int]] = []  # (time, seq, run) completions
     seq = 0
     push, pop = heapq.heappush, heapq.heappop
 
     def serve(code: int, now: float):
         """Start the head of ``code``'s queue, which must be idle and non-empty."""
         nonlocal seq
-        arrival, uid = pop(queues[code])
-        begin = now if now > arrival else arrival
-        end = begin + durations[uid]
+        arrival, r = pop(queues[code])
+        end = now if now > arrival else arrival
+        duration = durations[r]
+        for uid in range(bounds[r], bounds[r + 1]):
+            starts[uid] = end
+            end = end + duration
+            ends[uid] = end
         running[code] = True
-        starts[uid], ends[uid] = begin, end
+        run_ends[r] = end
         if order is not None:
-            order.append(uid)
-        push(events, (end, seq, uid))
+            order.append(r)
+        push(events, (end, seq, r))
         seq += 1
 
-    for uid, task_deps in enumerate(deps):
-        if not task_deps:
-            code = codes[uid]
-            push(queues[code], (start, uid))
+    for r, run_deps in enumerate(deps):
+        if not run_deps:
+            code = codes[r]
+            push(queues[code], (start, r))
             if not running[code]:
                 serve(code, start)
 
     done = 0
     while events:
-        now, _, uid = pop(events)
-        code = codes[uid]
+        now, _, r = pop(events)
+        code = codes[r]
         running[code] = False
         done += 1
-        for dep_uid in dependents[uid]:
-            pending[dep_uid] -= 1
-            if not pending[dep_uid]:
-                arrival = max(map(ends.__getitem__, deps[dep_uid]))
-                dep_code = codes[dep_uid]
-                push(queues[dep_code], (arrival, dep_uid))
+        for dep_run in dependents[r]:
+            pending[dep_run] -= 1
+            if not pending[dep_run]:  # its dependencies have all ended, r last, at now
+                dep_code = codes[dep_run]
+                push(queues[dep_code], (now, dep_run))
                 if not running[dep_code]:
-                    serve(dep_code, arrival)
+                    serve(dep_code, now)
         if not running[code] and queues[code]:
             serve(code, now)
 
-    if done != n:
+    if done != len(codes):
+        never = sum(bounds[r + 1] - bounds[r] for r, left in enumerate(pending) if left)
         raise SimulationError(
-            f"simulation stalled: {n - done} tasks never ran "
+            f"simulation stalled: {never} tasks never ran "
             "(cyclic or unsatisfiable dependencies)"
         )
-    return starts, ends
+    return starts, ends, run_ends
+
+
+def _one_pusher(part: _Runs, start: float, run_ends: list[float]) -> bool:
+    """Whether the runs that join one resource's queue at one instant are
+    all pushed there by one event. A run without dependencies is pushed by
+    the iteration start; any other by the end of whichever of its
+    dependencies ending at its arrival the loop handles last, so each of
+    those counts. A group of two or more runs with two or more pushers
+    breaks the rule. The member ends that ``_serve_runs`` skips push
+    nothing, so where the rule holds its result is that of the per-task
+    loop, ``tpl.singletons``."""
+    dep_run, run = part.edges
+    dep_ends = np.array(run_ends)[dep_run]
+    arrival = np.full(len(run_ends), start)  # no task ends before the start
+    np.maximum.at(arrival, run, dep_ends)
+    free = np.flatnonzero(np.bincount(run, minlength=len(run_ends)) == 0)  # no dependencies
+    last = dep_ends == arrival[run]
+    pushed = np.concatenate((run[last], free))
+    pusher = np.concatenate((dep_run[last], np.full(len(free), -1)))
+    code, at = np.array(part.codes)[pushed], arrival[pushed]
+    by_queue = np.lexsort((at, code))
+    code, at, pusher, pushed = code[by_queue], at[by_queue], pusher[by_queue], pushed[by_queue]
+    groups = np.flatnonzero(np.concatenate(([True], (code[1:] != code[:-1]) |
+                                            (at[1:] != at[:-1]))))
+    two_pushers = np.maximum.reduceat(pusher, groups) != np.minimum.reduceat(pusher, groups)
+    two_runs = np.maximum.reduceat(pushed, groups) != np.minimum.reduceat(pushed, groups)
+    return not (two_pushers & two_runs).any()
 
 
 @dataclass(frozen=True)
 class _ReplayPlan:
-    """One event-loop run, as a later iteration replays it: every task in
-    the order the loop started it, with its dependencies, its predecessor on
-    its resource (-1 for none) and its duration; and the order of the run's
-    event times ``[start, *ends]`` as a permutation that sorts them, plus,
-    per neighbouring pair in that order, whether the later one is greater
-    (else the two are equal)."""
+    """One event-loop run, as a later iteration replays it: every run of the
+    partition it ran on, in the order the loop started it, with its uids
+    (``lo`` up to ``hi``), its dependency runs, its predecessor on its
+    resource (-1 for none) and its members' duration; and the order of the
+    run's event times ``[start, *ends]`` as a permutation that sorts them,
+    plus, per neighbouring pair in that order, whether the later one is
+    greater (else the two are equal)."""
 
-    steps: list[tuple[int, list[int], int, float]]
+    steps: list[tuple[int, int, int, list[int], int, float]]  # (run, lo, hi, deps, pred, duration)
     perm: np.ndarray
     rises: np.ndarray
 
 
-def _replay_plan(tpl: _Template, order: list[int], start: float,
-                 ends: array) -> _ReplayPlan:
-    codes, deps, durations = tpl.codes, tpl.deps, tpl.durations
+def _replay_plan(part: _Runs, order: list[int], start: float, ends: array) -> _ReplayPlan:
+    bounds, codes, deps, durations = part.bounds, part.codes, part.deps, part.durations
     steps = []
-    last = [-1] * len(tpl.resource_codes)  # per code, the uid that started on it last so far
-    for uid in order:
-        code = codes[uid]
-        steps.append((uid, deps[uid], last[code], durations[uid]))
-        last[code] = uid
+    last: dict[int, int] = {}  # per code, the run that started on it last so far
+    for r in order:
+        code = codes[r]
+        steps.append((r, bounds[r], bounds[r + 1], deps[r], last.get(code, -1), durations[r]))
+        last[code] = r
     times = _event_times(start, ends)
     perm = np.argsort(times, kind="stable")
     ranked = times[perm]
@@ -634,20 +789,27 @@ def _event_times(start: float, ends: array) -> np.ndarray:
 
 
 def _replay(plan: _ReplayPlan, start: float) -> tuple[array, array]:
-    """The event loop's arithmetic, in the plan's order: a task arrives at
+    """The event loop's arithmetic, in the plan's order: a run arrives at
     the iteration start or at its latest dependency's end, and begins at
-    its arrival or when its resource predecessor ends, whichever is later.
-    Of equal times the first is kept, as ``max`` does in the loop."""
-    # lists index faster than arrays; the plan has every task once
-    starts, ends = [0.0] * len(plan.steps), [0.0] * len(plan.steps)
-    for uid, deps, pred, duration in plan.steps:
-        begin = ends[deps[0]] if deps else start
+    its arrival or when its resource predecessor ends, whichever is later;
+    each member begins as the one before it ends. Of equal times the first
+    is kept, as ``max`` does in the loop."""
+    # lists index faster than arrays; the plan has every run once
+    num_tasks = len(plan.perm) - 1
+    starts, ends = [0.0] * num_tasks, [0.0] * num_tasks
+    run_ends = [0.0] * len(plan.steps)
+    for r, lo, hi, deps, pred, duration in plan.steps:
+        end = run_ends[deps[0]] if deps else start
         for d in deps:
-            if ends[d] > begin:
-                begin = ends[d]
-        if pred >= 0 and ends[pred] > begin:
-            begin = ends[pred]
-        starts[uid], ends[uid] = begin, begin + duration
+            if run_ends[d] > end:
+                end = run_ends[d]
+        if pred >= 0 and run_ends[pred] > end:
+            end = run_ends[pred]
+        for uid in range(lo, hi):
+            starts[uid] = end
+            end = end + duration
+            ends[uid] = end
+        run_ends[r] = end
     return array("d", starts), array("d", ends)
 
 
@@ -682,15 +844,12 @@ def _post_hoc_checks(tpl: _Template, runs: list[tuple[float, array, array]],
     dependency), and no overlap per resource across the whole timeline;
     ``by_resource`` is ``tpl.uids_by_resource()``."""
     it_starts, starts, ends = _columns(runs)
-    deps = tpl.deps
-    # one (dependency, task) edge per dependency
-    dep = np.fromiter(chain.from_iterable(deps), dtype=np.intp)
-    task = np.repeat(np.arange(len(deps)), np.fromiter(map(len, deps), np.intp, len(deps)))
+    dep, task = tpl.edges()  # one (dependency, task) edge per dependency
     bad = starts < (it_starts - 1e-12)[:, None]
     its, edge = np.nonzero(ends[:, dep] > starts[:, task] + 1e-12)
     bad[its, task[edge]] = True
     if bad.any():
-        it, u = divmod(int(bad.argmax()), len(deps))  # the first in (iteration, uid) order
+        it, u = divmod(int(bad.argmax()), len(tpl.codes))  # the first in (iteration, uid) order
         raise SimulationError(
             f"causality violation: it{it}.{tpl.task_ids[u]} started before "
             "its iteration or a dependency finished"

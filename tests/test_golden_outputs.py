@@ -1,4 +1,4 @@
-"""Pinned digests of whole outputs: the ``hiermem pipeline`` report on four
+"""Pinned digests of whole outputs: the ``hiermem pipeline`` report on six
 configs, and both phases' ``hiermem schedule`` files on the last two.
 
 A change that must keep every output byte-identical keeps these digests.
@@ -30,6 +30,12 @@ PIPELINES = {
     "paper-175b-l2": {"model": {**PAPER_SHAPE, "num_layers": 2},
                       "gpu_budget_bytes": 12 * GIB, "world_size": 8, "rank": 5,
                       "recompute": True},
+    # perfbench's paper-175b-l6 workload at seeds 0 and 5, as Paper175bL6.config builds it
+    **{f"paper-175b-l6-seed{seed}": {
+        "model": {**PAPER_SHAPE, "num_layers": 6}, "hardware": "preset:a100-server",
+        "gpu_budget_bytes": 20 * GIB, "page_bytes": 4 * MIB, "world_size": 8,
+        "rank": seed % 8, "recompute": True, "iterations": 1, "update_mode": "none",
+        "seed": seed} for seed in (0, 5)},
 }
 
 REPORT_SHA256 = {
@@ -37,6 +43,8 @@ REPORT_SHA256 = {
     "paper-tiny": "0f60ae6622b4bdb6ce63faaa7ed059d158eb5f5dd45d1609abe3ed0c52e7c87f",
     "gpt3-1.7b-evicting": "800d3a87234c545fc2225afe8e052cfa3844c3a13c380d045424419094cbd66a",
     "paper-175b-l2": "767cc770a9757f34825a37dab821aa0158f5accf585110f7b8939632b878a7dc",
+    "paper-175b-l6-seed0": "4e9f4d7c31568480d7dbb3146f351b2276cd68c4787c91f781e2404408860f4c",
+    "paper-175b-l6-seed5": "a79afccecc8da5bb05b80f083b41d6b4cd528c720fdc2fb2dd451673362e6425",
 }
 
 # (pipeline config, phase) -> sha256 of the ``hiermem schedule`` file

@@ -25,6 +25,8 @@ SCRIPTS = {
                                "idle (SSD states)"),
     "lockfree_speedup.py": (["--seeds", "0", "--iters", "5", "--layers", "2", "--dim", "4",
                              "--batch", "4"], "staleness histogram"),
+    "page_size_sweep.py": (["--model", "preset:tiny-2layer", "--page-mib", "1", "0.5",
+                            "--budget-gib", "1", "--world-size", "2"], "phase-2 peak GiB"),
 }
 
 

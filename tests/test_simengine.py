@@ -1,4 +1,5 @@
 """Discrete-event replay: transfer arithmetic, causality, overlap, update gating."""
+import copy
 import dataclasses
 import random
 import re
@@ -467,6 +468,140 @@ class TestReplay:
         report = simulate(sched, traces, prof, iterations=48, update_mode="sync")
         assert starts == [0.0]
         assert len(report.timeline.starts) == 48
+
+
+def loop_runs(monkeypatch, sched, traces, prof, **kwargs):
+    """simulate's report, and per event-loop run whether it kept a run
+    partition with a merged run (True) or fell back to single tasks (False);
+    None where the runs were single tasks to begin with."""
+    kept = []
+    event_loop = simengine._run_event_loop
+
+    def recorded(tpl, start, *rest):
+        starts, ends, part = event_loop(tpl, start, *rest)
+        kept.append(part is tpl.runs if tpl.runs.merged else None)
+        return starts, ends, part
+
+    monkeypatch.setattr(simengine, "_run_event_loop", recorded)
+    return simulate(sched, traces, prof, **kwargs), kept
+
+
+def same_instant_instance(owned_first: bool):
+    """Two events at one instant push gathers onto the interconnect.
+
+    Slot 0's compute and the second of two moves (page 2's) both end at 2m,
+    the compute first, as it started first. The compute's end pushes the
+    run of the unowned gathers of pages 1 and 3; the move's end pushes the
+    owned gather of page 2, listed before the run or after it."""
+    model, traces, sharding = make_instance([4], world=2)
+    m = PAGE / 32e9  # one move's duration
+    model.tensor_info[99] = fp.TensorSpec("L0.flops", "activation16", MIB, 0)
+    traces = list(traces) + [TensorTrace(99, 0, 0, 0.0, 2 * m)]
+    owned = [Task("all_gather", 2, 1, 0, 1, True)]
+    unowned = [Task("all_gather", 1, 1, 0, 1), Task("all_gather", 3, 1, 0, 1)]
+    tasks = (Task("move_to_gpu", 0, 0, 0, 0, True), Task("move_to_gpu", 2, 0, 0, 1, True),
+             Task("compute", 0, 0, 0, 0),
+             *(owned + unowned if owned_first else unowned + owned), Task("compute", 0, 1, 0, 1))
+    sched = Schedule(task_columns(tasks), "phase1", 2**30, model, sharding)
+    return sched, traces, profile(inter=5e9)
+
+
+@st.composite
+def tied_templates(draw):
+    """A random iteration template in blocks of tasks that share a resource,
+    a duration and their dependencies, with durations that tie often, and
+    an iteration start."""
+    tpl = simengine._Template()
+    size = draw(st.integers(8, 32))
+    while len(tpl.codes) < size:
+        uid = len(tpl.codes)
+        deps = sorted(draw(st.lists(st.integers(0, uid - 1), max_size=3, unique=True))
+                      if uid else [])
+        resource = draw(st.sampled_from(["gpu", "pcie_h2d", "cpu"]))
+        duration = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+        for _ in range(draw(st.integers(1, 4))):
+            tpl.add(f"t{len(tpl.codes)}", "op", resource, duration, deps)
+    return tpl, draw(st.sampled_from([0.0, 1.0]))
+
+
+def per_task(tpl):
+    """The template with every task its own run."""
+    single = copy.copy(tpl)
+    single.runs = tpl.singletons
+    return single
+
+
+class TestRuns:
+    """The event loop serves a run of tasks whole, and falls back to single
+    tasks where two events at one instant push onto one resource."""
+
+    def test_lower_uid_pushed_at_a_runs_start_is_served_inside_it(self, monkeypatch):
+        sched, traces, prof = same_instant_instance(owned_first=True)
+        report, kept = loop_runs(monkeypatch, sched, traces, prof)
+        tl = report.timeline
+        g1, owned, g3 = (tl.task_ids.index(f"gather.p{p}@1") for p in (1, 2, 3))
+        # task by task, the owned gather slips in between the run's two gathers
+        assert tl.starts[0][g1] < tl.starts[0][owned] < tl.starts[0][g3]
+        assert tl.starts[0][g1] == tl.ends[0][tl.task_ids.index("move.p2@0")]
+        assert kept == [False]
+        assert plain(report) == plain(reference_simulate(sched, traces, prof))
+
+    def test_two_pushers_at_one_instant_fall_back(self, monkeypatch):
+        sched, traces, prof = same_instant_instance(owned_first=False)
+        report, kept = loop_runs(monkeypatch, sched, traces, prof, iterations=3)
+        # at later starts the two ends round apart, and the runs are kept
+        assert kept[0] is False
+        assert plain(report) == plain(reference_simulate(sched, traces, prof, iterations=3))
+
+    def test_run_and_singleton_partitions_agree(self, monkeypatch):
+        """On random schedules the loop's result is that of every task its
+        own run; the rule both holds and fails across the draws."""
+        outcomes = set()
+        event_loop = simengine._run_event_loop
+
+        def both(tpl, start, *rest):
+            starts, ends, part = event_loop(tpl, start, *rest)
+            assert event_loop(per_task(tpl), start)[:2] == (starts, ends)
+            if tpl.runs.merged:
+                outcomes.add(part is tpl.runs)
+            return starts, ends, part
+
+        monkeypatch.setattr(simengine, "_run_event_loop", both)
+
+        @settings(max_examples=100, deadline=None)
+        @given(sim_cases())
+        def check(case):
+            sched, traces, prof, kwargs = case
+            simulate(sched, traces, prof, **kwargs)
+
+        check()
+        assert outcomes == {True, False}
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_templates())
+    def test_tied_templates_match_the_per_task_loop(self, case):
+        tpl, start = case
+        assert simengine._run_event_loop(tpl, start)[:2] == \
+            simengine._run_event_loop(per_task(tpl), start)[:2]
+
+    def test_the_matched_fixtures_keep_their_runs(self, monkeypatch):
+        """The non-random cases of ``TestMatchesReference`` run on merged
+        runs throughout, so those tests check the run loop."""
+        cfg = model_preset("gpt3-1.7b")
+        a100 = hardware_preset("a100-server")
+        inventory = fp.tensor_inventory(cfg)
+        traces = build_trace(inventory, a100.timing_model())
+        model = LayerModel.from_inventory(inventory, 4 * MIB, cfg.batch_size)
+        cases = [(schedule(model, traces, 8 * 2**30, ShardingModel(8, 0), phase1_only=p), traces,
+                  {"iterations": 2, "update_mode": "sync", "optimizer_tier": "ssd"})
+                 for p in (True, False)]
+        model, traces = paper_shaped(3, 64 * MIB)
+        cases += [(schedule(model, traces, 10 * GIB, ShardingModel(8, 0), phase1_only=p), traces,
+                   kwargs) for p in (True, False)
+                  for kwargs in ({}, {"iterations": 3, "update_mode": "sync"})]
+        for sched, traces, kwargs in cases:
+            _, kept = loop_runs(monkeypatch, sched, traces, a100, **kwargs)
+            assert kept and all(kept)
 
 
 def checked_tasks(*specs):
