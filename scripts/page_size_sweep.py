@@ -26,14 +26,12 @@ def main():
     parser.add_argument("--page-mib", type=float, nargs="+", default=[4, 1, 0.5])
     parser.add_argument("--budget-gib", type=float, default=80)
     parser.add_argument("--world-size", type=int, default=8)
-    parser.add_argument("--no-recompute", action="store_true")
     args = parser.parse_args()
 
     cfg = resolve_model(args.model)
     profile = hardware_preset("a100-server")
     inventory = tensor_inventory(cfg)
-    traces = build_trace(inventory, profile.timing_model(),
-                         recompute_policy=not args.no_recompute)
+    traces = build_trace(inventory, profile.timing_model(), recompute_policy=True)
     sharding = ShardingModel(args.world_size, 0)
     budget = int(args.budget_gib * GIB)
     print(f"{'page MiB':>8} {'tasks':>9} {'phase-2 peak GiB':>17} {'makespan s':>11} "
